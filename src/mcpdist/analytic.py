@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, logsumexp
+from scipy.special import gammainc, gammainccinv, gammaln, xlogy
 
-from .geometry import intersection_volume, unit_ball_volume
-from .quadrature import integrate
+from .geometry import ball_volume, intersection_volume, unit_ball_volume
 
 __all__ = [
     "CurveKind",
@@ -51,13 +49,24 @@ __all__ = [
     "quantile_radius",
 ]
 
-# Tolerances for the h/q/g kernel integrals.  Tighter than the quadrature
-# defaults so algebraically identical routes agree to ~1e-12.
-_ABS_TOL = 1e-12
-_REL_TOL = 1e-11
+# Fixed rule for every lens integral: Gauss-Legendre nodes on [0, 1] pushed
+# through the smoothstep u -> 3u^2 - 2u^3.  Its zero slope at both ends
+# turns the (x - a)^((n+1)/2) behaviour of the lens at the containment and
+# disjointness breakpoints into integer powers of u, so the rule converges
+# as for a smooth integrand.
+_NODES = 64
+_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_NODES)
+_U = 0.5 * (_gl_nodes + 1.0)
+_SMOOTHSTEP = _U * _U * (3.0 - 2.0 * _U)
+_SMOOTHSTEP_WEIGHTS = 3.0 * _gl_weights * _U * (1.0 - _U)
+# Poisson-type sums over the nodes are formed this many orders at a time.
+_ORDER_BLOCK = 64
 
-# Below this log-probability the PMF recurrence runs in log space.
+# Below this log-probability P[N=0] is not representable in double precision.
 _LOG_SPACE_CUTOFF = -700.0
+# The PMF recurrence divides its running terms back to 1 once one exceeds
+# this, accumulating the factor in log space.
+_RESCALE_AT = 1e200
 # Adaptive truncation: stop once terms stay below _TAIL_RATIO * max for
 # _TAIL_RUN consecutive orders.
 _TAIL_RATIO = 1e-14
@@ -71,7 +80,7 @@ _CURVE_POINTS = 512
 class PmfUnderflowError(ArithmeticError):
     """The zero-count probability underflows double precision.
 
-    Raised only when log-space evaluation was explicitly disabled.
+    Raised only when log_space=False was passed.
     """
 
 
@@ -146,6 +155,82 @@ class DistributionCurve:
 
 
 # ---------------------------------------------------------------------------
+# Lens kernel: every PGF quantity of one radius from one pass over the nodes
+# ---------------------------------------------------------------------------
+
+
+def _radial_rule(inner: float, outer: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integrals against n x^(n-1) / outer^n on [0, outer].
+
+    The lens is constant for x <= inner, so that piece is the single node
+    x = 0 carrying its exact mass (inner / outer)^n; the mapped rule covers
+    [inner, outer].
+    """
+    x = inner + (outer - inner) * _SMOOTHSTEP
+    w = n * (x / outer) ** (n - 1) * (outer - inner) / outer * _SMOOTHSTEP_WEIGHTS
+    return np.append(0.0, x), np.append((inner / outer) ** n, w)
+
+
+class _Kernel:
+    """t = lambda_d A(r, rd, x) on fixed nodes, with quadrature weights.
+
+    The stationary pair integrates over the window [0, r + rd] with weights
+    lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
+    cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  The
+    lens is evaluated once for both, and each PGF quantity is one weighted
+    sum over the nodes.
+    """
+
+    def __init__(self, r: float, p: McpParams):
+        _check_radius(r)
+        n, rd = p.n, p.rd
+        inner = abs(r - rd)
+        x, w = _radial_rule(inner, r + rd, n)
+        y, self.palm_w = _radial_rule(min(inner, rd), rd, n)
+        lens = intersection_volume(r, rd, np.concatenate([x, y]), n)
+        # Rounding can leave a cap sum a hair below zero.
+        t = p.lambda_d * np.maximum(lens, 0.0)
+        self.t, self.palm_t = t[: x.size], t[x.size :]
+        self.w = p.lambda_p * ball_volume(r + rd, n) * w
+
+    def log_pgf(self, s: float) -> float:
+        """g(s), as an expm1 sum free of cancellation against the window mass."""
+        return float(np.expm1((s - 1.0) * self.t) @ self.w)
+
+    def palm_factor(self, s: float) -> float:
+        """E[s^(own-cluster count)]: the Palm PGF divided by the stationary one."""
+        return float(np.exp((s - 1.0) * self.palm_t) @ self.palm_w)
+
+    def h(self, lo: int, hi: int) -> np.ndarray:
+        """h_k for k = lo..hi-1."""
+        sums = _poisson_sums(self.t, self.w, lo, hi)
+        return np.pad(sums, (0, hi - lo - sums.size))
+
+    def q(self, lo: int, hi: int) -> np.ndarray:
+        """q_j for j = lo..hi-1."""
+        sums = _poisson_sums(self.palm_t, self.palm_w, lo, hi)
+        return np.pad(sums, (0, hi - lo - sums.size))
+
+
+def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """sum over nodes of w t^k e^(-t) / k! for orders k = lo, lo+1, ...
+
+    k! is folded into the exponent so large orders cannot overflow.  Orders
+    go in blocks up to hi - 1, but past the largest t the terms fall with
+    k, so once a block is all zero every higher order is zero too: the
+    result stops there, and the orders it omits are zero.
+    """
+    blocks = [np.zeros(0)]
+    t_max = t.max()
+    for start in range(lo, hi, _ORDER_BLOCK):
+        k = np.arange(start, min(start + _ORDER_BLOCK, hi), dtype=float)[:, np.newaxis]
+        blocks.append(np.exp(xlogy(k, t) - t - gammaln(k + 1.0)) @ w)
+        if start > t_max and not blocks[-1].any():
+            break
+    return np.concatenate(blocks)
+
+
+# ---------------------------------------------------------------------------
 # PGF of the in-ball count and its Taylor coefficients
 # ---------------------------------------------------------------------------
 
@@ -159,39 +244,9 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
     giving the bare integral of e^(-lambda_d A) x^(n-1) times the same
     prefactor.
     """
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k!r}")
-    return _h(float(r), int(k), p)
-
-
-@lru_cache(maxsize=1 << 17)
-def _h(r: float, k: int, p: McpParams) -> float:
-    n = p.n
-    v_n = unit_ball_volume(n)
-    if r == 0.0:
-        # Lens vanishes everywhere, so only k = 0 survives.
-        return p.lambda_p * v_n * p.rd**n if k == 0 else 0.0
-    ld = p.lambda_d
-    rd = p.rd
-    if k == 0:
-
-        def f(x: float) -> float:
-            return math.exp(-ld * intersection_volume(r, rd, x, n)) * x ** (n - 1)
-
-    else:
-        lg = math.lgamma(k + 1)
-
-        def f(x: float) -> float:
-            t = ld * intersection_volume(r, rd, x, n)
-            if t <= 0.0:
-                return 0.0
-            # k! folded into the exponent so large orders cannot overflow
-            return math.exp(k * math.log(t) - t - lg) * x ** (n - 1)
-
-    res = integrate(f, 0.0, r + rd, breakpoints=(abs(r - rd),), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
-    return p.lambda_p * n * v_n * res.value
+    return float(_Kernel(float(r), p).h(k, k + 1)[0])
 
 
 def log_pgf_count(s: float, r: float, p: McpParams) -> float:
@@ -202,23 +257,7 @@ def log_pgf_count(s: float, r: float, p: McpParams) -> float:
     between those two terms when the window is much larger than r.
     """
     _check_pgf_args(s, r)
-    return _log_pgf(float(s), float(r), p)
-
-
-@lru_cache(maxsize=1 << 17)
-def _log_pgf(s: float, r: float, p: McpParams) -> float:
-    if r <= 0.0 or s == 1.0:
-        return 0.0
-    n = p.n
-    ld = p.lambda_d
-    rd = p.rd
-    c = s - 1.0
-
-    def f(x: float) -> float:
-        return n * math.expm1(ld * intersection_volume(r, rd, x, n) * c) * x ** (n - 1)
-
-    res = integrate(f, 0.0, r + rd, breakpoints=(abs(r - rd),), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
-    return p.lambda_p * unit_ball_volume(n) * res.value
+    return _Kernel(float(r), p).log_pgf(float(s))
 
 
 def pgf_count(s: float, r: float, p: McpParams) -> float:
@@ -258,21 +297,17 @@ def pgf_count_palm(s: float, r: float, p: McpParams) -> float:
     _check_pgf_args(s, r)
     if r <= 0.0 or s == 1.0:
         return 1.0
-    n = p.n
-    ld = p.lambda_d
-    rd = p.rd
-    c = s - 1.0
-
-    def f(y: float) -> float:
-        return math.exp(c * ld * intersection_volume(r, rd, y, n)) * n * y ** (n - 1) / rd**n
-
-    res = integrate(f, 0.0, rd, breakpoints=(abs(r - rd),), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
-    return pgf_count(s, r, p) * res.value
+    kernel = _Kernel(float(r), p)
+    return math.exp(kernel.log_pgf(s)) * kernel.palm_factor(s)
 
 
 def _check_pgf_args(s: float, r: float) -> None:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"PGF argument must lie in [0, 1], got {s!r}")
+    _check_radius(r)
+
+
+def _check_radius(r: float) -> None:
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
 
@@ -320,82 +355,64 @@ def count_pmf(
 
     Production path: the power-series recurrence m p_m = sum_j j h_j p_(m-j)
     with p_0 = e^(g(0)).  With m_max None the vector is extended until five
-    consecutive orders fall below 1e-14 of the running maximum.  When g(0)
-    is too negative for p_0 to be representable the recurrence runs on
-    log-ratios; pass log_space=False to get PmfUnderflowError instead.
+    consecutive orders fall below 1e-14 of the running maximum; a ValueError
+    reports an expected count, or a tail, that would need more than 4096
+    orders.  The recurrence runs on p_m / p_0 with a log-space scale, so it
+    stays finite even where p_0 underflows; pass log_space=False to get
+    PmfUnderflowError in that case instead.
     """
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
+    _check_pmf_args(r, p, m_max)
+    return _count_pmf(_Kernel(float(r), p), m_max, log_space)
+
+
+def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
+    _check_radius(r)
     if m_max is not None and m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max!r}")
-    r = float(r)
-    log_p0 = _log_pgf(0.0, r, p)
-    use_log = log_p0 < _LOG_SPACE_CUTOFF if log_space is None else log_space
-    if not use_log and log_p0 < _LOG_SPACE_CUTOFF:
+    # Campbell: the expected count lambda_p mbar v_n r^n must sit below the
+    # order cap; compared as radii so that a huge r cannot overflow.
+    cap_radius = (_PMF_HARD_CAP / (p.lambda_p * p.mbar * unit_ball_volume(p.n))) ** (1.0 / p.n)
+    if m_max is None and r >= cap_radius:
+        raise ValueError(
+            f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
+            "beyond the adaptive PMF order cap; pass m_max"
+        )
+
+
+def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None) -> PmfVector:
+    log_p0 = kernel.log_pgf(0.0)
+    if log_space is False and log_p0 < _LOG_SPACE_CUTOFF:
         raise PmfUnderflowError(
             f"log P[N=0] = {log_p0:.1f} underflows double precision; "
             "use log_space=True (or the default auto mode)"
         )
-    probs = _pmf_recurrence(r, p, m_max, log_p0, use_log)
+    top = _PMF_HARD_CAP if m_max is None else m_max
+    h = _poisson_sums(kernel.t, kernel.w, 1, top + 1)
+    jh = np.arange(1, h.size + 1) * h
+    # ratio[m] = e^(-scale) p_m / p_0
+    ratio = np.zeros(top + 1)
+    ratio[0] = 1.0
+    scale = 0.0
+    peak = 1.0
+    below = 0
+    m = 0
+    while m < top and (m_max is not None or m < _TAIL_RUN or below < _TAIL_RUN):
+        m += 1
+        j = min(m, jh.size)
+        term = float(np.dot(jh[:j], ratio[m - j : m][::-1])) / m
+        if term > _RESCALE_AT:
+            ratio[:m] /= term
+            peak /= term
+            scale += math.log(term)
+            term = 1.0
+        ratio[m] = term
+        peak = max(peak, term)
+        below = below + 1 if term < _TAIL_RATIO * peak else 0
+    if m_max is None and below < _TAIL_RUN:
+        raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
+    with np.errstate(divide="ignore", under="ignore"):
+        probs = np.exp(log_p0 + scale + np.log(ratio[: m + 1]))
     return PmfVector(probs, 1.0 - float(probs.sum()))
-
-
-def _pmf_recurrence(
-    r: float, p: McpParams, m_max: int | None, log_p0: float, use_log: bool
-) -> np.ndarray:
-    if use_log:
-        return _pmf_recurrence_log(r, p, m_max, log_p0)
-    probs = [math.exp(log_p0)]
-    h = [0.0]  # h[0] unused by the recurrence
-    peak = probs[0]
-    below = 0
-    m = 0
-    while True:
-        if m_max is not None:
-            if m == m_max:
-                break
-        elif m >= _TAIL_RUN and below >= _TAIL_RUN:
-            break
-        elif m >= _PMF_HARD_CAP:
-            raise RuntimeError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
-        m += 1
-        h.append(_h(r, m, p))
-        acc = 0.0
-        for j in range(1, m + 1):
-            acc += j * h[j] * probs[m - j]
-        probs.append(acc / m)
-        peak = max(peak, probs[m])
-        below = below + 1 if probs[m] < _TAIL_RATIO * peak else 0
-    return np.asarray(probs)
-
-
-def _pmf_recurrence_log(r: float, p: McpParams, m_max: int | None, log_p0: float) -> np.ndarray:
-    log_t = [0.0]  # log of p_m / p_0
-    log_h = [-math.inf]
-    peak = 0.0
-    below = 0
-    m = 0
-    while True:
-        if m_max is not None:
-            if m == m_max:
-                break
-        elif m >= _TAIL_RUN and below >= _TAIL_RUN:
-            break
-        elif m >= _PMF_HARD_CAP:
-            raise RuntimeError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
-        m += 1
-        h_m = _h(r, m, p)
-        log_h.append(math.log(h_m) if h_m > 0.0 else -math.inf)
-        terms = [
-            math.log(j) + log_h[j] + log_t[m - j]
-            for j in range(1, m + 1)
-            if log_h[j] > -math.inf and log_t[m - j] > -math.inf
-        ]
-        log_t.append(float(logsumexp(terms)) - math.log(m) if terms else -math.inf)
-        peak = max(peak, log_t[m])
-        below = below + 1 if log_t[m] < peak + math.log(_TAIL_RATIO) else 0
-    with np.errstate(under="ignore"):
-        return np.exp(log_p0 + np.asarray(log_t))
 
 
 def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
@@ -407,9 +424,9 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
     """
     if r < 0.0 or m_max < 0:
         raise ValueError("radius and m_max must be nonnegative")
-    r = float(r)
-    base = math.exp(_log_pgf(0.0, r, p))
-    h = [0.0] + [_h(r, j, p) for j in range(1, m_max + 1)]
+    kernel = _Kernel(float(r), p)
+    base = math.exp(kernel.log_pgf(0.0))
+    h = [0.0, *kernel.h(1, m_max + 1)]
     probs = np.empty(m_max + 1)
     for m in range(m_max + 1):
         acc = 0.0
@@ -443,13 +460,13 @@ def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
         raise ValueError("explicit expressions cover k = 1, 2, 3 only")
     if r <= 0.0:
         return 0.0
-    e = math.exp(_log_pgf(0.0, float(r), p))
+    kernel = _Kernel(float(r), p)
+    e = math.exp(kernel.log_pgf(0.0))
+    h1, h2 = kernel.h(1, 3)
     if k == 1:
         return _clip01(1.0 - e)
-    h1 = _h(float(r), 1, p)
     if k == 2:
         return _clip01(1.0 - e * (1.0 + h1))
-    h2 = _h(float(r), 2, p)
     return _clip01(1.0 - e * (1.0 + h1) - e * (h2 + h1 * h1 / 2.0))
 
 
@@ -476,37 +493,9 @@ def q_weight(r: float, j: int, p: McpParams) -> float:
     Radial average over the typical point's offset y in the cluster ball:
     (1/j!) integral of (lambda_d A)^j e^(-lambda_d A) n y^(n-1) / rd^n dy.
     """
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
     if j < 0:
         raise ValueError(f"order must be nonnegative, got {j!r}")
-    return _q(float(r), int(j), p)
-
-
-@lru_cache(maxsize=1 << 17)
-def _q(r: float, j: int, p: McpParams) -> float:
-    n = p.n
-    rd = p.rd
-    if r == 0.0:
-        return 1.0 if j == 0 else 0.0
-    ld = p.lambda_d
-    if j == 0:
-
-        def f(y: float) -> float:
-            t = ld * intersection_volume(r, rd, y, n)
-            return math.exp(-t) * n * y ** (n - 1) / rd**n
-
-    else:
-        lg = math.lgamma(j + 1)
-
-        def f(y: float) -> float:
-            t = ld * intersection_volume(r, rd, y, n)
-            if t <= 0.0:
-                return 0.0
-            return math.exp(j * math.log(t) - t - lg) * n * y ** (n - 1) / rd**n
-
-    res = integrate(f, 0.0, rd, breakpoints=(abs(r - rd),), abs_tol=_ABS_TOL, rel_tol=_REL_TOL)
-    return res.value
+    return float(_Kernel(float(r), p).q(j, j + 1)[0])
 
 
 def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:
@@ -514,10 +503,11 @@ def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVecto
 
     Discrete convolution of the stationary count PMF with the q weights.
     """
-    stationary = count_pmf(r, p, m_max=m_max)
+    _check_pmf_args(r, p, m_max)
+    kernel = _Kernel(float(r), p)
+    stationary = _count_pmf(kernel, m_max)
     m_top = stationary.probs.size - 1
-    q = np.array([q_weight(r, j, p) for j in range(m_top + 1)])
-    probs = np.convolve(stationary.probs, q)[: m_top + 1]
+    probs = np.convolve(stationary.probs, kernel.q(0, m_top + 1))[: m_top + 1]
     return PmfVector(probs, 1.0 - float(probs.sum()))
 
 
@@ -530,9 +520,9 @@ def cdf_nnd(r: float, k: int, p: McpParams) -> float:
     _check_order(k)
     if r <= 0.0:
         return 0.0
-    probs = count_pmf(r, p, m_max=k - 1).probs
-    ccdf = np.cumsum(probs)  # ccdf[i-1] = P[N < i] = 1 - F_{R_i}
-    q = np.array([q_weight(r, j, p) for j in range(k)])
+    kernel = _Kernel(float(r), p)
+    ccdf = np.cumsum(_count_pmf(kernel, k - 1).probs)  # ccdf[i-1] = P[N < i] = 1 - F_{R_i}
+    q = kernel.q(0, k)
     return _clip01(1.0 - float(np.dot(q[::-1], ccdf)))
 
 
@@ -542,20 +532,17 @@ def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
         raise ValueError("explicit expressions cover k = 1, 2, 3 only")
     if r <= 0.0:
         return 0.0
-    r = float(r)
-    e = math.exp(_log_pgf(0.0, r, p))
-    q0 = _q(r, 0, p)
+    kernel = _Kernel(float(r), p)
+    e = math.exp(kernel.log_pgf(0.0))
+    h1, h2 = kernel.h(1, 3)
+    q0, q1, q2 = kernel.q(0, 3)
     if k == 1:
         return _clip01(1.0 - e * q0)
-    h1 = _h(r, 1, p)
     fbar1 = e
     fbar2 = e * (1.0 + h1)
-    q1 = _q(r, 1, p)
     if k == 2:
         return _clip01(1.0 - q1 * fbar1 - q0 * fbar2)
-    h2 = _h(r, 2, p)
     fbar3 = e * (1.0 + h1 + h2 + h1 * h1 / 2.0)
-    q2 = _q(r, 2, p)
     return _clip01(1.0 - q2 * fbar1 - q1 * fbar2 - q0 * fbar3)
 
 
@@ -567,8 +554,6 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
     deliberately not special-cased to zero.
     """
     _check_order(k)
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
     probs = count_pmf(float(r), p, m_max=k - 1).probs
     ccdf = np.cumsum(probs)
     acc = 0.0

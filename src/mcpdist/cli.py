@@ -3,7 +3,9 @@
 All numeric output uses repr round-trip formatting with dot decimal
 separators, so identical invocations produce identical bytes.  Exit
 codes: 0 success (validate: all pass), 1 validation failure, 2 invalid
-parameters, 3 quadrature non-convergence, 4 excessive censoring.
+parameters (including a PMF that would exceed its order cap), 4 excessive
+censoring.  Code 3 once meant quadrature non-convergence; it is no longer
+emitted and is not reused.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .analytic import (
     quantile_radius,
 )
 from .apps import SweepMetric, SweepSpec, sweep
-from .quadrature import QuadratureError
 from .simulator import (
     CensoringError,
     SimConfig,
@@ -36,7 +37,29 @@ from .simulator import (
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = ("n", "lambda_p", "mbar", "rd", "R", "k", "samples", "seed")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Config key -> (expected JSON type, its check), matching the flag of the
+# same name.  sweep's --lambda-p and --rd take lists, so there a config
+# value may also be a list of numbers, and a number stands for one item.
+_CONFIG_TYPES = {
+    "n": ("an integer", _is_int),
+    "lambda_p": ("a number", _is_number),
+    "mbar": ("a number", _is_number),
+    "rd": ("a number", _is_number),
+    "R": ("a number", _is_number),
+    "k": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "samples": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+}
+_SWEEP_LIST_KEYS = ("lambda_p", "rd")
 
 
 class _CliError(ValueError):
@@ -57,9 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"error: quadrature failed to converge: {exc}", file=sys.stderr)
-        return 3
     except CensoringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -158,8 +178,15 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not isinstance(config, dict):
         raise _CliError("config must be a JSON object")
     for key, value in config.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise _CliError(f"unknown config key {key!r}")
+        expected, check = _CONFIG_TYPES[key]
+        if isinstance(value, list) and args.command == "sweep" and key in _SWEEP_LIST_KEYS:
+            value_ok = all(map(check, value))
+        else:
+            value_ok = check(value)
+        if not value_ok:
+            raise _CliError(f"config key {key!r} must be {expected}, got {value!r}")
         # Config keys match argparse destinations exactly (including R).
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -288,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     n = args.n if args.n is not None else 2
     k_values = tuple(sorted(set(args.k))) if args.k else (1, 2, 3, 4)
     if args.rd is not None:
-        rd_grid = tuple(sorted(set(args.rd)))
+        rd_grid = tuple(sorted(set(args.rd if isinstance(args.rd, list) else [args.rd])))
     else:
         rd_min = args.rd_min if args.rd_min is not None else args.R / 100.0
         rd_max = args.rd_max if args.rd_max is not None else 10.0 * args.R

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import betainc
 
 __all__ = ["unit_ball_volume", "ball_volume", "intersection_volume"]
@@ -36,7 +37,9 @@ def ball_volume(radius: float, n: int) -> float:
     return unit_ball_volume(n) * radius**n
 
 
-def intersection_volume(r: float, r_d: float, x: float, n: int) -> float:
+def intersection_volume(
+    r: float, r_d: float, x: float | np.ndarray, n: int
+) -> float | np.ndarray:
     """Volume of B(o, r) intersected with a ball of radius r_d centered x away.
 
     Piecewise: the smaller ball's volume when one ball contains the other
@@ -44,47 +47,51 @@ def intersection_volume(r: float, r_d: float, x: float, n: int) -> float:
     sum of the two hyperspherical caps cut off by the radical hyperplane in
     between.  When the radical plane lies beyond one center the cap exceeds
     a hemisphere and is evaluated as ball minus complementary cap, keeping
-    the incomplete-beta argument inside [0, 1].
+    the incomplete-beta argument inside [0, 1].  x may be an array of
+    separations, giving an array of volumes; a scalar x gives a float.
     """
     _check_dimension(n)
-    if not (math.isfinite(r) and math.isfinite(r_d) and math.isfinite(x)):
+    xs = np.asarray(x, dtype=float)
+    if not (math.isfinite(r) and math.isfinite(r_d) and np.isfinite(xs).all()):
         raise ValueError("lens arguments must be finite")
-    if r < 0.0 or x < 0.0 or r_d <= 0.0:
+    if r < 0.0 or r_d <= 0.0 or (xs < 0.0).any():
         raise ValueError(f"invalid lens geometry: r={r}, r_d={r_d}, x={x}")
 
-    if r == 0.0 or x >= r + r_d:
-        return 0.0
-    if x <= abs(r - r_d):
-        return ball_volume(min(r, r_d), n)
-    if n == 1:
-        return r + r_d - x
+    # Every branch is evaluated at every x and the right one picked below;
+    # the cap formulas divide by x = 0, or overflow near it, on the
+    # containment branch only.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n == 1:
+            lens = r + r_d - xs
+        else:
+            # Cap heights measured from the radical hyperplane.  The
+            # difference-of-squares product form avoids the cancellation
+            # that the naive (x^2 + r^2 - r_d^2)/(2x) offset suffers when
+            # one ball is tiny next to the other; heights above the ball
+            # radius mean the cap exceeds a hemisphere, which every formula
+            # below handles directly.
+            h1 = (r_d - xs + r) * (r_d + xs - r) / (2.0 * xs)
+            h2 = (r + r_d - xs) * (r + xs - r_d) / (2.0 * xs)
+            lens = _cap_volume(r, h1, n) + _cap_volume(r_d, h2, n)
+    full = ball_volume(min(r, r_d), n)
+    volume = np.where(xs >= r + r_d, 0.0, np.where(xs <= abs(r - r_d), full, lens))
+    return float(volume) if volume.ndim == 0 else volume
 
-    # Cap heights measured from the radical hyperplane.  The
-    # difference-of-squares product form avoids the cancellation that the
-    # naive (x^2 + r^2 - r_d^2)/(2x) offset suffers when one ball is tiny
-    # next to the other; heights above the ball radius mean the cap
-    # exceeds a hemisphere, which every formula below handles directly.
-    h1 = (r_d - x + r) * (r_d + x - r) / (2.0 * x)
-    h2 = (r + r_d - x) * (r + x - r_d) / (2.0 * x)
-    return _cap_volume(r, h1, n) + _cap_volume(r_d, h2, n)
 
-
-def _cap_volume(radius: float, height: float, n: int) -> float:
+def _cap_volume(radius: float, height: np.ndarray, n: int) -> np.ndarray:
     # Hyperspherical cap of the given height, 0 <= height <= 2 * radius.
-    h = min(max(height, 0.0), 2.0 * radius)
+    h = np.clip(height, 0.0, 2.0 * radius)
     if n == 2:
         # Circular segment: (R^2/2)(theta - sin theta) rearranged so only
         # well-conditioned atan2/sqrt evaluations appear.
         a = radius - h
-        s = math.sqrt(h * (2.0 * radius - h))
-        return radius * radius * math.atan2(s, a) - s * a
+        s = np.sqrt(h * (2.0 * radius - h))
+        return radius * radius * np.arctan2(s, a) - s * a
     if n == 3:
         return math.pi * h * h * (3.0 * radius - h) / 3.0
     z = h * (2.0 * radius - h) / (radius * radius)
-    half = 0.5 * ball_volume(radius, n) * float(betainc((n + 1) / 2, 0.5, min(z, 1.0)))
-    if h <= radius:
-        return half
-    return ball_volume(radius, n) - half
+    half = 0.5 * ball_volume(radius, n) * betainc((n + 1) / 2, 0.5, np.minimum(z, 1.0))
+    return np.where(h <= radius, half, ball_volume(radius, n) - half)
 
 
 def _check_dimension(n: int) -> None:

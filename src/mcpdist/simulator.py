@@ -133,7 +133,10 @@ def kth_distances(sample: np.ndarray, max_k: int) -> np.ndarray:
 
 def _resolve_workers(workers: int | None) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        cap = 0
     if cap is not None and cap < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
     requested = workers if workers is not None else (cap if cap is not None else 1)

@@ -88,6 +88,15 @@ class TestCdfCommand:
         code, _, err = run_cli(capsys, "cdf", "--config", str(config), "--kind", "cd")
         assert code == 2
 
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path):
+        for command, key, value in (("cdf", "k", 2), ("validate", "samples", "100")):
+            config = tmp_path / f"{key}.json"
+            config.write_text(json.dumps({key: value, "lambda_p": 2e-5, "mbar": 5, "rd": 50}))
+            code, _, err = run_cli(capsys, command, "--config", str(config), *(
+                ["--kind", "cd"] if command == "cdf" else []))
+            assert code == 2
+            assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+
 
 class TestPmfCommand:
     def test_pmf_rows(self, capsys):
@@ -110,6 +119,14 @@ class TestPmfCommand:
     def test_negative_radius_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--r", "-1", *FIG1_ARGS)
         assert code == 2
+
+    def test_order_cap_exits_2(self, capsys):
+        # expected count ~ 1.6e13, far beyond what an adaptive PMF can reach
+        code, out, err = run_cli(
+            capsys, "pmf", "--r", "1e6", "--lambda-p", "1", "--mbar", "5", "--rd", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestValidateCommand:

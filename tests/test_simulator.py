@@ -186,6 +186,13 @@ class TestHarness:
         capped = simulate_kth_distances(cfg, workers=16)
         assert np.array_equal(base, capped)
 
+    def test_bad_thread_variable_is_named(self, fig1_params, monkeypatch):
+        cfg = SimConfig(fig1_params, 80.0, 10, 99, 1)
+        for bad in ("abc", "0"):
+            monkeypatch.setenv("MCPDIST_THREADS", bad)
+            with pytest.raises(ValueError, match=f"MCPDIST_THREADS.*{bad!r}"):
+                simulate_kth_distances(cfg)
+
     def test_window_sufficiency(self, fig1_params):
         # doubling the window must not move the ECDF beyond Monte Carlo noise
         r_obs = 120.0
