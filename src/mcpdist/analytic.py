@@ -72,6 +72,8 @@ _RESCALE_AT = 1e200
 _TAIL_RATIO = 1e-14
 _TAIL_RUN = 5
 _PMF_HARD_CAP = 4096
+# log of the smallest positive double
+_LOG_DOUBLE_MIN = math.log(5e-324)
 
 _CURVE_TAIL = 1e-4
 _CURVE_POINTS = 512
@@ -100,18 +102,26 @@ class McpParams:
     n: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        # Beyond n = 452 the unit-ball volume underflows double precision,
+        # so the cluster-volume check below rejects every rd; the bound only
+        # spares a huge n the O(n) volume recurrence.
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= 1000:
+            raise ValueError(f"dimension must be an integer in 1..1000, got {self.n!r}")
         for name in ("lambda_p", "mbar", "rd"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, float(value))
+        if not 0.0 < ball_volume(self.rd, self.n) < math.inf or not 0.0 < self.lambda_d < math.inf:
+            raise ValueError(
+                f"rd={self.rd!r} in n={self.n} dimensions gives a cluster ball volume or "
+                "daughter intensity outside the range of double precision"
+            )
 
     @property
     def lambda_d(self) -> float:
         """Daughter intensity inside the cluster ball: mbar / (v_n rd^n)."""
-        return self.mbar / (unit_ball_volume(self.n) * self.rd**self.n)
+        return self.mbar / ball_volume(self.rd, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +201,13 @@ class _Kernel:
         # Rounding can leave a cap sum a hair below zero.
         t = p.lambda_d * np.maximum(lens, 0.0)
         self.t, self.palm_t = t[: x.size], t[x.size :]
-        self.w = p.lambda_p * ball_volume(r + rd, n) * w
+        clusters = p.lambda_p * ball_volume(r + rd, n)
+        if not math.isfinite(clusters):
+            raise ValueError(
+                f"the expected number of clusters within r + rd = {r + rd!r} of the origin "
+                "exceeds the double range"
+            )
+        self.w = clusters * w
 
     def log_pgf(self, s: float) -> float:
         """g(s), as an expm1 sum free of cancellation against the window mass."""
@@ -369,14 +385,24 @@ def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
     _check_radius(r)
     if m_max is not None and m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max!r}")
+    if m_max is not None and m_max > _PMF_HARD_CAP:
+        raise ValueError(f"m_max must be at most {_PMF_HARD_CAP}, got {m_max!r}")
     # Campbell: the expected count lambda_p mbar v_n r^n must sit below the
     # order cap; compared as radii so that a huge r cannot overflow.
-    cap_radius = (_PMF_HARD_CAP / (p.lambda_p * p.mbar * unit_ball_volume(p.n))) ** (1.0 / p.n)
-    if m_max is None and r >= cap_radius:
+    if m_max is None and r >= _count_radius(_PMF_HARD_CAP, p):
         raise ValueError(
             f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
             "beyond the adaptive PMF order cap; pass m_max"
         )
+
+
+def _count_radius(count: float, p: McpParams) -> float:
+    """Radius whose ball holds `count` points on average (Campbell).
+
+    inf where the intensity lambda_p mbar v_n underflows to zero.
+    """
+    intensity = p.lambda_p * p.mbar * unit_ball_volume(p.n)
+    return (count / intensity) ** (1.0 / p.n) if intensity > 0.0 else math.inf
 
 
 def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None) -> PmfVector:
@@ -387,6 +413,13 @@ def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None
             "use log_space=True (or the default auto mode)"
         )
     top = _PMF_HARD_CAP if m_max is None else m_max
+    # At least Poisson(-g(0)) clusters put points in the ball, so by the
+    # Chernoff bound P[N <= top] <= exp(-L + top + top log(L / top)) with
+    # L = -g(0) > top.  Below the smallest double every order is exactly 0,
+    # and the recurrence, whose h_j reach L, could only overflow.
+    lam = -log_p0
+    if lam > top and top - lam + xlogy(top, lam) - xlogy(top, top) < _LOG_DOUBLE_MIN:
+        return PmfVector(np.zeros(top + 1), 1.0)
     h = _poisson_sums(kernel.t, kernel.w, 1, top + 1)
     jh = np.arange(1, h.size + 1) * h
     # ratio[m] = e^(-scale) p_m / p_0
@@ -477,7 +510,10 @@ def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
         raise ValueError(f"intensity must be finite and positive, got {intensity!r}")
     if r <= 0.0:
         return 0.0
-    mu = intensity * unit_ball_volume(n) * r**n
+    try:
+        mu = intensity * unit_ball_volume(n) * r**n
+    except OverflowError:
+        mu = math.inf
     # P[Poisson(mu) >= k] via the regularized lower incomplete gamma.
     return float(gammainc(k, mu))
 
@@ -583,15 +619,17 @@ def quantile_radius(
     """Doubling search for the radius where the CDF reaches 1 - tail."""
     _check_order(k)
     # Start from the matching Poisson quantile and double/halve from there.
-    mu = float(gammainccinv(k, tail))
-    r = (mu / (p.lambda_p * p.mbar * unit_ball_volume(p.n))) ** (1.0 / p.n)
+    r = _count_radius(float(gammainccinv(k, tail)), p)
     target = 1.0 - tail
     if _cdf_eval(kind, r, k, p) < target:
         for _ in range(200):
             r *= 2.0
             if _cdf_eval(kind, r, k, p) >= target:
                 return r
-        raise RuntimeError("doubling search did not reach the CDF tail")
+        raise ValueError(
+            f"the {kind.value} CDF for k={k} does not reach 1 - {tail} within 200 doublings "
+            f"of the radius (last tried r={r!r})"
+        )
     for _ in range(200):
         if r <= 0.0 or _cdf_eval(kind, r / 2.0, k, p) < target:
             return r
@@ -627,8 +665,8 @@ def distribution_curve(
 
 
 def _check_order(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not 1 <= k <= _PMF_HARD_CAP:
+        raise ValueError(f"k must be an integer in 1..{_PMF_HARD_CAP}, got {k!r}")
 
 
 def _clip01(value: float) -> float:

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .analytic import McpParams, cdf_contact, cdf_nnd, ppp_cdf_contact, unit_ball_volume
+from .analytic import McpParams, cdf_contact, cdf_nnd, ppp_cdf_contact
+from .geometry import ball_volume
 
 __all__ = [
     "SweepMetric",
@@ -91,7 +92,7 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
         if hold == "mbar":
             params = replace(base, rd=rd)
         else:
-            mbar = base.lambda_d * unit_ball_volume(base.n) * rd**base.n
+            mbar = base.lambda_d * ball_volume(rd, base.n)
             params = replace(base, rd=rd, mbar=mbar)
         for k in spec.k_values:
             if metric is SweepMetric.CONNECTIVITY:

@@ -3,7 +3,9 @@
 All numeric output uses repr round-trip formatting with dot decimal
 separators, so identical invocations produce identical bytes.  Exit
 codes: 0 success (validate: all pass), 1 validation failure, 2 invalid
-parameters (including a PMF that would exceed its order cap), 4 excessive
+parameters (including numeric extremes that fail fast: a PMF beyond its
+order cap, volumes outside the double range, a simulation beyond its
+point or distance caps, an unwritable output path), 4 excessive
 censoring.  Code 3 once meant quadrature non-convergence; it is no longer
 emitted and is not reused.
 """
@@ -27,13 +29,7 @@ from .analytic import (
     quantile_radius,
 )
 from .apps import SweepMetric, SweepSpec, sweep
-from .simulator import (
-    CensoringError,
-    SimConfig,
-    simulate_kth_distances,
-    validate_against_analytic,
-    write_raw_samples,
-)
+from .simulator import CensoringError, validate_against_analytic
 
 __all__ = ["main"]
 
@@ -60,6 +56,8 @@ _CONFIG_TYPES = {
     "seed": ("an integer", _is_int),
 }
 _SWEEP_LIST_KEYS = ("lambda_p", "rd")
+# Largest --grid-points / --rd-points: each point is a separate evaluation.
+_MAX_GRID_POINTS = 100_000
 
 
 class _CliError(ValueError):
@@ -77,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if out is not sys.stdout:
                 out.close()
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CensoringError as exc:
@@ -230,10 +228,10 @@ def _cmd_cdf(args: argparse.Namespace, out) -> int:
     k_values = sorted(set(args.k)) if args.k else [1]
     if any(k < 1 for k in k_values):
         raise _CliError("k values must be positive")
-    if args.grid_points < 2:
-        raise _CliError("grid-points must be at least 2")
-    if args.grid_max is not None and args.grid_max < 0:
-        raise _CliError("grid-max must be nonnegative")
+    if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
+        raise _CliError(f"grid-points must be in 2..{_MAX_GRID_POINTS}")
+    if args.grid_max is not None and not 0.0 <= args.grid_max < math.inf:
+        raise _CliError("grid-max must be finite and nonnegative")
     kind = CurveKind.CONTACT if args.kind == "cd" else CurveKind.NND
     grid_max = args.grid_max
     if grid_max is None:
@@ -277,12 +275,17 @@ def _cmd_validate(args: argparse.Namespace, out) -> int:
         raise _CliError("samples must be at least 1")
     if args.k_max < 1:
         raise _CliError("k-max must be at least 1")
-    if args.r_max is not None and args.r_max <= 0:
-        raise _CliError("r-max must be positive")
+    if args.r_max is not None and not 0.0 < args.r_max < math.inf:
+        raise _CliError("r-max must be finite and positive")
     k_values = list(range(1, args.k_max + 1))
-    rows = validate_against_analytic(
-        params, k_values, samples=samples, seed=seed, r_max=args.r_max
-    )
+    dump = open(args.dump_samples, "w", newline="") if args.dump_samples else None
+    try:
+        rows = validate_against_analytic(
+            params, k_values, samples=samples, seed=seed, r_max=args.r_max, dump=dump
+        )
+    finally:
+        if dump is not None:
+            dump.close()
     _echo(out, "validate", [
         ("n", params.n), ("lambda_p", params.lambda_p), ("mbar", params.mbar),
         ("rd", params.rd), ("k_max", args.k_max), ("samples", samples), ("seed", seed),
@@ -296,22 +299,13 @@ def _cmd_validate(args: argparse.Namespace, out) -> int:
             f"result={'pass' if row.passed else 'fail'}\n"
         )
     out.write(f"overall={'pass' if all_passed else 'fail'}\n")
-    if args.dump_samples:
-        k_max = max(k_values)
-        radius = args.r_max if args.r_max is not None else quantile_radius(
-            CurveKind.CONTACT, k_max, params
-        )
-        cfg = SimConfig(params, radius, samples, seed, k_max)
-        distances = simulate_kth_distances(cfg)
-        with open(args.dump_samples, "w", newline="") as fh:
-            write_raw_samples(fh, distances, radius)
     return 0 if all_passed else 1
 
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
     _require(args, "lambda_p", "mbar", "R")
-    if args.R <= 0:
-        raise _CliError("--R must be positive")
+    if not 0.0 < args.R < math.inf:
+        raise _CliError("--R must be finite and positive")
     n = args.n if args.n is not None else 2
     k_values = tuple(sorted(set(args.k))) if args.k else (1, 2, 3, 4)
     if args.rd is not None:
@@ -319,7 +313,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     else:
         rd_min = args.rd_min if args.rd_min is not None else args.R / 100.0
         rd_max = args.rd_max if args.rd_max is not None else 10.0 * args.R
-        if args.rd_points < 1 or rd_min <= 0 or rd_max < rd_min:
+        if not 1 <= args.rd_points <= _MAX_GRID_POINTS or not 0.0 < rd_min <= rd_max < math.inf:
             raise _CliError("invalid rd grid")
         if args.rd_points == 1:
             rd_grid = (rd_min,)

@@ -33,8 +33,11 @@ def unit_ball_volume(n: int) -> float:
 
 
 def ball_volume(radius: float, n: int) -> float:
-    """Volume of an n-ball of the given radius."""
-    return unit_ball_volume(n) * radius**n
+    """Volume of an n-ball of the given radius; inf beyond the double range."""
+    try:
+        return unit_ball_volume(n) * float(radius) ** n
+    except OverflowError:
+        return math.inf
 
 
 def intersection_volume(

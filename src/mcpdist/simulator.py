@@ -2,8 +2,11 @@
 
 Samples stationary and Palm-conditioned realizations, measures kth
 distances from the origin, and compares empirical CDFs against the
-analytic curves.  Every run draws from its own counter-based substream,
-so results are identical for any worker count.
+analytic curves.  Runs are simulated in fixed blocks, each drawn in a few
+vectorized calls from its own counter-based substream keyed by (seed,
+stream, block).  The block size depends only on the parameters and the
+window, so results are identical for any worker count, and a larger run
+budget extends the same rows.
 """
 
 from __future__ import annotations
@@ -37,12 +40,51 @@ THREADS_ENV_VAR = "MCPDIST_THREADS"
 # KS acceptance threshold: 1.5x the 95% DKW band.
 KS_THRESHOLD_FACTOR = 1.5 * 1.36
 
+# Fail-fast caps, checked before any sampling: the Campbell mean of the
+# points one run draws, and the entries of the (samples, max_k) matrix.
+MAX_MEAN_POINTS = 1_000_000
+MAX_DISTANCES = 50_000_000
+
+# A block holds about this many points in expectation, and at most this
+# many runs; its selection table is split by runs beyond _TABLE_CELLS cells.
+_BLOCK_POINTS = 2**14
+_TABLE_CELLS = 4 * _BLOCK_POINTS
+
+# Every sampled point lies within observation_radius + 2 rd of the origin;
+# inside this range its squared distance is a normal double.
+_REACH_RANGE = (1e-150, 1e150)
+
 _STATIONARY_STREAM = 0
 _PALM_STREAM = 1
 
 
 class CensoringError(RuntimeError):
     """Too many runs were censored for the empirical CDF to be trusted."""
+
+
+def _mean_counts(p: McpParams, observation_radius: float) -> tuple[float, float]:
+    # Campbell means of the parents, lambda_p v_n (R + rd)^n, and of the
+    # daughters, mbar times that, that one stationary run samples; formed
+    # in logs so that a huge window gives inf rather than an OverflowError.
+    log_parents = (math.log(p.lambda_p) + math.log(unit_ball_volume(p.n))
+                   + p.n * math.log(observation_radius + p.rd))
+    parents = math.exp(min(log_parents, 709.0))
+    return parents, parents * p.mbar
+
+
+def _check_budget(p: McpParams, observation_radius: float, samples: int, max_k: int) -> None:
+    if samples * max_k > MAX_DISTANCES:
+        raise ValueError(
+            f"samples x max_k = {samples * max_k} exceeds the cap of {MAX_DISTANCES} distances"
+        )
+    parents, daughters = _mean_counts(p, observation_radius)
+    # Parents, daughters and the Palm siblings are all drawn as points.
+    mean = parents + daughters + p.mbar
+    if mean > MAX_MEAN_POINTS:
+        raise ValueError(
+            f"one run would sample {mean:.3g} points on average (parents, daughters "
+            f"and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,10 +104,28 @@ class SimConfig:
             raise ValueError("samples must be at least 1")
         if self.max_k < 1:
             raise ValueError("max_k must be at least 1")
+        reach = self.observation_radius + 2.0 * self.params.rd
+        if not _REACH_RANGE[0] <= reach <= _REACH_RANGE[1]:
+            raise ValueError(
+                f"observation_radius + 2 rd = {reach!r} lies outside {_REACH_RANGE}, "
+                "where squared distances would over- or underflow"
+            )
+        _check_budget(self.params, self.observation_radius, self.samples, self.max_k)
+
+    def runs_per_block(self, palm: bool = False) -> int:
+        """Runs simulated together: about _BLOCK_POINTS points per block.
+
+        Points here are the daughters (plus the mbar siblings under Palm),
+        or the parents where mbar < 1 makes those the more numerous draw.
+        """
+        mean = max(_mean_counts(self.params, self.observation_radius))
+        if palm:
+            mean += self.params.mbar
+        return int(max(1.0, _BLOCK_POINTS // max(mean, 1.0)))
 
 
-def _substream(seed: int, stream: int, run: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, run))
+def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -77,57 +137,103 @@ def sample_uniform_ball(n, radius, rng, size=None):
     """
     m = 1 if size is None else int(size)
     g = rng.standard_normal((m, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    np.divide(g, norms, out=g, where=norms > 0.0)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
     radii = radius * rng.random(m) ** (1.0 / n)
-    points = g * radii[:, np.newaxis]
-    return points[0] if size is None else points
+    g *= np.divide(radii, norms, out=np.zeros(m), where=norms > 0.0)[:, np.newaxis]
+    return g[0] if size is None else g
+
+
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool):
+    """`runs` independent realizations as (points, counts).
+
+    points is (N, n) with each run's points contiguous and in run order;
+    counts[i] is the number of points of run i.
+
+    Stationary: parents form a Poisson process in the ball of radius
+    observation_radius + rd, since any parent farther out cannot place a
+    daughter inside the observation window; parents themselves are not
+    points of the process.  Palm adds, after each run's daughters, the
+    typical point's own cluster: the cluster center sits at -u for u
+    uniform in the cluster ball, and the Poisson(mbar) siblings are
+    uniform around it.  The typical point itself is excluded.
+    """
+    p = cfg.params
+    n_parents = rng.poisson(_mean_counts(p, cfg.observation_radius)[0], size=runs)
+    parents = sample_uniform_ball(p.n, cfg.observation_radius + p.rd, rng, size=int(n_parents.sum()))
+    daughters = rng.poisson(p.mbar, size=parents.shape[0])
+    offsets = sample_uniform_ball(p.n, p.rd, rng, size=int(daughters.sum()))
+    points = np.repeat(parents, daughters, axis=0) + offsets
+    # Daughters per run: the running daughter total after each run's last
+    # parent, differenced.
+    ends = np.concatenate(([0], np.cumsum(daughters)))[np.cumsum(n_parents)]
+    counts = ends - np.concatenate(([0], ends[:-1]))
+    if not palm:
+        return points, counts
+    centers = -sample_uniform_ball(p.n, p.rd, rng, size=runs)
+    n_siblings = rng.poisson(p.mbar, size=runs)
+    siblings = np.repeat(centers, n_siblings, axis=0) + sample_uniform_ball(
+        p.n, p.rd, rng, size=int(n_siblings.sum())
+    )
+    # A stable sort by run puts each run's siblings right after its daughters.
+    run_ids = np.arange(runs)
+    owner = np.concatenate([np.repeat(run_ids, counts), np.repeat(run_ids, n_siblings)])
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate([points, siblings])[order], counts + n_siblings
 
 
 def sample_mcp(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One stationary realization: daughter points as an (N, n) array.
-
-    Parents form a Poisson process in the ball of radius
-    observation_radius + rd: any parent farther out cannot place a
-    daughter inside the observation window.  Parents themselves are not
-    points of the process.
-    """
-    p = cfg.params
-    window = cfg.observation_radius + p.rd
-    n_parents = rng.poisson(p.lambda_p * unit_ball_volume(p.n) * window**p.n)
-    parents = sample_uniform_ball(p.n, window, rng, size=n_parents)
-    counts = rng.poisson(p.mbar, size=n_parents)
-    offsets = sample_uniform_ball(p.n, p.rd, rng, size=int(counts.sum()))
-    return np.repeat(parents, counts, axis=0) + offsets
+    """One stationary realization: daughter points as an (N, n) array."""
+    return _sample_block(cfg, rng, 1, palm=False)[0]
 
 
 def sample_mcp_palm(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One reduced-Palm realization seen from a typical point at the origin.
+    """One reduced-Palm realization seen from a typical point at the origin."""
+    return _sample_block(cfg, rng, 1, palm=True)[0]
 
-    An independent stationary sample plus the typical point's own cluster:
-    the cluster center sits at -u for u uniform in the cluster ball, and
-    the Poisson(mbar) siblings are uniform around it.  The typical point
-    itself is excluded.
+
+def _select_block(points: np.ndarray, counts: np.ndarray, max_k: int) -> np.ndarray:
+    """Sorted distances to the up to max_k closest points of every run.
+
+    Returns (runs, width) with width = min(max_k, largest count); rows of
+    runs with fewer points are inf-padded.  Squared distances are scattered
+    into an inf-padded runs x largest-count table, partitioned and sorted
+    along each row, and square-rooted last (sqrt is monotone, so this picks
+    the same values).  Runs are split in halves while the table would
+    exceed _TABLE_CELLS cells, so one crowded run cannot blow it up.
     """
-    p = cfg.params
-    base = sample_mcp(cfg, rng)
-    center = -sample_uniform_ball(p.n, p.rd, rng)
-    n_siblings = rng.poisson(p.mbar)
-    siblings = center + sample_uniform_ball(p.n, p.rd, rng, size=n_siblings)
-    return np.vstack([base, siblings])
+    width = int(counts.max(initial=0))
+    if counts.size > 1 and counts.size * width > _TABLE_CELLS:
+        half = counts.size // 2
+        cut = int(counts[:half].sum())
+        parts = (_select_block(points[:cut], counts[:half], max_k),
+                 _select_block(points[cut:], counts[half:], max_k))
+        out = np.full((counts.size, max(part.shape[1] for part in parts)), np.inf)
+        out[:half, : parts[0].shape[1]] = parts[0]
+        out[half:, : parts[1].shape[1]] = parts[1]
+        return out
+    # Coordinates are summed in a fixed order, so a point's distance does
+    # not depend on what else is in the block.
+    d2 = np.zeros(points.shape[0])
+    for column in points.T:
+        d2 += column * column
+    run = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    table = np.full((counts.size, width), np.inf)
+    table[run, np.arange(d2.size) - starts[run]] = d2
+    if width > max_k:
+        table = np.partition(table, max_k - 1, axis=1)[:, :max_k]
+    table.sort(axis=1)
+    return np.sqrt(table)
 
 
 def kth_distances(sample: np.ndarray, max_k: int) -> np.ndarray:
     """Distances from the origin to the max_k closest points, inf-padded."""
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    out = np.full(max_k, np.inf)
     sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
-        return out
-    d = np.sqrt((sample * sample).sum(axis=1))
-    m = min(d.size, max_k)
-    out[:m] = np.sort(np.partition(d, m - 1)[:m])
+    row = _select_block(sample, np.array([len(sample)]), max_k)[0]
+    out = np.full(max_k, np.inf)
+    out[: row.size] = row
     return out
 
 
@@ -150,27 +256,33 @@ def simulate_kth_distances(
 ) -> np.ndarray:
     """(samples, max_k) matrix of kth distances over independent runs.
 
-    Row i depends only on (seed, i), so output is bit-identical for any
-    worker count and for repeated calls.
+    Runs are simulated in blocks of cfg.runs_per_block(palm); block b
+    draws from substream (seed, stream, b), and its last rows are dropped
+    when samples ends inside it.  Row i therefore depends only on (params,
+    window, seed, i): output is bit-identical for any worker count and for
+    repeated calls, and a larger samples extends the same rows.
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
-    sampler = sample_mcp_palm if palm else sample_mcp
+    block_runs = cfg.runs_per_block(palm)
     out = np.empty((cfg.samples, cfg.max_k))
 
-    def block(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = _substream(cfg.seed, stream, i)
-            out[i] = kth_distances(sampler(cfg, rng), cfg.max_k)
+    def block(b: int) -> None:
+        lo = b * block_runs
+        hi = min(lo + block_runs, cfg.samples)
+        points, counts = _sample_block(cfg, _substream(cfg.seed, stream, b), block_runs, palm)
+        rows = _select_block(points, counts, cfg.max_k)[: hi - lo]
+        out[lo:hi, : rows.shape[1]] = rows
+        out[lo:hi, rows.shape[1]:] = np.inf
 
-    workers = min(_resolve_workers(workers), cfg.samples)
+    n_blocks = -(-cfg.samples // block_runs)
+    # More threads than cores or blocks would only wait.
+    workers = min(_resolve_workers(workers), n_blocks, os.cpu_count() or 1)
     if workers <= 1:
-        block(0, cfg.samples)
+        for b in range(n_blocks):
+            block(b)
     else:
-        step = -(-cfg.samples // workers)
-        bounds = [(lo, min(lo + step, cfg.samples)) for lo in range(0, cfg.samples, step)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(block, lo, hi) for lo, hi in bounds]:
-                future.result()
+            list(pool.map(block, range(n_blocks)))
     return out
 
 
@@ -263,12 +375,16 @@ def validate_against_analytic(
     seed: int,
     workers: int | None = None,
     r_max: float | None = None,
+    dump=None,
 ) -> list[ValidationRow]:
     """Run the simulator against the analytic CDFs for every requested k.
 
     Returns one row per (kind, k) with the KS distance and its DKW-based
     threshold.  Raises CensoringError if more than 1% of runs end beyond
-    the observation window.
+    the observation window.  The simulation caps are checked (at the
+    smallest window the runs could have) before any curve is computed.
+    If dump is a text stream, the stationary runs' kth distances are
+    written to it with write_raw_samples.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -276,6 +392,7 @@ def validate_against_analytic(
     if not k_values or k_values[0] < 1:
         raise ValueError("k values must be positive integers")
     k_max = k_values[-1]
+    _check_budget(p, r_max if r_max is not None else 0.0, samples, k_max)
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
     for palm, kind_name, curve_kind in (
@@ -285,6 +402,8 @@ def validate_against_analytic(
         radius = r_max if r_max is not None else quantile_radius(curve_kind, k_max, p)
         cfg = SimConfig(p, radius, samples, seed, k_max)
         distances = simulate_kth_distances(cfg, palm=palm, workers=workers)
+        if dump is not None and not palm:
+            write_raw_samples(dump, distances, radius)
         for k in k_values:
             curve = distribution_curve(curve_kind, k, p, r_max=radius)
             ecdf = EmpiricalCdf.from_distances(distances[:, k - 1], radius)
@@ -300,6 +419,6 @@ def write_raw_samples(stream, distances: np.ndarray, observation_radius: float) 
         for k in range(1, distances.shape[1] + 1):
             d = distances[run, k - 1]
             if math.isfinite(d) and d <= observation_radius:
-                stream.write(f"{run},{k},{d!r},0\n")
+                stream.write(f"{run},{k},{float(d)!r},0\n")
             else:
                 stream.write(f"{run},{k},,1\n")

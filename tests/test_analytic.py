@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ class TestCountPmf:
         # Campbell: the expected count in B(o, r) is lambda_p mbar v_n r^n
         mean = float(np.dot(np.arange(pmf.probs.size), pmf.probs))
         assert mean == pytest.approx(350.0 * 0.2 * math.pi * 4.0, rel=1e-9)
+
+    def test_orders_below_the_cluster_count_bound_are_zero(self):
+        # here the low orders underflow: the early return agrees with the
+        # recurrence run to the adaptive order cap
+        p = McpParams(lambda_p=350.0, mbar=0.2, rd=0.2, n=2)
+        assert np.array_equal(count_pmf(2.0, p, m_max=3).probs, count_pmf(2.0, p).probs[:4])
+        # ~6e197 clusters reach the ball, where the recurrence would overflow
+        p = McpParams(lambda_p=0.003, mbar=50.0, rd=1e198, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = count_pmf(1e200, p, m_max=3)
+            assert cdf_contact(1e200, 3, p) == 1.0
+        assert np.all(pmf.probs == 0.0) and pmf.truncation_mass == 1.0
 
 
 class TestContactCdf:

@@ -1,8 +1,26 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
-from mcpdist import McpParams, cdf_contact, cdf_nnd, ppp_cdf_contact
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcpdist import (
+    McpParams,
+    SimConfig,
+    analytic,
+    cdf_contact,
+    cdf_nnd,
+    ppp_cdf_contact,
+    quantile_radius,
+    simulate_kth_distances,
+)
+from mcpdist.analytic import CurveKind
 from mcpdist.cli import main
 
 
@@ -246,3 +264,114 @@ class TestSubprocessInterface:
         text = target.read_text()
         assert text.startswith("# command=cdf")
         assert text.endswith("\n")
+
+
+class TestDumpSamples:
+    def test_dump_reuses_the_validated_distances(self, capsys, tmp_path):
+        dump = tmp_path / "raw.csv"
+        code, _, _ = run_cli(
+            capsys, "validate", "--k-max", "3", "--samples", "700", "--seed", "6",
+            "--dump-samples", str(dump), *FIG1_ARGS,
+        )
+        assert code == 0
+        p = McpParams(2e-5, 5.0, 50.0, 2)
+        radius = quantile_radius(CurveKind.CONTACT, 3, p)
+        expected = simulate_kth_distances(SimConfig(p, radius, 700, 6, 3))
+        dumped = np.full((700, 3), np.inf)
+        for line in dump.read_text().splitlines()[1:]:
+            run, k, distance, censored = line.split(",")
+            if censored == "0":
+                dumped[int(run), int(k) - 1] = float(distance)
+        expected[expected > radius] = np.inf
+        assert dumped.tobytes() == expected.tobytes()
+
+    def test_unwritable_dump_path_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "validate", "--samples", "10", "--dump-samples",
+            str(tmp_path / "missing" / "raw.csv"), *FIG1_ARGS,
+        )
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+class TestFailFast:
+    def test_simulator_caps_exit_2_before_any_work(self, capsys):
+        for argv in (
+            ["--samples", "100", "--n", "2", "--lambda-p", "1e3", "--mbar", "1e3", "--rd", "50"],
+            ["--samples", "100000000000", *FIG1_ARGS],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "validate", *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_numeric_extremes_exit_2(self, capsys):
+        for argv in (
+            ["cdf", "--kind", "cd", "--lambda-p", "2e-5", "--mbar", "5", "--rd", "1e200"],
+            ["cdf", "--kind", "cd", "--lambda-p", "2e-5", "--mbar", "5", "--rd", "1e-200"],
+            ["sweep", "--metric", "cache", "--lambda-p", "1", "--mbar", "1", "--R", "inf"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_quantile_search_failure_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_cdf_eval", lambda *args: 0.0)
+        with pytest.raises(ValueError, match="does not reach"):
+            analytic.quantile_radius(CurveKind.CONTACT, 2, McpParams(2e-5, 5.0, 50.0, 2))
+
+
+_NUMBERS = ("-1", "0", "nan", "inf", "1e-300", "1e-9", "0.003", "0.5", "1", "5", "50",
+            "1e9", "1e200", "1e308")
+
+
+@st.composite
+def _invocations(draw):
+    number = st.sampled_from(_NUMBERS)
+    command = draw(st.sampled_from(("cdf", "pmf", "validate", "sweep")))
+    huge = "1000000000"
+    argv = [command, "--n", draw(st.sampled_from(("1", "2", "3", "5", "9", "400", "700", huge)))]
+    if command == "sweep":
+        argv += ["--metric", draw(st.sampled_from(("connectivity", "cache"))),
+                 "--lambda-p", draw(number), "--mbar", draw(number), "--R", draw(number),
+                 "--k", draw(st.sampled_from(("1", "2,3"))),
+                 "--rd-points", draw(st.sampled_from(("1", "3", huge)))]
+        if draw(st.booleans()):
+            argv += ["--rd", draw(number)]
+        if draw(st.booleans()):
+            argv += ["--hold", "lambda_d"]
+        return argv
+    argv += ["--lambda-p", draw(number), "--mbar", draw(number), "--rd", draw(number)]
+    if command == "cdf":
+        argv += ["--kind", draw(st.sampled_from(("cd", "nnd"))),
+                 "--k", draw(st.sampled_from(("0", "1", "1,4", "5000"))),
+                 "--grid-points", draw(st.sampled_from(("2", "8", huge)))]
+        if draw(st.booleans()):
+            argv += ["--grid-max", draw(number)]
+    elif command == "pmf":
+        argv += ["--r", draw(number)]
+        if draw(st.booleans()):
+            argv += ["--palm"]
+        if draw(st.booleans()):
+            argv += ["--m-max", draw(st.sampled_from(("0", "7", huge)))]
+    else:
+        argv += ["--k-max", draw(st.sampled_from(("1", "2"))),
+                 "--samples", draw(st.sampled_from(("1", "20", huge))),
+                 "--seed", draw(st.sampled_from(("3", huge)))]
+        if draw(st.booleans()):
+            argv += ["--r-max", draw(number)]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=60)
+    @given(argv=_invocations())
+    def test_every_input_gets_a_result_or_one_line(self, argv):
+        # a result, or one documented exit code with a one-line message
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        assert code in (0, 1, 2, 4), (argv, code, message)
+        assert message.count("\n") <= 1 and "Traceback" not in message, (argv, message)
+        assert (code == 0 or code == 1) == (message == ""), (argv, code, message)

@@ -1,7 +1,10 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcpdist import (
     CensoringError,
@@ -20,6 +23,7 @@ from mcpdist import (
     sample_uniform_ball,
     simulate_kth_distances,
 )
+from mcpdist import simulator
 from mcpdist.analytic import CurveKind, distribution_curve
 from mcpdist.simulator import _substream, validate_against_analytic
 
@@ -269,3 +273,76 @@ class TestValidationHarness:
         for row in rows:
             assert row.threshold == pytest.approx(1.5 * 1.36 / math.sqrt(4000))
             assert row.passed
+
+
+class TestBlockPath:
+    @given(
+        counts=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        n=st.integers(1, 4),
+        max_k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_selection_matches_per_run(self, counts, n, max_k, seed):
+        # empty runs, runs shorter than max_k and a split selection table
+        # all give exactly what kth_distances gives run by run
+        rng = rng_for(seed)
+        counts = np.array(counts)
+        points = rng.normal(size=(int(counts.sum()), n)) * rng.uniform(0.1, 100.0)
+        if points.shape[0] > 1:
+            points[-1] = points[0]  # a tie
+        starts = np.cumsum(counts) - counts
+        expected = np.array([
+            kth_distances(points[s : s + c], max_k) for s, c in zip(starts, counts)
+        ])
+        for cells in (simulator._TABLE_CELLS, 1):
+            with patch.object(simulator, "_TABLE_CELLS", cells):
+                rows = simulator._select_block(points, counts, max_k)
+            assert rows.shape[0] == counts.size and rows.shape[1] <= max_k
+            padded = np.full((counts.size, max_k), np.inf)
+            padded[:, : rows.shape[1]] = rows
+            assert padded.tobytes() == expected.tobytes()
+
+    def test_partial_last_block_is_worker_invariant(self, fig1_params):
+        cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
+        for palm in (False, True):
+            assert cfg.samples % cfg.runs_per_block(palm) != 0
+            outputs = [simulate_kth_distances(cfg, palm=palm, workers=w).tobytes() for w in (1, 2, 3)]
+            assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_more_samples_extend_the_same_rows(self, fig1_params):
+        for palm in (False, True):
+            rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3), palm=palm)
+                    for samples in (100, 300, 1000)]
+            assert 100 < SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm) < 300
+            assert np.array_equal(rows[2][:300], rows[1])
+            assert np.array_equal(rows[2][:100], rows[0])
+
+    def test_runs_with_fewer_than_max_k_points_are_inf_padded(self):
+        # no parents: stationary runs are empty, and Palm runs hold only the
+        # typical point's Poisson(5) siblings, all within 2 rd of it
+        cfg = SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 50, 1, 3)
+        assert np.isinf(simulate_kth_distances(cfg)).all()
+        d = simulate_kth_distances(cfg, palm=True)
+        assert np.all(np.isinf(d) | (d <= 2.0))
+        assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
+
+    def test_block_size_follows_expected_points(self, fig1_params):
+        cfg = SimConfig(fig1_params, 450.0, 10, 1, 1)
+        mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
+        assert cfg.runs_per_block() == int(2**14 // mean)
+        assert cfg.runs_per_block(palm=True) == int(2**14 // (mean + fig1_params.mbar))
+        assert SimConfig(fig1_params, 450.0, 10**6, 1, 1).runs_per_block() == cfg.runs_per_block()
+        sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
+        assert sparse.runs_per_block() == 2**14
+        # with mbar < 1 the ~5.4e5 parents per run are the larger draw
+        thin = SimConfig(McpParams(1.0, 1e-5, 50.0, 3), 0.5, 10, 1, 1)
+        assert thin.runs_per_block() == 1
+
+    def test_budget_caps(self, fig1_params):
+        crowded = McpParams(1e3, 1e3, 50.0, 2)  # ~7.9e9 points per run
+        with pytest.raises(ValueError, match="points on average"):
+            SimConfig(crowded, 1.0, 100, 1, 1)
+        with pytest.raises(ValueError, match="distances"):
+            SimConfig(fig1_params, 450.0, 10**11, 1, 4)
+        with pytest.raises(ValueError, match="points on average"):
+            validate_against_analytic(crowded, [1], samples=100, seed=1)
