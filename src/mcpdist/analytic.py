@@ -9,6 +9,12 @@ Faa di Bruno partition sum (kept for cross-validation).  The kth contact
 distance CDF is a partial PMF sum; nearest-neighbor distances follow by
 convolving with the intra-cluster weights q_j under the reduced Palm
 distribution.
+
+Everything runs on a vector of radii, one row per radius: the lens kernel
+is one radii x nodes matrix, g(0), h_k and q_j are sums along its rows,
+and one recurrence forms every row's PMF.  A CDF table for a whole radius
+grid and all orders is one such pass per chunk of radii; a single radius
+is the one-row case, and its value is bit-identical to the table entry.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ _SMOOTHSTEP = _U * _U * (3.0 - 2.0 * _U)
 _SMOOTHSTEP_WEIGHTS = 3.0 * _gl_weights * _U * (1.0 - _U)
 # Poisson-type sums over the nodes are formed this many orders at a time.
 _ORDER_BLOCK = 64
+# A CDF table takes its radii in chunks whose working set stays within
+# _CHUNK_CELLS doubles: the kernel keeps about _KERNEL_ARRAYS node-length
+# arrays per radius alive, the Poisson sums about two per order of a block.
+_CHUNK_CELLS = 2**17
+_KERNEL_ARRAYS = 24
 
 # Below this log-probability P[N=0] is not representable in double precision.
 _LOG_SPACE_CUTOFF = -700.0
@@ -156,6 +167,8 @@ class DistributionCurve:
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size == 0:
             raise ValueError("radii and values must be matching 1-D arrays")
+        if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+            raise ValueError("radii and CDF values must be finite")
         if np.any(np.diff(radii) <= 0.0):
             raise ValueError("radii must be strictly increasing")
         if np.any(values < 0.0) or np.any(values > 1.0):
@@ -165,85 +178,107 @@ class DistributionCurve:
 
 
 # ---------------------------------------------------------------------------
-# Lens kernel: every PGF quantity of one radius from one pass over the nodes
+# Lens kernel: every PGF quantity of a radius grid from one pass over the nodes
 # ---------------------------------------------------------------------------
 
 
-def _radial_rule(inner: float, outer: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(inner: np.ndarray, outer: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against n x^(n-1) / outer^n on [0, outer].
 
-    The lens is constant for x <= inner, so that piece is the single node
-    x = 0 carrying its exact mass (inner / outer)^n; the mapped rule covers
+    One row per entry of the columns `inner` and `outer`.  The lens is
+    constant for x <= inner, so that piece is the single node x = 0
+    carrying its exact mass (inner / outer)^n; the mapped rule covers
     [inner, outer].
     """
     x = inner + (outer - inner) * _SMOOTHSTEP
     w = n * (x / outer) ** (n - 1) * (outer - inner) / outer * _SMOOTHSTEP_WEIGHTS
-    return np.append(0.0, x), np.append((inner / outer) ** n, w)
+    lead = (inner / outer) ** n
+    return np.concatenate([np.zeros_like(lead), x], axis=1), np.concatenate([lead, w], axis=1)
 
 
 class _Kernel:
     """t = lambda_d A(r, rd, x) on fixed nodes, with quadrature weights.
 
-    The stationary pair integrates over the window [0, r + rd] with weights
-    lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
-    cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  The
-    lens is evaluated once for both, and each PGF quantity is one weighted
-    sum over the nodes.
+    One row per radius.  The stationary pair integrates over the window
+    [0, r + rd] with weights lambda_p n v_n x^(n-1) dx, the Palm pair over
+    the typical point's cluster-center offset [0, rd] with weights
+    n y^(n-1) / rd^n dy.  The lens is evaluated once for both, in one call
+    over every row, and each PGF quantity is a weighted sum over the nodes
+    of a row.  Those sums are numpy sums along contiguous rows, never
+    matrix products, so a row's value does not depend on the other rows.
     """
 
-    def __init__(self, r: float, p: McpParams):
+    def __init__(self, radii, p: McpParams):
+        r = np.asarray(radii, dtype=float)
         _check_radius(r)
         n, rd = p.n, p.rd
-        inner = abs(r - rd)
-        x, w = _radial_rule(inner, r + rd, n)
-        y, self.palm_w = _radial_rule(min(inner, rd), rd, n)
-        lens = intersection_volume(r, rd, np.concatenate([x, y]), n)
+        r = r[:, np.newaxis]
+        rows = r.shape[0]
+        inner = np.abs(r - rd)
+        # Stationary rows over [0, r + rd], then Palm rows over [0, rd]: one
+        # rule and one lens call for both.
+        x, w = _radial_rule(
+            np.concatenate([inner, np.minimum(inner, rd)]),
+            np.concatenate([r + rd, np.full_like(r, rd)]),
+            n,
+        )
+        lens = intersection_volume(np.concatenate([r, r]), rd, x, n)
         # Rounding can leave a cap sum a hair below zero.
         t = p.lambda_d * np.maximum(lens, 0.0)
-        self.t, self.palm_t = t[: x.size], t[x.size :]
+        self.t, self.palm_t, self.palm_w = t[:rows], t[rows:], w[rows:]
         clusters = p.lambda_p * ball_volume(r + rd, n)
-        if not math.isfinite(clusters):
+        if not np.isfinite(clusters).all():
+            window = float((r + rd)[~np.isfinite(clusters)][0])
             raise ValueError(
-                f"the expected number of clusters within r + rd = {r + rd!r} of the origin "
+                f"the expected number of clusters within r + rd = {window!r} of the origin "
                 "exceeds the double range"
             )
-        self.w = clusters * w
+        self.w = clusters * w[:rows]
 
-    def log_pgf(self, s: float) -> float:
-        """g(s), as an expm1 sum free of cancellation against the window mass."""
-        return float(np.expm1((s - 1.0) * self.t) @ self.w)
+    def log_pgf(self, s: float) -> np.ndarray:
+        """g(s) per row, as an expm1 sum free of cancellation against the window mass."""
+        return (np.expm1((s - 1.0) * self.t) * self.w).sum(axis=-1)
 
-    def palm_factor(self, s: float) -> float:
-        """E[s^(own-cluster count)]: the Palm PGF divided by the stationary one."""
-        return float(np.exp((s - 1.0) * self.palm_t) @ self.palm_w)
+    def palm_factor(self, s: float) -> np.ndarray:
+        """E[s^(own-cluster count)] per row: the Palm PGF divided by the stationary one."""
+        return (np.exp((s - 1.0) * self.palm_t) * self.palm_w).sum(axis=-1)
 
     def h(self, lo: int, hi: int) -> np.ndarray:
-        """h_k for k = lo..hi-1."""
-        sums = _poisson_sums(self.t, self.w, lo, hi)
-        return np.pad(sums, (0, hi - lo - sums.size))
+        """h_k for k = lo..hi-1, one row per radius."""
+        return _padded(_poisson_sums(self.t, self.w, lo, hi), hi - lo)
 
     def q(self, lo: int, hi: int) -> np.ndarray:
-        """q_j for j = lo..hi-1."""
-        sums = _poisson_sums(self.palm_t, self.palm_w, lo, hi)
-        return np.pad(sums, (0, hi - lo - sums.size))
+        """q_j for j = lo..hi-1, one row per radius."""
+        return _padded(_poisson_sums(self.palm_t, self.palm_w, lo, hi), hi - lo)
 
 
 def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """sum over nodes of w t^k e^(-t) / k! for orders k = lo, lo+1, ...
+    """Per row, sum over nodes of w t^k e^(-t) / k! for orders k = lo, lo+1, ...
 
     k! is folded into the exponent so large orders cannot overflow.  Orders
-    go in blocks up to hi - 1, but past the largest t the terms fall with
-    k, so once a block is all zero every higher order is zero too: the
-    result stops there, and the orders it omits are zero.
+    go in blocks of _ORDER_BLOCK up to hi - 1, but past the largest t the
+    terms fall with k, so once a block is all zero every higher order is
+    zero too: the result stops there, and the orders it omits are zero.
     """
-    blocks = [np.zeros(0)]
-    t_max = t.max()
+    t, w = t[:, np.newaxis, :], w[:, np.newaxis, :]
+    blocks = [np.zeros((t.shape[0], 0))]
+    # With one block there is nothing to stop early.
+    t_max = t.max() if hi - lo > _ORDER_BLOCK else math.inf
     for start in range(lo, hi, _ORDER_BLOCK):
         k = np.arange(start, min(start + _ORDER_BLOCK, hi), dtype=float)[:, np.newaxis]
-        blocks.append(np.exp(xlogy(k, t) - t - gammaln(k + 1.0)) @ w)
+        blocks.append((np.exp(xlogy(k, t) - t - gammaln(k + 1.0)) * w).sum(axis=-1))
         if start > t_max and not blocks[-1].any():
             break
-    return np.concatenate(blocks)
+    return blocks[-1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
+
+
+def _padded(orders: np.ndarray, width: int) -> np.ndarray:
+    """Rows of orders, zero-padded on the right to `width` columns."""
+    if orders.shape[1] == width:
+        return orders
+    out = np.zeros((orders.shape[0], width))
+    out[:, : orders.shape[1]] = orders
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +297,7 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
     """
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k!r}")
-    return float(_Kernel(float(r), p).h(k, k + 1)[0])
+    return float(_Kernel([r], p).h(k, k + 1)[0, 0])
 
 
 def log_pgf_count(s: float, r: float, p: McpParams) -> float:
@@ -273,7 +308,7 @@ def log_pgf_count(s: float, r: float, p: McpParams) -> float:
     between those two terms when the window is much larger than r.
     """
     _check_pgf_args(s, r)
-    return _Kernel(float(r), p).log_pgf(float(s))
+    return float(_Kernel([r], p).log_pgf(float(s))[0])
 
 
 def pgf_count(s: float, r: float, p: McpParams) -> float:
@@ -313,8 +348,8 @@ def pgf_count_palm(s: float, r: float, p: McpParams) -> float:
     _check_pgf_args(s, r)
     if r <= 0.0 or s == 1.0:
         return 1.0
-    kernel = _Kernel(float(r), p)
-    return math.exp(kernel.log_pgf(s)) * kernel.palm_factor(s)
+    kernel = _Kernel([r], p)
+    return math.exp(kernel.log_pgf(s)[0]) * float(kernel.palm_factor(s)[0])
 
 
 def _check_pgf_args(s: float, r: float) -> None:
@@ -323,9 +358,11 @@ def _check_pgf_args(s: float, r: float) -> None:
     _check_radius(r)
 
 
-def _check_radius(r: float) -> None:
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
+def _check_radius(r: float | np.ndarray) -> None:
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    bad = r[~(np.isfinite(r) & (r >= 0.0))]
+    if bad.size:
+        raise ValueError(f"radius must be finite and nonnegative, got {float(bad[0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +415,8 @@ def count_pmf(
     PmfUnderflowError in that case instead.
     """
     _check_pmf_args(r, p, m_max)
-    return _count_pmf(_Kernel(float(r), p), m_max, log_space)
+    probs = _count_pmf(_Kernel([r], p), m_max, log_space)[0]
+    return PmfVector(probs, 1.0 - float(probs.sum()))
 
 
 def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
@@ -405,11 +443,17 @@ def _count_radius(count: float, p: McpParams) -> float:
     return (count / intensity) ** (1.0 / p.n) if intensity > 0.0 else math.inf
 
 
-def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None) -> PmfVector:
+def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None) -> np.ndarray:
+    """PMF rows of the in-ball count, one per kernel radius, orders 0..m.
+
+    m is m_max, or with m_max None the first order by which every row's
+    tail has decayed.  A row's PMF does not depend on the other rows, nor,
+    with m_max given, on m_max beyond its own orders.
+    """
     log_p0 = kernel.log_pgf(0.0)
-    if log_space is False and log_p0 < _LOG_SPACE_CUTOFF:
+    if log_space is False and (log_p0 < _LOG_SPACE_CUTOFF).any():
         raise PmfUnderflowError(
-            f"log P[N=0] = {log_p0:.1f} underflows double precision; "
+            f"log P[N=0] = {log_p0.min():.1f} underflows double precision; "
             "use log_space=True (or the default auto mode)"
         )
     top = _PMF_HARD_CAP if m_max is None else m_max
@@ -418,34 +462,109 @@ def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None
     # L = -g(0) > top.  Below the smallest double every order is exactly 0,
     # and the recurrence, whose h_j reach L, could only overflow.
     lam = -log_p0
-    if lam > top and top - lam + xlogy(top, lam) - xlogy(top, top) < _LOG_DOUBLE_MIN:
-        return PmfVector(np.zeros(top + 1), 1.0)
-    h = _poisson_sums(kernel.t, kernel.w, 1, top + 1)
-    jh = np.arange(1, h.size + 1) * h
-    # ratio[m] = e^(-scale) p_m / p_0
-    ratio = np.zeros(top + 1)
-    ratio[0] = 1.0
-    scale = 0.0
-    peak = 1.0
-    below = 0
-    m = 0
-    while m < top and (m_max is not None or m < _TAIL_RUN or below < _TAIL_RUN):
-        m += 1
-        j = min(m, jh.size)
-        term = float(np.dot(jh[:j], ratio[m - j : m][::-1])) / m
-        if term > _RESCALE_AT:
-            ratio[:m] /= term
-            peak /= term
-            scale += math.log(term)
-            term = 1.0
-        ratio[m] = term
-        peak = max(peak, term)
-        below = below + 1 if term < _TAIL_RATIO * peak else 0
-    if m_max is None and below < _TAIL_RUN:
-        raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
+    live = ~(lam > top)
+    if not live.all():
+        crowded = ~live
+        mean = lam[crowded]
+        live[crowded] = top - mean + xlogy(top, mean) - xlogy(top, top) >= _LOG_DOUBLE_MIN
+        if not live.any():
+            return np.zeros((lam.size, top + 1))
+    t, w = kernel.t, kernel.w
+    if not live.all():
+        t, w, log_p0 = t[live], w[live], log_p0[live]
+    h = _poisson_sums(t, w, 1, top + 1)
+    if m_max is not None:
+        # Every order's sum then spans the same h_j whatever the other rows.
+        h = _padded(h, top)
+    formed, level = _recurrence(np.arange(1, h.shape[1] + 1) * h, top, adaptive=m_max is None)
     with np.errstate(divide="ignore", under="ignore"):
-        probs = np.exp(log_p0 + scale + np.log(ratio[: m + 1]))
-    return PmfVector(probs, 1.0 - float(probs.sum()))
+        probs = np.exp(log_p0[:, np.newaxis] + level + np.log(formed))
+    if probs.shape[0] == lam.size:
+        return probs
+    out = np.zeros((lam.size, probs.shape[1]))
+    out[live] = probs
+    return out
+
+
+def _recurrence(jh: np.ndarray, top: int, adaptive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """r_m = p_m / p_0 from m r_m = sum_j jh_j r_(m-j), r_0 = 1, for every row.
+
+    Returns (formed, level) with r_m = formed e^level, orders 0..top, or
+    with adaptive up to the first order by which every row's tail has
+    decayed: _TAIL_RUN consecutive orders below _TAIL_RATIO times the
+    running peak.  A row's terms are divided back to 1 whenever one passes
+    _RESCALE_AT, the factor going to its log scale; each order keeps the
+    value and the scale it was formed with, so no later order changes it.
+    """
+    rows, width = jh.shape
+    # back[:, top - m] = e^(-scale) r_m: orders run right to left, so the
+    # min(m, width) orders below m form one contiguous window, nearest
+    # first, and each row's term is one dot product of its own, whose
+    # length does not depend on the other rows or on top.  A single row
+    # steps through 1-D views: the same dot products, without the per-call
+    # cost of looping a 2-D gufunc over one row.
+    back = np.zeros((rows, top + 1))
+    back[:, top] = 1.0
+    step_jh, step_back = (jh[0], back[0]) if rows == 1 else (jh, back)
+    order = np.arange(top, -1.0, -1.0)  # order[col] = top - col
+    formed = np.zeros((rows, top + 1))
+    formed[:, 0] = 1.0
+    level = np.zeros((rows, top + 1))
+    scale = np.zeros(rows)
+    # Tail test state: each row's running peak in its current scale, its
+    # run of orders below _TAIL_RATIO * peak, and the order at which that
+    # run first reached _TAIL_RUN (-1 until then).
+    peak, run, ends = np.ones(rows), np.zeros(rows), np.full(rows, -1)
+    m = 0
+    # Orders go in stretches of _ORDER_BLOCK without a bound check; a
+    # stretch in which some order passed _RESCALE_AT is redone from there
+    # (along with any overflow it ran into).
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < top:
+            start, end = m + 1, min(m + _ORDER_BLOCK, top)
+            for col in range(top - start, top - end - 1, -1):
+                j = top - col
+                if j < width:
+                    coef, window = step_jh[..., :j], step_back[..., col + 1 :]
+                else:
+                    coef, window = step_jh, step_back[..., col + 1 : col + 1 + width]
+                step_back[..., col] = np.vecdot(coef, window) / order[col]
+            stretch = back[:, top - end : top - start + 1]  # orders end..start
+            passed = np.flatnonzero((stretch > _RESCALE_AT).any(axis=0))
+            m = end - int(passed[-1]) if passed.size else end
+            terms = back[:, top - m : top - start + 1][:, ::-1]  # orders start..m
+            formed[:, start : m + 1] = terms
+            level[:, start : m + 1] = scale[:, np.newaxis]
+            if adaptive:
+                peaks = np.maximum(np.maximum.accumulate(terms, axis=1), peak[:, np.newaxis])
+                low = terms < _TAIL_RATIO * peaks
+                if low.any():
+                    # The run ending at each order reaches back to the last
+                    # order that was not low, or continues the run carried in.
+                    orders = np.arange(start, m + 1)
+                    last = np.where(low, (start - 1 - run)[:, np.newaxis], orders)
+                    runs = orders - np.maximum.accumulate(last, axis=1)
+                    hit = runs >= _TAIL_RUN
+                    ends = np.where((ends < 0) & hit.any(axis=1), start + hit.argmax(axis=1), ends)
+                    run = runs[:, -1]
+                else:
+                    run = np.zeros(rows)
+                peak = peaks[:, -1]
+            if passed.size:
+                # A rescaled order is 1 in its new scale: the new peak, and not low.
+                big = back[:, top - m] > _RESCALE_AT
+                factor = back[big, top - m]
+                back[big, top - m :] /= factor[:, np.newaxis]
+                scale[big] += np.log(factor)
+                formed[big, m] = peak[big] = 1.0
+                level[big, m] = scale[big]
+            if adaptive and (ends >= 0).all():
+                m = int(ends.max())
+                break
+        else:
+            if adaptive:
+                raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
+    return formed[:, : m + 1], level[:, : m + 1]
 
 
 def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
@@ -457,9 +576,9 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
     """
     if r < 0.0 or m_max < 0:
         raise ValueError("radius and m_max must be nonnegative")
-    kernel = _Kernel(float(r), p)
-    base = math.exp(kernel.log_pgf(0.0))
-    h = [0.0, *kernel.h(1, m_max + 1)]
+    kernel = _Kernel([r], p)
+    base = math.exp(kernel.log_pgf(0.0)[0])
+    h = [0.0, *kernel.h(1, m_max + 1)[0]]
     probs = np.empty(m_max + 1)
     for m in range(m_max + 1):
         acc = 0.0
@@ -480,11 +599,7 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
 
 def cdf_contact(r: float, k: int, p: McpParams) -> float:
     """CDF of the kth contact distance: P[at least k points within r]."""
-    _check_order(k)
-    if r <= 0.0:
-        return 0.0
-    probs = count_pmf(r, p, m_max=k - 1).probs
-    return _clip01(1.0 - float(probs.sum()))
+    return float(_cdf_table(CurveKind.CONTACT, [r], [k], p)[0, 0])
 
 
 def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
@@ -493,9 +608,9 @@ def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
         raise ValueError("explicit expressions cover k = 1, 2, 3 only")
     if r <= 0.0:
         return 0.0
-    kernel = _Kernel(float(r), p)
-    e = math.exp(kernel.log_pgf(0.0))
-    h1, h2 = kernel.h(1, 3)
+    kernel = _Kernel([r], p)
+    e = math.exp(kernel.log_pgf(0.0)[0])
+    h1, h2 = kernel.h(1, 3)[0]
     if k == 1:
         return _clip01(1.0 - e)
     if k == 2:
@@ -531,7 +646,7 @@ def q_weight(r: float, j: int, p: McpParams) -> float:
     """
     if j < 0:
         raise ValueError(f"order must be nonnegative, got {j!r}")
-    return float(_Kernel(float(r), p).q(j, j + 1)[0])
+    return float(_Kernel([r], p).q(j, j + 1)[0, 0])
 
 
 def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:
@@ -540,10 +655,10 @@ def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVecto
     Discrete convolution of the stationary count PMF with the q weights.
     """
     _check_pmf_args(r, p, m_max)
-    kernel = _Kernel(float(r), p)
-    stationary = _count_pmf(kernel, m_max)
-    m_top = stationary.probs.size - 1
-    probs = np.convolve(stationary.probs, kernel.q(0, m_top + 1))[: m_top + 1]
+    kernel = _Kernel([r], p)
+    stationary = _count_pmf(kernel, m_max)[0]
+    m_top = stationary.size - 1
+    probs = np.convolve(stationary, kernel.q(0, m_top + 1)[0])[: m_top + 1]
     return PmfVector(probs, 1.0 - float(probs.sum()))
 
 
@@ -553,13 +668,7 @@ def cdf_nnd(r: float, k: int, p: McpParams) -> float:
     1 - sum_{i=1..k} q_(k-i)(r) * ccdf_contact_i(r); the convolution with
     the stationary PMF telescopes down to this k-term form.
     """
-    _check_order(k)
-    if r <= 0.0:
-        return 0.0
-    kernel = _Kernel(float(r), p)
-    ccdf = np.cumsum(_count_pmf(kernel, k - 1).probs)  # ccdf[i-1] = P[N < i] = 1 - F_{R_i}
-    q = kernel.q(0, k)
-    return _clip01(1.0 - float(np.dot(q[::-1], ccdf)))
+    return float(_cdf_table(CurveKind.NND, [r], [k], p)[0, 0])
 
 
 def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
@@ -568,10 +677,10 @@ def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
         raise ValueError("explicit expressions cover k = 1, 2, 3 only")
     if r <= 0.0:
         return 0.0
-    kernel = _Kernel(float(r), p)
-    e = math.exp(kernel.log_pgf(0.0))
-    h1, h2 = kernel.h(1, 3)
-    q0, q1, q2 = kernel.q(0, 3)
+    kernel = _Kernel([r], p)
+    e = math.exp(kernel.log_pgf(0.0)[0])
+    h1, h2 = kernel.h(1, 3)[0]
+    q0, q1, q2 = kernel.q(0, 3)[0]
     if k == 1:
         return _clip01(1.0 - e * q0)
     fbar1 = e
@@ -589,13 +698,7 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
     The formula keeps its mass at r = 0 (co-located siblings), so r = 0 is
     deliberately not special-cased to zero.
     """
-    _check_order(k)
-    probs = count_pmf(float(r), p, m_max=k - 1).probs
-    ccdf = np.cumsum(probs)
-    acc = 0.0
-    for i in range(1, k + 1):
-        acc += p.mbar ** (k - i) / math.factorial(k - i) * ccdf[i - 1]
-    return _clip01(1.0 - math.exp(-p.mbar) * acc)
+    return float(_cdf_table(CurveKind.NND_SMALL_RD_LIMIT, [r], [k], p)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +714,68 @@ def _cdf_eval(kind: CurveKind, r: float, k: int, p: McpParams) -> float:
     if kind is CurveKind.PPP_CONTACT:
         return ppp_cdf_contact(r, k, p.lambda_p * p.mbar, p.n)
     return cdf_nnd_small_rd_limit(r, k, p)
+
+
+def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
+    """CDF values of one kind for every order in ks at every radius.
+
+    Returns a len(ks) x len(radii) array.  The radii go through the kernel
+    in chunks whose working set stays within _CHUNK_CELLS doubles, one
+    kernel pass and one PMF recurrence per chunk for all orders.  An entry
+    does not depend on the other radii or orders, so it equals the
+    one-radius, one-order call bit for bit.  A non-finite value raises
+    ValueError.
+    """
+    radii = np.asarray(radii, dtype=float)
+    for k in ks:
+        _check_order(k)
+    table = np.zeros((len(ks), radii.size))
+    if kind is CurveKind.PPP_CONTACT:
+        for i, k in enumerate(ks):
+            table[i] = [ppp_cdf_contact(float(r), k, p.lambda_p * p.mbar, p.n) for r in radii]
+        return table
+    top = max(ks) - 1
+    # The contact and NND CDFs vanish at r <= 0; the small-rd limit keeps
+    # its mass at r = 0 (co-located siblings).
+    if kind is CurveKind.NND_SMALL_RD_LIMIT:
+        rows = np.arange(radii.size)
+    else:
+        rows = np.flatnonzero(~(radii <= 0.0))
+    chunk = max(1, _CHUNK_CELLS // _row_cells(top))
+    for start in range(0, rows.size, chunk):
+        idx = rows[start : start + chunk]
+        kernel = _Kernel(radii[idx], p)
+        probs = _count_pmf(kernel, top)
+        if kind is CurveKind.CONTACT:
+            table[:, idx] = [1.0 - probs[:, :k].sum(axis=1) for k in ks]
+            continue
+        ccdf = np.cumsum(probs, axis=1)  # ccdf[:, i-1] = P[N < i] = 1 - F_{R_i}
+        if kind is CurveKind.NND:
+            # 1 - sum_{i=1..k} q_(k-i) ccdf_i: the convolution with the
+            # stationary PMF telescopes down to this k-term form.
+            q = kernel.q(0, top + 1)
+            table[:, idx] = [1.0 - (q[:, k - 1 :: -1] * ccdf[:, :k]).sum(axis=1) for k in ks]
+        else:
+            table[:, idx] = [1.0 - math.exp(-p.mbar) * _small_rd_sum(ccdf, k, p.mbar) for k in ks]
+    if not np.isfinite(table).all():
+        i, j = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(
+            f"the {kind.value} CDF for k={ks[i]} at r={float(radii[j])!r} is not finite"
+        )
+    return np.clip(table, 0.0, 1.0)
+
+
+def _row_cells(top: int) -> int:
+    """Working-set doubles per radius of a CDF table up to order top + 1."""
+    return (_NODES + 1) * (_KERNEL_ARRAYS + 2 * min(top + 1, _ORDER_BLOCK))
+
+
+def _small_rd_sum(ccdf: np.ndarray, k: int, mbar: float) -> np.ndarray:
+    """sum_{i=1..k} mbar^(k-i) ccdf_i / (k-i)!, in order of i."""
+    acc = 0.0
+    for i in range(1, k + 1):
+        acc = acc + mbar ** (k - i) / math.factorial(k - i) * ccdf[:, i - 1]
+    return acc
 
 
 def quantile_radius(
@@ -647,7 +812,9 @@ def distribution_curve(
     """Sample a CDF on a uniform grid from 0 to r_max.
 
     With r_max None the grid extends to the radius found by quantile_radius;
-    r_max = 0 degenerates to the single point r = 0.
+    r_max = 0 degenerates to the single point r = 0.  The grid is one CDF
+    table: one kernel pass and one PMF recurrence per radius chunk for all
+    orders, each value equal to the pointwise CDF at its radius.
     """
     kind = CurveKind(kind)
     if r_max is None:
@@ -660,8 +827,7 @@ def distribution_curve(
         grid = np.array([0.0])
     else:
         grid = np.linspace(0.0, float(r_max), num)
-    values = np.array([_cdf_eval(kind, float(r), k, p) for r in grid])
-    return DistributionCurve(grid, values, kind, k, p)
+    return DistributionCurve(grid, _cdf_table(kind, grid, [k], p)[0], kind, k, p)
 
 
 def _check_order(k: int) -> None:

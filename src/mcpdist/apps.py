@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .analytic import McpParams, cdf_contact, cdf_nnd, ppp_cdf_contact
+from .analytic import CurveKind, McpParams, _cdf_table, cdf_contact, cdf_nnd, ppp_cdf_contact
 from .geometry import ball_volume
 
 __all__ = [
@@ -80,13 +80,15 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
     By default mbar is held fixed, so the daughter intensity rescales as
     mbar / (v_n rd^n) at every grid point; hold="lambda_d" instead keeps
     the base daughter intensity and lets mbar grow with the cluster.
-    PPP reference rows (rd = inf, density lambda_p * mbar) are appended
-    when requested, and rows come out sorted by (rd, k).
+    Each grid point is one CDF table call for every k.  PPP reference rows
+    (rd = inf, density lambda_p * mbar) are appended when requested, and
+    rows come out sorted by (rd, k).
     """
     metric = SweepMetric(metric)
     if hold not in ("mbar", "lambda_d"):
         raise ValueError(f"hold must be 'mbar' or 'lambda_d', got {hold!r}")
     base = spec.base
+    kind = CurveKind.CONTACT if metric is SweepMetric.CONNECTIVITY else CurveKind.NND
     rows: list[SweepRow] = []
     for rd in spec.rd_grid:
         if hold == "mbar":
@@ -94,12 +96,8 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
         else:
             mbar = base.lambda_d * ball_volume(rd, base.n)
             params = replace(base, rd=rd, mbar=mbar)
-        for k in spec.k_values:
-            if metric is SweepMetric.CONNECTIVITY:
-                value = connectivity_probability(spec.connect_range, k, params)
-            else:
-                value = cache_hit_probability(spec.connect_range, k, params)
-            rows.append(SweepRow(rd, k, value))
+        values = _cdf_table(kind, [spec.connect_range], spec.k_values, params)[:, 0]
+        rows.extend(SweepRow(rd, k, float(v)) for k, v in zip(spec.k_values, values))
     if spec.include_ppp_reference:
         density = base.lambda_p * base.mbar
         for k in spec.k_values:

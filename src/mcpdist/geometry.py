@@ -32,8 +32,14 @@ def unit_ball_volume(n: int) -> float:
     return volume
 
 
-def ball_volume(radius: float, n: int) -> float:
-    """Volume of an n-ball of the given radius; inf beyond the double range."""
+def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
+    """Volume of an n-ball of the given radius; inf beyond the double range.
+
+    An array of radii (any shape, even 0-d) gives an array of volumes.
+    """
+    if isinstance(radius, np.ndarray):
+        with np.errstate(over="ignore"):
+            return unit_ball_volume(n) * radius.astype(float) ** n
     try:
         return unit_ball_volume(n) * float(radius) ** n
     except OverflowError:
@@ -41,7 +47,7 @@ def ball_volume(radius: float, n: int) -> float:
 
 
 def intersection_volume(
-    r: float, r_d: float, x: float | np.ndarray, n: int
+    r: float | np.ndarray, r_d: float, x: float | np.ndarray, n: int
 ) -> float | np.ndarray:
     """Volume of B(o, r) intersected with a ball of radius r_d centered x away.
 
@@ -50,14 +56,16 @@ def intersection_volume(
     sum of the two hyperspherical caps cut off by the radical hyperplane in
     between.  When the radical plane lies beyond one center the cap exceeds
     a hemisphere and is evaluated as ball minus complementary cap, keeping
-    the incomplete-beta argument inside [0, 1].  x may be an array of
-    separations, giving an array of volumes; a scalar x gives a float.
+    the incomplete-beta argument inside [0, 1].  r and x may be arrays
+    that broadcast against each other (say a column of radii against a
+    matrix of separations), giving an array of volumes; scalars give a
+    float.
     """
     _check_dimension(n)
     xs = np.asarray(x, dtype=float)
-    if not (math.isfinite(r) and math.isfinite(r_d) and np.isfinite(xs).all()):
+    if not (np.isfinite(r).all() and math.isfinite(r_d) and np.isfinite(xs).all()):
         raise ValueError("lens arguments must be finite")
-    if r < 0.0 or r_d <= 0.0 or (xs < 0.0).any():
+    if np.any(np.less(r, 0.0)) or r_d <= 0.0 or (xs < 0.0).any():
         raise ValueError(f"invalid lens geometry: r={r}, r_d={r_d}, x={x}")
 
     # Every branch is evaluated at every x and the right one picked below;
@@ -76,12 +84,12 @@ def intersection_volume(
             h1 = (r_d - xs + r) * (r_d + xs - r) / (2.0 * xs)
             h2 = (r + r_d - xs) * (r + xs - r_d) / (2.0 * xs)
             lens = _cap_volume(r, h1, n) + _cap_volume(r_d, h2, n)
-    full = ball_volume(min(r, r_d), n)
-    volume = np.where(xs >= r + r_d, 0.0, np.where(xs <= abs(r - r_d), full, lens))
+    full = ball_volume(np.minimum(r, r_d), n)
+    volume = np.where(xs >= r + r_d, 0.0, np.where(xs <= np.abs(r - r_d), full, lens))
     return float(volume) if volume.ndim == 0 else volume
 
 
-def _cap_volume(radius: float, height: np.ndarray, n: int) -> np.ndarray:
+def _cap_volume(radius: float | np.ndarray, height: np.ndarray, n: int) -> np.ndarray:
     # Hyperspherical cap of the given height, 0 <= height <= 2 * radius.
     h = np.clip(height, 0.0, 2.0 * radius)
     if n == 2:
