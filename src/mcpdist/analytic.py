@@ -446,9 +446,9 @@ def _count_radius(count: float, p: McpParams) -> float:
 def _count_pmf(kernel: _Kernel, m_max: int | None, log_space: bool | None = None) -> np.ndarray:
     """PMF rows of the in-ball count, one per kernel radius, orders 0..m.
 
-    m is m_max, or with m_max None the first order by which every row's
-    tail has decayed.  A row's PMF does not depend on the other rows, nor,
-    with m_max given, on m_max beyond its own orders.
+    m is m_max, or with m_max None (one row only) the first order by which
+    the tail has decayed.  A row's PMF does not depend on the other rows,
+    nor, with m_max given, on m_max beyond its own orders.
     """
     log_p0 = kernel.log_pgf(0.0)
     if log_space is False and (log_p0 < _LOG_SPACE_CUTOFF).any():
@@ -490,81 +490,55 @@ def _recurrence(jh: np.ndarray, top: int, adaptive: bool) -> tuple[np.ndarray, n
     """r_m = p_m / p_0 from m r_m = sum_j jh_j r_(m-j), r_0 = 1, for every row.
 
     Returns (formed, level) with r_m = formed e^level, orders 0..top, or
-    with adaptive up to the first order by which every row's tail has
-    decayed: _TAIL_RUN consecutive orders below _TAIL_RATIO times the
-    running peak.  A row's terms are divided back to 1 whenever one passes
-    _RESCALE_AT, the factor going to its log scale; each order keeps the
-    value and the scale it was formed with, so no later order changes it.
+    with adaptive (one row only) up to the first order after _TAIL_RUN
+    consecutive orders below _TAIL_RATIO times the running peak.  A row's
+    terms are divided back to 1 whenever one passes _RESCALE_AT, the
+    factor going to its log scale; each order keeps the value and the
+    scale it was formed with, so no later order changes it.
     """
     rows, width = jh.shape
+    if adaptive and rows != 1:
+        raise ValueError("the adaptive PMF recurrence takes one row")
     # back[:, top - m] = e^(-scale) r_m: orders run right to left, so the
     # min(m, width) orders below m form one contiguous window, nearest
     # first, and each row's term is one dot product of its own, whose
     # length does not depend on the other rows or on top.  A single row
-    # steps through 1-D views: the same dot products, without the per-call
-    # cost of looping a 2-D gufunc over one row.
+    # steps through 1-D views and scalar terms: the same dot products,
+    # without the per-call cost of 2-D gufuncs and reductions over one row.
     back = np.zeros((rows, top + 1))
     back[:, top] = 1.0
-    step_jh, step_back = (jh[0], back[0]) if rows == 1 else (jh, back)
-    order = np.arange(top, -1.0, -1.0)  # order[col] = top - col
     formed = np.zeros((rows, top + 1))
     formed[:, 0] = 1.0
-    level = np.zeros((rows, top + 1))
-    scale = np.zeros(rows)
-    # Tail test state: each row's running peak in its current scale, its
-    # run of orders below _TAIL_RATIO * peak, and the order at which that
-    # run first reached _TAIL_RUN (-1 until then).
-    peak, run, ends = np.ones(rows), np.zeros(rows), np.full(rows, -1)
+    # The log of each rescale factor, at the order that took it.
+    jumps = np.zeros((rows, top + 1))
+    if rows == 1:
+        step_jh, step_back, step_formed, largest = jh[0], back[0], formed[0], float
+    else:
+        step_jh, step_back, step_formed, largest = jh, back, formed, np.max
+    peak, below = 1.0, 0
     m = 0
-    # Orders go in stretches of _ORDER_BLOCK without a bound check; a
-    # stretch in which some order passed _RESCALE_AT is redone from there
-    # (along with any overflow it ran into).
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m < top:
-            start, end = m + 1, min(m + _ORDER_BLOCK, top)
-            for col in range(top - start, top - end - 1, -1):
-                j = top - col
-                if j < width:
-                    coef, window = step_jh[..., :j], step_back[..., col + 1 :]
-                else:
-                    coef, window = step_jh, step_back[..., col + 1 : col + 1 + width]
-                step_back[..., col] = np.vecdot(coef, window) / order[col]
-            stretch = back[:, top - end : top - start + 1]  # orders end..start
-            passed = np.flatnonzero((stretch > _RESCALE_AT).any(axis=0))
-            m = end - int(passed[-1]) if passed.size else end
-            terms = back[:, top - m : top - start + 1][:, ::-1]  # orders start..m
-            formed[:, start : m + 1] = terms
-            level[:, start : m + 1] = scale[:, np.newaxis]
-            if adaptive:
-                peaks = np.maximum(np.maximum.accumulate(terms, axis=1), peak[:, np.newaxis])
-                low = terms < _TAIL_RATIO * peaks
-                if low.any():
-                    # The run ending at each order reaches back to the last
-                    # order that was not low, or continues the run carried in.
-                    orders = np.arange(start, m + 1)
-                    last = np.where(low, (start - 1 - run)[:, np.newaxis], orders)
-                    runs = orders - np.maximum.accumulate(last, axis=1)
-                    hit = runs >= _TAIL_RUN
-                    ends = np.where((ends < 0) & hit.any(axis=1), start + hit.argmax(axis=1), ends)
-                    run = runs[:, -1]
-                else:
-                    run = np.zeros(rows)
-                peak = peaks[:, -1]
-            if passed.size:
-                # A rescaled order is 1 in its new scale: the new peak, and not low.
-                big = back[:, top - m] > _RESCALE_AT
-                factor = back[big, top - m]
-                back[big, top - m :] /= factor[:, np.newaxis]
-                scale[big] += np.log(factor)
-                formed[big, m] = peak[big] = 1.0
-                level[big, m] = scale[big]
-            if adaptive and (ends >= 0).all():
-                m = int(ends.max())
-                break
-        else:
-            if adaptive:
-                raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
-    return formed[:, : m + 1], level[:, : m + 1]
+    while m < top and (not adaptive or m < _TAIL_RUN or below < _TAIL_RUN):
+        m += 1
+        col = top - m
+        j = min(m, width)
+        term = np.vecdot(step_jh[..., :j], step_back[..., col + 1 : col + 1 + j]) / m
+        step_back[..., col] = term
+        if largest(term) > _RESCALE_AT:
+            big = back[:, col] > _RESCALE_AT
+            factor = back[big, col]
+            back[big, col:] /= factor[:, np.newaxis]
+            jumps[big, m] = np.log(factor)
+            term = step_back[..., col]
+            # The rescaled order is 1 in its new scale, above the old peak.
+            peak = 1.0
+        step_formed[..., m] = term
+        if adaptive:
+            value = float(term)
+            peak = max(peak, value)
+            below = below + 1 if value < _TAIL_RATIO * peak else 0
+    if adaptive and below < _TAIL_RUN:
+        raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
+    return formed[:, : m + 1], np.cumsum(jumps[:, : m + 1], axis=1)
 
 
 def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
@@ -599,7 +573,7 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
 
 def cdf_contact(r: float, k: int, p: McpParams) -> float:
     """CDF of the kth contact distance: P[at least k points within r]."""
-    return float(_cdf_table(CurveKind.CONTACT, [r], [k], p)[0, 0])
+    return _cdf_eval(CurveKind.CONTACT, r, k, p)
 
 
 def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
@@ -668,7 +642,7 @@ def cdf_nnd(r: float, k: int, p: McpParams) -> float:
     1 - sum_{i=1..k} q_(k-i)(r) * ccdf_contact_i(r); the convolution with
     the stationary PMF telescopes down to this k-term form.
     """
-    return float(_cdf_table(CurveKind.NND, [r], [k], p)[0, 0])
+    return _cdf_eval(CurveKind.NND, r, k, p)
 
 
 def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
@@ -698,22 +672,12 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
     The formula keeps its mass at r = 0 (co-located siblings), so r = 0 is
     deliberately not special-cased to zero.
     """
-    return float(_cdf_table(CurveKind.NND_SMALL_RD_LIMIT, [r], [k], p)[0, 0])
+    return _cdf_eval(CurveKind.NND_SMALL_RD_LIMIT, r, k, p)
 
 
 # ---------------------------------------------------------------------------
 # Sampled curves
 # ---------------------------------------------------------------------------
-
-
-def _cdf_eval(kind: CurveKind, r: float, k: int, p: McpParams) -> float:
-    if kind is CurveKind.CONTACT:
-        return cdf_contact(r, k, p)
-    if kind is CurveKind.NND:
-        return cdf_nnd(r, k, p)
-    if kind is CurveKind.PPP_CONTACT:
-        return ppp_cdf_contact(r, k, p.lambda_p * p.mbar, p.n)
-    return cdf_nnd_small_rd_limit(r, k, p)
 
 
 def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
@@ -763,6 +727,11 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
             f"the {kind.value} CDF for k={ks[i]} at r={float(radii[j])!r} is not finite"
         )
     return np.clip(table, 0.0, 1.0)
+
+
+def _cdf_eval(kind: CurveKind, r: float, k: int, p: McpParams) -> float:
+    """One CDF value: the one-radius, one-order table."""
+    return float(_cdf_table(kind, [r], [k], p)[0, 0])
 
 
 def _row_cells(top: int) -> int:

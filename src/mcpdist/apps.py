@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .analytic import CurveKind, McpParams, _cdf_table, cdf_contact, cdf_nnd, ppp_cdf_contact
+import numpy as np
+
+from .analytic import CurveKind, McpParams, _cdf_table, ppp_cdf_contact
 from .geometry import ball_volume
 
 __all__ = [
@@ -62,16 +64,24 @@ class SweepRow:
 
 def connectivity_probability(R: float, k: int, p: McpParams) -> float:
     """Probability of reaching at least k stations within range R."""
-    if not math.isfinite(R) or R <= 0.0:
-        raise ValueError(f"range must be finite and positive, got {R!r}")
-    return cdf_contact(R, k, p)
+    return float(_metric(SweepMetric.CONNECTIVITY, R, [k], p)[0])
 
 
 def cache_hit_probability(R: float, k: int, p: McpParams) -> float:
     """Probability that a typical node sees at least k neighbors within R."""
+    return float(_metric(SweepMetric.CACHE_HIT, R, [k], p)[0])
+
+
+def _metric(metric: SweepMetric, R: float, ks, p: McpParams) -> np.ndarray:
+    """The metric at range R for every k in ks, from one CDF table.
+
+    Connectivity is the kth contact distance CDF, a cache hit the kth
+    nearest-neighbor distance CDF of the typical node.
+    """
     if not math.isfinite(R) or R <= 0.0:
         raise ValueError(f"range must be finite and positive, got {R!r}")
-    return cdf_nnd(R, k, p)
+    kind = CurveKind.CONTACT if metric is SweepMetric.CONNECTIVITY else CurveKind.NND
+    return _cdf_table(kind, [R], ks, p)[:, 0]
 
 
 def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[SweepRow]:
@@ -88,7 +98,6 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
     if hold not in ("mbar", "lambda_d"):
         raise ValueError(f"hold must be 'mbar' or 'lambda_d', got {hold!r}")
     base = spec.base
-    kind = CurveKind.CONTACT if metric is SweepMetric.CONNECTIVITY else CurveKind.NND
     rows: list[SweepRow] = []
     for rd in spec.rd_grid:
         if hold == "mbar":
@@ -96,7 +105,7 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
         else:
             mbar = base.lambda_d * ball_volume(rd, base.n)
             params = replace(base, rd=rd, mbar=mbar)
-        values = _cdf_table(kind, [spec.connect_range], spec.k_values, params)[:, 0]
+        values = _metric(metric, spec.connect_range, spec.k_values, params)
         rows.extend(SweepRow(rd, k, float(v)) for k, v in zip(spec.k_values, values))
     if spec.include_ppp_reference:
         density = base.lambda_p * base.mbar

@@ -35,15 +35,13 @@ def unit_ball_volume(n: int) -> float:
 def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
     """Volume of an n-ball of the given radius; inf beyond the double range.
 
-    An array of radii (any shape, even 0-d) gives an array of volumes.
+    An array of radii gives an array of volumes, a scalar a float.  In
+    dimensions where the unit-ball volume itself underflows to zero
+    (n > 452), a radius whose nth power overflows gives nan.
     """
-    if isinstance(radius, np.ndarray):
-        with np.errstate(over="ignore"):
-            return unit_ball_volume(n) * radius.astype(float) ** n
-    try:
-        return unit_ball_volume(n) * float(radius) ** n
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = unit_ball_volume(n) * np.asarray(radius, dtype=float) ** n
+    return float(volume) if volume.ndim == 0 else volume
 
 
 def intersection_volume(

@@ -73,6 +73,26 @@ def test_table_spans_several_chunks_by_default(fig1_params):
             assert table[i, j] == cdf_nnd(float(radii[j]), k, fig1_params)
 
 
+@pytest.mark.parametrize("kind", (CurveKind.CONTACT, CurveKind.NND))
+def test_rows_that_rescale_at_different_orders_match_pointwise_calls(kind):
+    # -g(0) runs from about 290 to 910 across the grid, so the PMF terms
+    # of most rows pass the rescale threshold, each at its own order, and
+    # some only beyond the orders a pointwise call at a smaller k forms.
+    p = McpParams(lambda_p=1.0, mbar=2.0, rd=1.0, n=2)
+    radii = np.linspace(10.0, 18.0, 9)
+    ks = [1000, 3, 600, 400]
+    top = max(ks) - 1
+    kernel = analytic._Kernel(radii, p)
+    h = analytic._padded(analytic._poisson_sums(kernel.t, kernel.w, 1, top + 1), top)
+    _, level = analytic._recurrence(np.arange(1, top + 1) * h, top, adaptive=False)
+    first_rescale = {int(np.argmax(row > 0.0)) for row in level if row[-1] > 0.0}
+    assert len(first_rescale) >= 4 and min(first_rescale) < 400 < 600 < max(first_rescale)
+    table = analytic._cdf_table(kind, radii, ks, p)
+    for i, k in enumerate(ks):
+        for j, r in enumerate(radii):
+            assert table[i, j] == POINTWISE[kind](float(r), k, p), (k, r)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_curves_match_corollaries(fig1_params, k):
     closed_forms = ((CurveKind.CONTACT, corollary_contact_cdf), (CurveKind.NND, corollary_nnd_cdf))
