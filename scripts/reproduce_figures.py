@@ -24,7 +24,7 @@ from mcpdist import (
     SimConfig,
     SweepMetric,
     SweepSpec,
-    distribution_curve,
+    distribution_curves,
     quantile_radius,
     simulate_kth_distances,
     sweep,
@@ -47,12 +47,11 @@ def write_fig1(path: Path, kind: CurveKind, palm: bool, samples: int, seed: int)
         fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
                  f"n={FIG1.n} samples={samples} seed={seed}\n")
         fh.write("r,k,cdf_analytic,cdf_empirical\n")
-        for k in K_VALUES:
-            curve = distribution_curve(kind, k, FIG1, r_max=r_max, num=256)
-            ecdf = EmpiricalCdf.from_distances(distances[:, k - 1], r_max)
+        for curve in distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256):
+            ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], r_max)
             empirical = ecdf.evaluate(curve.radii)
             for r, a, e in zip(curve.radii, curve.values, empirical):
-                fh.write(f"{float(r)!r},{k},{float(a)!r},{float(e)!r}\n")
+                fh.write(f"{float(r)!r},{curve.k},{float(a)!r},{float(e)!r}\n")
 
 
 def write_sweep(path: Path, metric: SweepMetric, lambdas, rd_points: int) -> None:

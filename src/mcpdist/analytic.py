@@ -10,17 +10,21 @@ distance CDF is a partial PMF sum; nearest-neighbor distances follow by
 convolving with the intra-cluster weights q_j under the reduced Palm
 distribution.
 
-Everything runs on a vector of radii, one row per radius: the lens kernel
-is one radii x nodes matrix, g(0), h_k and q_j are sums along its rows,
-and one recurrence forms every row's PMF.  A CDF table for a whole radius
-grid and all orders is one such pass per chunk of radii; a single radius
-is the one-row case, and its value is bit-identical to the table entry.
+Everything runs on a vector of radii, one row per radius, and each row
+may carry its own parameters (rd, lambda_d, lambda_p; n is shared): the
+lens kernel is one radii x nodes matrix, g(0), h_k and q_j are sums along
+its rows, and one recurrence forms every row's PMF.  A CDF table for a
+whole radius grid, or a whole cluster-radius sweep, and all orders is one
+such pass per chunk of rows; the curves for every k come from one table.
+A single radius is the one-row case, and its value is bit-identical to
+the table entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,6 +46,7 @@ __all__ = [
     "count_pmf",
     "count_pmf_partition",
     "distribution_curve",
+    "distribution_curves",
     "enumerate_partitions",
     "h_coefficient",
     "log_pgf_count",
@@ -105,12 +110,15 @@ class McpParams:
     mbar:     mean number of daughters per cluster
     rd:       radius of the cluster ball
     n:        spatial dimension
+    lambda_d: daughter intensity inside the cluster ball, mbar / (v_n rd^n)
+              (derived, not an argument)
     """
 
     lambda_p: float
     mbar: float
     rd: float
     n: int = 2
+    lambda_d: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Beyond n = 452 the unit-ball volume underflows double precision,
@@ -123,16 +131,14 @@ class McpParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not 0.0 < ball_volume(self.rd, self.n) < math.inf or not 0.0 < self.lambda_d < math.inf:
+        volume = ball_volume(self.rd, self.n)
+        lambda_d = self.mbar / volume if 0.0 < volume < math.inf else math.nan
+        if not 0.0 < lambda_d < math.inf:
             raise ValueError(
                 f"rd={self.rd!r} in n={self.n} dimensions gives a cluster ball volume or "
                 "daughter intensity outside the range of double precision"
             )
-
-    @property
-    def lambda_d(self) -> float:
-        """Daughter intensity inside the cluster ball: mbar / (v_n rd^n)."""
-        return self.mbar / ball_volume(self.rd, self.n)
+        object.__setattr__(self, "lambda_d", lambda_d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +152,6 @@ class PmfVector:
 class CurveKind(str, Enum):
     CONTACT = "contact_cd"
     NND = "nnd"
-    PPP_CONTACT = "ppp_cd"
     NND_SMALL_RD_LIMIT = "nnd_small_rd_limit"
 
 
@@ -199,34 +204,40 @@ def _radial_rule(inner: np.ndarray, outer: np.ndarray, n: int) -> tuple[np.ndarr
 class _Kernel:
     """t = lambda_d A(r, rd, x) on fixed nodes, with quadrature weights.
 
-    One row per radius.  The stationary pair integrates over the window
-    [0, r + rd] with weights lambda_p n v_n x^(n-1) dx, the Palm pair over
-    the typical point's cluster-center offset [0, rd] with weights
-    n y^(n-1) / rd^n dy.  The lens is evaluated once for both, in one call
-    over every row, and each PGF quantity is a weighted sum over the nodes
-    of a row.  Those sums are numpy sums along contiguous rows, never
-    matrix products, so a row's value does not depend on the other rows.
+    One row per radius, each with its own parameters: p is one McpParams
+    for every row or a sequence of one per radius (see _row_params), and
+    its lambda_p, lambda_d and rd enter as columns.  The stationary pair
+    integrates over the window [0, r + rd] with weights
+    lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
+    cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  The
+    lens is evaluated once for both, in one call over every row, and each
+    PGF quantity is a weighted sum over the nodes of a row.  Those sums are
+    numpy sums along contiguous rows, never matrix products, so a row's
+    value does not depend on the other rows.
     """
 
-    def __init__(self, radii, p: McpParams):
+    def __init__(self, radii, p: McpParams | Sequence[McpParams]):
         r = np.asarray(radii, dtype=float)
         _check_radius(r)
-        n, rd = p.n, p.rd
         r = r[:, np.newaxis]
         rows = r.shape[0]
+        params = _row_params(p, rows)
+        n = params[0].n
+        columns = np.array([[q.lambda_p, q.lambda_d, q.rd] for q in params])
+        lambda_p, lambda_d, rd = np.hsplit(columns, 3)
         inner = np.abs(r - rd)
         # Stationary rows over [0, r + rd], then Palm rows over [0, rd]: one
         # rule and one lens call for both.
         x, w = _radial_rule(
             np.concatenate([inner, np.minimum(inner, rd)]),
-            np.concatenate([r + rd, np.full_like(r, rd)]),
+            np.concatenate([r + rd, rd]),
             n,
         )
-        lens = intersection_volume(np.concatenate([r, r]), rd, x, n)
+        lens = intersection_volume(np.concatenate([r, r]), np.concatenate([rd, rd]), x, n)
         # Rounding can leave a cap sum a hair below zero.
-        t = p.lambda_d * np.maximum(lens, 0.0)
+        t = np.concatenate([lambda_d, lambda_d]) * np.maximum(lens, 0.0)
         self.t, self.palm_t, self.palm_w = t[:rows], t[rows:], w[rows:]
-        clusters = p.lambda_p * ball_volume(r + rd, n)
+        clusters = lambda_p * ball_volume(r + rd, n)
         if not np.isfinite(clusters).all():
             window = float((r + rd)[~np.isfinite(clusters)][0])
             raise ValueError(
@@ -250,6 +261,16 @@ class _Kernel:
     def q(self, lo: int, hi: int) -> np.ndarray:
         """q_j for j = lo..hi-1, one row per radius."""
         return _padded(_poisson_sums(self.palm_t, self.palm_w, lo, hi), hi - lo)
+
+
+def _row_params(p: McpParams | Sequence[McpParams], rows: int) -> np.ndarray:
+    """One McpParams per row: p for every row, or a sequence of one per row sharing n."""
+    params = np.asarray(p, dtype=object)
+    if params.ndim > 1 or params.size not in (1, rows):
+        raise ValueError(f"need one McpParams or one per radius ({rows}), got {params.size}")
+    if len({q.n for q in params.flat}) > 1:
+        raise ValueError("every parameter row must have the same dimension n")
+    return np.broadcast_to(params, (rows,))
 
 
 def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -421,10 +442,8 @@ def count_pmf(
 
 def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
     _check_radius(r)
-    if m_max is not None and m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max!r}")
-    if m_max is not None and m_max > _PMF_HARD_CAP:
-        raise ValueError(f"m_max must be at most {_PMF_HARD_CAP}, got {m_max!r}")
+    if m_max is not None and (not _is_integer(m_max) or not 0 <= m_max <= _PMF_HARD_CAP):
+        raise ValueError(f"m_max must be an integer in 0..{_PMF_HARD_CAP}, got {m_max!r}")
     # Campbell: the expected count lambda_p mbar v_n r^n must sit below the
     # order cap; compared as radii so that a huge r cannot overflow.
     if m_max is None and r >= _count_radius(_PMF_HARD_CAP, p):
@@ -680,24 +699,23 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
+def _cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -> np.ndarray:
     """CDF values of one kind for every order in ks at every radius.
 
-    Returns a len(ks) x len(radii) array.  The radii go through the kernel
-    in chunks whose working set stays within _CHUNK_CELLS doubles, one
-    kernel pass and one PMF recurrence per chunk for all orders.  An entry
-    does not depend on the other radii or orders, so it equals the
-    one-radius, one-order call bit for bit.  A non-finite value raises
-    ValueError.
+    p is one McpParams for every radius or a sequence of one per radius,
+    all of the same n.  Returns a len(ks) x len(radii) array.  The radii
+    go through the kernel in chunks whose working set stays within
+    _CHUNK_CELLS doubles, one kernel pass and one PMF recurrence per chunk
+    for all orders and parameter rows.  An entry does not depend on the
+    other radii, parameters or orders, so it equals the one-radius,
+    one-order call with that radius's McpParams bit for bit.  A non-finite
+    value raises ValueError.
     """
     radii = np.asarray(radii, dtype=float)
+    params = _row_params(p, radii.size)
     for k in ks:
         _check_order(k)
     table = np.zeros((len(ks), radii.size))
-    if kind is CurveKind.PPP_CONTACT:
-        for i, k in enumerate(ks):
-            table[i] = [ppp_cdf_contact(float(r), k, p.lambda_p * p.mbar, p.n) for r in radii]
-        return table
     top = max(ks) - 1
     # The contact and NND CDFs vanish at r <= 0; the small-rd limit keeps
     # its mass at r = 0 (co-located siblings).
@@ -708,7 +726,7 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
     chunk = max(1, _CHUNK_CELLS // _row_cells(top))
     for start in range(0, rows.size, chunk):
         idx = rows[start : start + chunk]
-        kernel = _Kernel(radii[idx], p)
+        kernel = _Kernel(radii[idx], params[idx])
         probs = _count_pmf(kernel, top)
         if kind is CurveKind.CONTACT:
             table[:, idx] = [1.0 - probs[:, :k].sum(axis=1) for k in ks]
@@ -720,7 +738,12 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams) -> np.ndarray:
             q = kernel.q(0, top + 1)
             table[:, idx] = [1.0 - (q[:, k - 1 :: -1] * ccdf[:, :k]).sum(axis=1) for k in ks]
         else:
-            table[:, idx] = [1.0 - math.exp(-p.mbar) * _small_rd_sum(ccdf, k, p.mbar) for k in ks]
+            # Each row's e^(-mbar) and mbar^(k-i) stay Python float arithmetic,
+            # as in a one-row call: numpy's array exp and power differ from
+            # math.exp and float ** in the last bit on some inputs.
+            mbar = [q.mbar for q in params[idx]]
+            decay = np.array([math.exp(-m) for m in mbar])
+            table[:, idx] = [1.0 - decay * _small_rd_sum(ccdf, k, mbar) for k in ks]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
         raise ValueError(
@@ -739,11 +762,12 @@ def _row_cells(top: int) -> int:
     return (_NODES + 1) * (_KERNEL_ARRAYS + 2 * min(top + 1, _ORDER_BLOCK))
 
 
-def _small_rd_sum(ccdf: np.ndarray, k: int, mbar: float) -> np.ndarray:
-    """sum_{i=1..k} mbar^(k-i) ccdf_i / (k-i)!, in order of i."""
+def _small_rd_sum(ccdf: np.ndarray, k: int, mbar: list[float]) -> np.ndarray:
+    """sum_{i=1..k} mbar^(k-i) ccdf_i / (k-i)!, in order of i, one mbar per row."""
     acc = 0.0
     for i in range(1, k + 1):
-        acc = acc + mbar ** (k - i) / math.factorial(k - i) * ccdf[:, i - 1]
+        factorial = math.factorial(k - i)
+        acc = acc + np.array([m ** (k - i) / factorial for m in mbar]) * ccdf[:, i - 1]
     return acc
 
 
@@ -771,23 +795,29 @@ def quantile_radius(
     return r
 
 
-def distribution_curve(
+def distribution_curves(
     kind: CurveKind,
-    k: int,
+    ks,
     p: McpParams,
     r_max: float | None = None,
     num: int = _CURVE_POINTS,
-) -> DistributionCurve:
-    """Sample a CDF on a uniform grid from 0 to r_max.
+) -> list[DistributionCurve]:
+    """Sample the CDF of every order in ks on one uniform grid from 0 to r_max.
 
-    With r_max None the grid extends to the radius found by quantile_radius;
-    r_max = 0 degenerates to the single point r = 0.  The grid is one CDF
-    table: one kernel pass and one PMF recurrence per radius chunk for all
-    orders, each value equal to the pointwise CDF at its radius.
+    With r_max None the grid extends to the radius found by quantile_radius
+    for the largest order; r_max = 0 degenerates to the single point r = 0.
+    All curves come from one CDF table: one kernel pass and one PMF
+    recurrence per radius chunk for every order, each value equal to the
+    pointwise CDF at its radius.  One curve per entry of ks, in that order.
     """
     kind = CurveKind(kind)
+    ks = list(ks)
+    if not ks:
+        raise ValueError("need at least one order k")
+    for k in ks:
+        _check_order(k)
     if r_max is None:
-        r_max = quantile_radius(kind, k, p)
+        r_max = quantile_radius(kind, max(ks), p)
     if r_max < 0.0:
         raise ValueError(f"r_max must be nonnegative, got {r_max!r}")
     if num < 2:
@@ -796,12 +826,29 @@ def distribution_curve(
         grid = np.array([0.0])
     else:
         grid = np.linspace(0.0, float(r_max), num)
-    return DistributionCurve(grid, _cdf_table(kind, grid, [k], p)[0], kind, k, p)
+    table = _cdf_table(kind, grid, ks, p)
+    return [DistributionCurve(grid, values, kind, k, p) for k, values in zip(ks, table)]
+
+
+def distribution_curve(
+    kind: CurveKind,
+    k: int,
+    p: McpParams,
+    r_max: float | None = None,
+    num: int = _CURVE_POINTS,
+) -> DistributionCurve:
+    """Sample one order's CDF on a uniform grid: distribution_curves for [k]."""
+    return distribution_curves(kind, [k], p, r_max, num)[0]
 
 
 def _check_order(k: int) -> None:
-    if not 1 <= k <= _PMF_HARD_CAP:
+    if not _is_integer(k) or not 1 <= k <= _PMF_HARD_CAP:
         raise ValueError(f"k must be an integer in 1..{_PMF_HARD_CAP}, got {k!r}")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _clip01(value: float) -> float:

@@ -3,12 +3,14 @@
 k-connectivity for macro-diversity (can a user reach at least k base
 stations within range R?) and cache-hit probability for D2D networks
 (does a typical device see at least k neighbors within range R?), with
-cluster-radius sweeps at constant mean cluster size.
+cluster-radius sweeps at constant mean cluster size.  A sweep is one CDF
+table: one row of parameters per cluster radius, every k at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -64,16 +66,16 @@ class SweepRow:
 
 def connectivity_probability(R: float, k: int, p: McpParams) -> float:
     """Probability of reaching at least k stations within range R."""
-    return float(_metric(SweepMetric.CONNECTIVITY, R, [k], p)[0])
+    return float(_metric(SweepMetric.CONNECTIVITY, R, [k], [p])[0, 0])
 
 
 def cache_hit_probability(R: float, k: int, p: McpParams) -> float:
     """Probability that a typical node sees at least k neighbors within R."""
-    return float(_metric(SweepMetric.CACHE_HIT, R, [k], p)[0])
+    return float(_metric(SweepMetric.CACHE_HIT, R, [k], [p])[0, 0])
 
 
-def _metric(metric: SweepMetric, R: float, ks, p: McpParams) -> np.ndarray:
-    """The metric at range R for every k in ks, from one CDF table.
+def _metric(metric: SweepMetric, R: float, ks, params: Sequence[McpParams]) -> np.ndarray:
+    """The metric at range R, a len(ks) x len(params) array from one CDF table.
 
     Connectivity is the kth contact distance CDF, a cache hit the kth
     nearest-neighbor distance CDF of the typical node.
@@ -81,7 +83,7 @@ def _metric(metric: SweepMetric, R: float, ks, p: McpParams) -> np.ndarray:
     if not math.isfinite(R) or R <= 0.0:
         raise ValueError(f"range must be finite and positive, got {R!r}")
     kind = CurveKind.CONTACT if metric is SweepMetric.CONNECTIVITY else CurveKind.NND
-    return _cdf_table(kind, [R], ks, p)[:, 0]
+    return _cdf_table(kind, np.full(len(params), R), ks, params)
 
 
 def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[SweepRow]:
@@ -90,23 +92,28 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
     By default mbar is held fixed, so the daughter intensity rescales as
     mbar / (v_n rd^n) at every grid point; hold="lambda_d" instead keeps
     the base daughter intensity and lets mbar grow with the cluster.
-    Each grid point is one CDF table call for every k.  PPP reference rows
-    (rd = inf, density lambda_p * mbar) are appended when requested, and
-    rows come out sorted by (rd, k).
+    The whole grid is one CDF table call, one parameter row per grid
+    point, for every k.  PPP reference rows (rd = inf, density
+    lambda_p * mbar) are appended when requested, and rows come out sorted
+    by (rd, k).
     """
     metric = SweepMetric(metric)
     if hold not in ("mbar", "lambda_d"):
         raise ValueError(f"hold must be 'mbar' or 'lambda_d', got {hold!r}")
     base = spec.base
-    rows: list[SweepRow] = []
-    for rd in spec.rd_grid:
-        if hold == "mbar":
-            params = replace(base, rd=rd)
-        else:
-            mbar = base.lambda_d * ball_volume(rd, base.n)
-            params = replace(base, rd=rd, mbar=mbar)
-        values = _metric(metric, spec.connect_range, spec.k_values, params)
-        rows.extend(SweepRow(rd, k, float(v)) for k, v in zip(spec.k_values, values))
+    if hold == "mbar":
+        params = [replace(base, rd=rd) for rd in spec.rd_grid]
+    else:
+        params = [
+            replace(base, rd=rd, mbar=base.lambda_d * ball_volume(rd, base.n))
+            for rd in spec.rd_grid
+        ]
+    values = _metric(metric, spec.connect_range, spec.k_values, params)
+    rows = [
+        SweepRow(rd, k, float(v))
+        for rd, column in zip(spec.rd_grid, values.T)
+        for k, v in zip(spec.k_values, column)
+    ]
     if spec.include_ppp_reference:
         density = base.lambda_p * base.mbar
         for k in spec.k_values:

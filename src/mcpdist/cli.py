@@ -5,9 +5,9 @@ separators, so identical invocations produce identical bytes.  Exit
 codes: 0 success (validate: all pass), 1 validation failure, 2 invalid
 parameters (including numeric extremes that fail fast: a PMF beyond its
 order cap, volumes outside the double range, a simulation beyond its
-point or distance caps, an unwritable output path), 4 excessive
-censoring.  Code 3 once meant quadrature non-convergence; it is no longer
-emitted and is not reused.
+point or distance caps, a CDF table beyond its value cap, an unwritable
+output path), 4 excessive censoring.  Code 3 once meant quadrature
+non-convergence; it is no longer emitted and is not reused.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from .analytic import (
     CurveKind,
     McpParams,
     count_pmf,
-    distribution_curve,
+    distribution_curves,
     palm_count_pmf,
     quantile_radius,
 )
 from .apps import SweepMetric, SweepSpec, sweep
-from .simulator import CensoringError, validate_against_analytic
+from .simulator import MAX_DISTANCES, CensoringError, validate_against_analytic
 
 __all__ = ["main"]
 
@@ -58,6 +58,9 @@ _CONFIG_TYPES = {
 _SWEEP_LIST_KEYS = ("lambda_p", "rd")
 # Largest --grid-points / --rd-points: each point is a separate evaluation.
 _MAX_GRID_POINTS = 100_000
+# Most values one cdf or sweep call may ask for: its CDF table holds them
+# all at once.  The same cap as validate's kth distances.
+_MAX_TABLE_VALUES = MAX_DISTANCES
 
 
 class _CliError(ValueError):
@@ -205,6 +208,11 @@ def _params_from(args: argparse.Namespace) -> McpParams:
         raise _CliError(str(exc))
 
 
+def _check_table_size(values: int, what: str) -> None:
+    if values > _MAX_TABLE_VALUES:
+        raise _CliError(f"{what} = {values} exceeds the cap of {_MAX_TABLE_VALUES} values")
+
+
 def _echo(out, command: str, pairs: list[tuple[str, object]]) -> None:
     rendered = " ".join(f"{key}={_fmt(value)}" for key, value in pairs)
     out.write(f"# command={command} {rendered}\n")
@@ -230,6 +238,7 @@ def _cmd_cdf(args: argparse.Namespace, out) -> int:
         raise _CliError("k values must be positive")
     if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
         raise _CliError(f"grid-points must be in 2..{_MAX_GRID_POINTS}")
+    _check_table_size(len(k_values) * args.grid_points, "k values x grid-points")
     if args.grid_max is not None and not 0.0 <= args.grid_max < math.inf:
         raise _CliError("grid-max must be finite and nonnegative")
     kind = CurveKind.CONTACT if args.kind == "cd" else CurveKind.NND
@@ -242,10 +251,9 @@ def _cmd_cdf(args: argparse.Namespace, out) -> int:
         ("grid_max", grid_max), ("grid_points", args.grid_points),
     ])
     out.write("r,k,cdf\n")
-    for k in k_values:
-        curve = distribution_curve(kind, k, params, r_max=grid_max, num=args.grid_points)
+    for curve in distribution_curves(kind, k_values, params, r_max=grid_max, num=args.grid_points):
         for r, value in zip(curve.radii, curve.values):
-            out.write(f"{float(r)!r},{k},{float(value)!r}\n")
+            out.write(f"{float(r)!r},{curve.k},{float(value)!r}\n")
     return 0
 
 
@@ -321,6 +329,9 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             rd_grid = tuple(np.geomspace(rd_min, rd_max, args.rd_points))
     metric = SweepMetric.CONNECTIVITY if args.metric == "connectivity" else SweepMetric.CACHE_HIT
     lambda_ps = args.lambda_p if isinstance(args.lambda_p, list) else [args.lambda_p]
+    _check_table_size(
+        len(lambda_ps) * len(rd_grid) * len(k_values), "lambda-p values x rd points x k values"
+    )
     _echo(out, "sweep", [
         ("metric", args.metric), ("n", n), ("lambda_p", lambda_ps),
         ("mbar", float(args.mbar)), ("R", float(args.R)), ("k", list(k_values)),

@@ -45,7 +45,7 @@ def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
 
 
 def intersection_volume(
-    r: float | np.ndarray, r_d: float, x: float | np.ndarray, n: int
+    r: float | np.ndarray, r_d: float | np.ndarray, x: float | np.ndarray, n: int
 ) -> float | np.ndarray:
     """Volume of B(o, r) intersected with a ball of radius r_d centered x away.
 
@@ -54,16 +54,16 @@ def intersection_volume(
     sum of the two hyperspherical caps cut off by the radical hyperplane in
     between.  When the radical plane lies beyond one center the cap exceeds
     a hemisphere and is evaluated as ball minus complementary cap, keeping
-    the incomplete-beta argument inside [0, 1].  r and x may be arrays
-    that broadcast against each other (say a column of radii against a
-    matrix of separations), giving an array of volumes; scalars give a
-    float.
+    the incomplete-beta argument inside [0, 1].  r, r_d and x may be
+    arrays that broadcast against each other (say columns of radii against
+    a matrix of separations), giving an array of volumes, each equal to
+    the scalar call on its elements; scalars give a float.
     """
     _check_dimension(n)
     xs = np.asarray(x, dtype=float)
-    if not (np.isfinite(r).all() and math.isfinite(r_d) and np.isfinite(xs).all()):
+    if not (np.isfinite(r).all() and np.isfinite(r_d).all() and np.isfinite(xs).all()):
         raise ValueError("lens arguments must be finite")
-    if np.any(np.less(r, 0.0)) or r_d <= 0.0 or (xs < 0.0).any():
+    if np.any(np.less(r, 0.0)) or np.any(np.less_equal(r_d, 0.0)) or (xs < 0.0).any():
         raise ValueError(f"invalid lens geometry: r={r}, r_d={r_d}, x={x}")
 
     # Every branch is evaluated at every x and the right one picked below;

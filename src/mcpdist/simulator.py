@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CurveKind, DistributionCurve, McpParams, distribution_curve, quantile_radius
+from .analytic import CurveKind, DistributionCurve, McpParams, distribution_curves, quantile_radius
 from .geometry import unit_ball_volume
 
 __all__ = [
@@ -404,11 +404,10 @@ def validate_against_analytic(
         distances = simulate_kth_distances(cfg, palm=palm, workers=workers)
         if dump is not None and not palm:
             write_raw_samples(dump, distances, radius)
-        for k in k_values:
-            curve = distribution_curve(curve_kind, k, p, r_max=radius)
-            ecdf = EmpiricalCdf.from_distances(distances[:, k - 1], radius)
+        for curve in distribution_curves(curve_kind, k_values, p, r_max=radius):
+            ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
-            rows.append(ValidationRow(kind_name, k, ks, threshold, ecdf.censored_fraction()))
+            rows.append(ValidationRow(kind_name, curve.k, ks, threshold, ecdf.censored_fraction()))
     return rows
 
 

@@ -10,9 +10,11 @@ from mcpdist import (
     McpParams,
     PmfUnderflowError,
     cdf_contact,
+    cdf_nnd,
     count_pmf,
     enumerate_partitions,
     h_coefficient,
+    palm_count_pmf,
     pgf_count,
     ppp_cdf_contact,
     unit_ball_volume,
@@ -252,6 +254,23 @@ class TestContactCdf:
     def test_rejects_bad_order(self, fig1_params):
         with pytest.raises(ValueError):
             cdf_contact(1.0, 0, fig1_params)
+
+    def test_orders_must_be_integers(self, fig1_params):
+        # A float order used to fail inside numpy slicing with a TypeError,
+        # and True passed as k = 1.
+        for k in (2.0, True, 1.5, "2", None):
+            for cdf in (cdf_contact, cdf_nnd):
+                with pytest.raises(ValueError, match="k must be an integer"):
+                    cdf(60.0, k, fig1_params)
+        for m_max in (2.5, 2.0, True, False, -1, "3"):
+            for pmf in (count_pmf, palm_count_pmf):
+                with pytest.raises(ValueError, match="m_max must be an integer"):
+                    pmf(60.0, fig1_params, m_max=m_max)
+        assert cdf_nnd(60.0, np.int64(2), fig1_params) == cdf_nnd(60.0, 2, fig1_params)
+        np.testing.assert_array_equal(
+            count_pmf(60.0, fig1_params, m_max=np.int32(3)).probs,
+            count_pmf(60.0, fig1_params, m_max=3).probs,
+        )
 
 
 class TestPppCdf:

@@ -1,9 +1,10 @@
 """The radius-grid CDF table behind curves, sweeps and the pointwise CDFs.
 
-Every entry must equal the one-radius, one-order call bit for bit,
-whatever other radii and orders share the call and however the radii
-fall into chunks; curves must agree with the closed low-order forms; and
-the working set of a long, high-order curve must stay bounded.
+Every entry must equal the one-radius, one-order call with its row's
+parameters bit for bit, whatever other radii, parameters and orders share
+the call and however the radii fall into chunks; a set of curves or a
+sweep must be one table; curves must agree with the closed low-order
+forms; and the working set of a long, high-order curve must stay bounded.
 """
 
 import math
@@ -18,14 +19,19 @@ from hypothesis import strategies as st
 from mcpdist import (
     DistributionCurve,
     McpParams,
+    SweepMetric,
+    SweepSpec,
     ball_volume,
     cdf_contact,
     cdf_nnd,
     cdf_nnd_small_rd_limit,
     distribution_curve,
+    distribution_curves,
+    sweep,
 )
 from mcpdist import analytic
 from mcpdist.analytic import CurveKind, corollary_contact_cdf, corollary_nnd_cdf
+from mcpdist.cli import main
 
 POINTWISE = {
     CurveKind.CONTACT: cdf_contact,
@@ -43,23 +49,33 @@ POINTWISE = {
     scaled_radii=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=10),
     ks=st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=4, unique=True),
     chunk_rows=st.sampled_from((None, 1, 2, 3)),
+    row_factors=st.none()
+    | st.lists(
+        st.tuples(*[st.floats(min_value=0.25, max_value=4.0)] * 3), min_size=12, max_size=12
+    ),
 )
 def test_table_entries_equal_pointwise_calls(
-    kind, n, rd, clusters, mbar, scaled_radii, ks, chunk_rows
+    kind, n, rd, clusters, mbar, scaled_radii, ks, chunk_rows, row_factors
 ):
     # clusters: expected parents within one cluster radius of the origin.
     p = McpParams(lambda_p=clusters / ball_volume(rd, n), mbar=mbar, rd=rd, n=n)
     radii = [0.0, rd, *(s * rd for s in scaled_radii)]
+    # With row_factors, each radius has its own lambda_p, mbar and rd.
+    row_params = [p] * len(radii)
+    if row_factors is not None:
+        row_params = [
+            McpParams(p.lambda_p * a, p.mbar * b, p.rd * c, n) for a, b, c in row_factors
+        ][: len(radii)]
     cells = analytic._CHUNK_CELLS
     if chunk_rows is not None:
         # Small chunks, so the grid spans several of them.
         cells = chunk_rows * analytic._row_cells(max(ks) - 1)
     with mock.patch.object(analytic, "_CHUNK_CELLS", cells):
-        table = analytic._cdf_table(kind, radii, ks, p)
+        table = analytic._cdf_table(kind, radii, ks, p if row_factors is None else row_params)
     assert table.shape == (len(ks), len(radii))
     for i, k in enumerate(ks):
         for j, r in enumerate(radii):
-            assert table[i, j] == POINTWISE[kind](r, k, p), (k, r)
+            assert table[i, j] == POINTWISE[kind](r, k, row_params[j]), (k, r)
 
 
 def test_table_spans_several_chunks_by_default(fig1_params):
@@ -91,6 +107,58 @@ def test_rows_that_rescale_at_different_orders_match_pointwise_calls(kind):
     for i, k in enumerate(ks):
         for j, r in enumerate(radii):
             assert table[i, j] == POINTWISE[kind](float(r), k, p), (k, r)
+
+
+@pytest.mark.parametrize("kind", (CurveKind.CONTACT, CurveKind.NND, CurveKind.NND_SMALL_RD_LIMIT))
+def test_curve_set_rows_equal_single_curves(fig1_params, kind):
+    ks = [7, 1, 4, 2, 30]
+    curves = distribution_curves(kind, ks, fig1_params, num=300)
+    assert [curve.k for curve in curves] == ks
+    for curve in curves:
+        single = distribution_curve(kind, curve.k, fig1_params, r_max=curve.radii[-1], num=300)
+        assert np.array_equal(curve.radii, single.radii)
+        assert np.array_equal(curve.values, single.values), curve.k
+
+
+class _CountingKernel(analytic._Kernel):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+def _kernels_built(monkeypatch, work):
+    monkeypatch.setattr(analytic, "_Kernel", _CountingKernel)
+    monkeypatch.setattr(_CountingKernel, "built", 0)
+    work()
+    return _CountingKernel.built
+
+
+def test_curve_set_builds_the_kernels_of_its_largest_order(monkeypatch, capsys):
+    fig1 = ["--lambda-p", "2e-5", "--mbar", "5", "--rd", "50"]
+
+    def cdf(ks):
+        return lambda: main(["cdf", "--kind", "nnd", "--k", ks, *fig1])
+
+    every = _kernels_built(monkeypatch, cdf(",".join(map(str, range(1, 17)))))
+    largest = _kernels_built(monkeypatch, cdf("16"))
+    capsys.readouterr()
+    assert every == largest
+
+
+@pytest.mark.parametrize("hold", ("mbar", "lambda_d"))
+def test_sweep_is_one_table(monkeypatch, hold):
+    spec = SweepSpec(
+        base=McpParams(3e-2, 2.0, 0.05, 2),
+        rd_grid=tuple(np.geomspace(0.05, 50.0, 100)),
+        connect_range=5.0,
+        k_values=(1, 2, 3, 4),
+    )
+    chunk_rows = analytic._CHUNK_CELLS // analytic._row_cells(max(spec.k_values) - 1)
+    built = _kernels_built(monkeypatch, lambda: sweep(spec, SweepMetric.CACHE_HIT, hold=hold))
+    assert chunk_rows < 100
+    assert built == math.ceil(100 / chunk_rows)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))

@@ -315,6 +315,19 @@ class TestFailFast:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_table_value_caps_exit_2_before_any_work(self, capsys):
+        ks = ",".join(map(str, range(1, 4097)))
+        for argv in (
+            ["cdf", "--kind", "nnd", "--k", ks, "--grid-points", "100000", *FIG1_ARGS],
+            ["sweep", "--metric", "cache", "--lambda-p", "0.03,0.02", "--mbar", "2", "--R", "5",
+             "--rd-points", "100000", "--k", ",".join(map(str, range(1, 301)))],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "exceeds the cap" in err and err.count("\n") == 1
+
     def test_quantile_search_failure_is_a_value_error(self, monkeypatch):
         monkeypatch.setattr(analytic, "_cdf_eval", lambda *args: 0.0)
         with pytest.raises(ValueError, match="does not reach"):

@@ -69,6 +69,26 @@ def test_lens_invalid_arguments():
         intersection_volume(1.0, 0.0, 0.0, 2)
     with pytest.raises(ValueError):
         intersection_volume(1.0, 1.0, math.inf, 2)
+    # An array of cluster radii is checked element by element.
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            intersection_volume(1.0, np.array([1.0, bad]), 0.5, 2)
+
+
+@given(
+    pairs=st.lists(st.tuples(RADII, RADII), min_size=1, max_size=6),
+    n=st.integers(min_value=1, max_value=8),
+    x=st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=1, max_size=8),
+)
+def test_lens_columns_of_both_radii_equal_scalar_calls(pairs, n, x):
+    # One (r, r_d) pair per row against every separation, as the kernel
+    # calls it with per-row cluster radii.
+    r, r_d = (np.array(column)[:, np.newaxis] for column in zip(*pairs))
+    volumes = intersection_volume(r, r_d, np.array(x), n)
+    assert volumes.shape == (len(pairs), len(x))
+    for (ri, rdi), row in zip(pairs, volumes):
+        for xj, vij in zip(x, row):
+            assert vij == intersection_volume(ri, rdi, xj, n)
 
 
 def test_lens_matches_monte_carlo_on_grid():
