@@ -740,10 +740,13 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -
         else:
             # Each row's e^(-mbar) and mbar^(k-i) stay Python float arithmetic,
             # as in a one-row call: numpy's array exp and power differ from
-            # math.exp and float ** in the last bit on some inputs.
+            # math.exp and float ** in the last bit on some inputs.  An
+            # mbar^(k-i)/(k-i)! beyond double precision is inf, and the
+            # non-finite entry it leaves is reported below.
             mbar = [q.mbar for q in params[idx]]
             decay = np.array([math.exp(-m) for m in mbar])
-            table[:, idx] = [1.0 - decay * _small_rd_sum(ccdf, k, mbar) for k in ks]
+            with np.errstate(invalid="ignore"):
+                table[:, idx] = [1.0 - decay * _small_rd_sum(ccdf, k, mbar) for k in ks]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
         raise ValueError(
@@ -766,9 +769,24 @@ def _small_rd_sum(ccdf: np.ndarray, k: int, mbar: list[float]) -> np.ndarray:
     """sum_{i=1..k} mbar^(k-i) ccdf_i / (k-i)!, in order of i, one mbar per row."""
     acc = 0.0
     for i in range(1, k + 1):
-        factorial = math.factorial(k - i)
-        acc = acc + np.array([m ** (k - i) / factorial for m in mbar]) * ccdf[:, i - 1]
+        acc = acc + np.array([_power_over_factorial(m, k - i) for m in mbar]) * ccdf[:, i - 1]
     return acc
+
+
+def _power_over_factorial(m: float, j: int) -> float:
+    """m^j / j!, inf where it exceeds double precision.
+
+    Float arithmetic wherever m^j and j! fit a double; beyond that (j! from
+    j = 171, or m^j overflowing) exp(j log m - lgamma(j + 1)).
+    """
+    try:
+        return m**j / math.factorial(j)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(j * math.log(m) - math.lgamma(j + 1))
+    except OverflowError:
+        return math.inf
 
 
 def quantile_radius(

@@ -7,6 +7,13 @@ vectorized calls from its own counter-based substream keyed by (seed,
 stream, block).  The block size depends only on the parameters and the
 window, so results are identical for any worker count, and a larger run
 budget extends the same rows.
+
+Every parent draws its distance from the origin and its daughter count.
+When only the max_k nearest points of a run are wanted, a parent farther
+than rd beyond the reach of the run's first max_k points cannot supply
+one, so only the remaining parents draw a direction and daughter offsets.
+The max_k nearest points keep their law, but the draws that follow the
+thinning depend on max_k, so the rows do too.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ _TABLE_CELLS = 4 * _BLOCK_POINTS
 # Every sampled point lies within observation_radius + 2 rd of the origin;
 # inside this range its squared distance is a normal double.
 _REACH_RANGE = (1e-150, 1e150)
+
+# Relative slack on the reach within which parents are kept.  A computed
+# distance is off by at most a few (n + 4) ulps of the parent radius plus
+# rd, about 1e-13 of it even at the largest n, so a wider reach only keeps
+# parents whose points cannot be selected.
+_KEEP_MARGIN = 1e-6
 
 _STATIONARY_STREAM = 0
 _PALM_STREAM = 1
@@ -129,6 +142,13 @@ def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _scale_directions(g: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Rescale each Gaussian row of g, in place, to length radii[i]."""
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    g *= np.divide(radii, norms, out=np.zeros(radii.size), where=norms > 0.0)[:, np.newaxis]
+    return g
+
+
 def sample_uniform_ball(n, radius, rng, size=None):
     """Uniform draw(s) in the n-ball of the given radius about the origin.
 
@@ -137,13 +157,43 @@ def sample_uniform_ball(n, radius, rng, size=None):
     """
     m = 1 if size is None else int(size)
     g = rng.standard_normal((m, n))
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    radii = radius * rng.random(m) ** (1.0 / n)
-    g *= np.divide(radii, norms, out=np.zeros(m), where=norms > 0.0)[:, np.newaxis]
+    g = _scale_directions(g, radius * rng.random(m) ** (1.0 / n))
     return g[0] if size is None else g
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool):
+def _kept_parents(owner, radii, counts, runs: int, rd: float, max_k: int) -> np.ndarray:
+    """Mask of the parents that can place a point among their run's max_k nearest.
+
+    owner, radii and counts give each parent's run, distance from the
+    origin and daughter count.  Ranked by radius within its run, the first
+    parents whose counts reach max_k hold max_k points within B = rho + rd
+    of the origin, rho the radius of the last of them; a parent with
+    rho - rd > B places every daughter beyond B, so it is dropped.  Runs
+    with fewer than max_k points keep every parent, and a parent within rd
+    of the origin (the Palm own cluster among them) is always kept.
+    _KEEP_MARGIN widens B over the rounding of computed distances.
+    """
+    order = np.argsort(radii)
+    # Run ids in the smallest unsigned type: numpy sorts 8- and 16-bit keys
+    # stably by radix, several times faster than int64 keys.
+    run_ids = owner.astype(np.min_scalar_type(runs))
+    order = order[np.argsort(run_ids[order], kind="stable")]
+    run = owner[order]
+    per_run = np.bincount(run, minlength=runs)
+    starts = np.cumsum(per_run) - per_run
+    running = np.cumsum(counts[order])
+    before = np.concatenate(([0], running))[starts]
+    # Running counts only grow within a run, so the parents still short of
+    # max_k come first and their number is the rank of the run's j*.
+    short = np.bincount(run[running - before[run] < max_k], minlength=runs)
+    reach = np.full(runs, np.inf)
+    full = short < per_run
+    reach[full] = radii[order[starts[full] + short[full]]] + rd
+    return radii - rd <= reach[owner] * (1.0 + _KEEP_MARGIN)
+
+
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool,
+                  max_k: int | None = None):
     """`runs` independent realizations as (points, counts).
 
     points is (N, n) with each run's points contiguous and in run order;
@@ -152,33 +202,37 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     Stationary: parents form a Poisson process in the ball of radius
     observation_radius + rd, since any parent farther out cannot place a
     daughter inside the observation window; parents themselves are not
-    points of the process.  Palm adds, after each run's daughters, the
+    points of the process.  Palm adds, after each run's parents, the
     typical point's own cluster: the cluster center sits at -u for u
     uniform in the cluster ball, and the Poisson(mbar) siblings are
     uniform around it.  The typical point itself is excluded.
+
+    Every parent's radius and daughter count is drawn first (the own
+    cluster's |u| and sibling count last).  Given max_k, only the parents
+    that _kept_parents keeps then draw a direction and daughter offsets,
+    so each run holds its max_k nearest points but not all of its points;
+    max_k None keeps every parent.
     """
     p = cfg.params
     n_parents = rng.poisson(_mean_counts(p, cfg.observation_radius)[0], size=runs)
-    parents = sample_uniform_ball(p.n, cfg.observation_radius + p.rd, rng, size=int(n_parents.sum()))
-    daughters = rng.poisson(p.mbar, size=parents.shape[0])
+    total = int(n_parents.sum())
+    radii = (cfg.observation_radius + p.rd) * rng.random(total) ** (1.0 / p.n)
+    daughters = rng.poisson(p.mbar, size=total)
+    if palm:
+        # Each run's own cluster goes in right after its last parent; its
+        # center, |u| times a uniform direction, has the law of -u.
+        ends = np.cumsum(n_parents)
+        radii = np.insert(radii, ends, p.rd * rng.random(runs) ** (1.0 / p.n))
+        daughters = np.insert(daughters, ends, rng.poisson(p.mbar, size=runs))
+    owner = np.repeat(np.arange(runs), n_parents + 1 if palm else n_parents)
+    if max_k is not None:
+        keep = _kept_parents(owner, radii, daughters, runs, p.rd, max_k)
+        owner, radii, daughters = owner[keep], radii[keep], daughters[keep]
+    centers = _scale_directions(rng.standard_normal((radii.size, p.n)), radii)
     offsets = sample_uniform_ball(p.n, p.rd, rng, size=int(daughters.sum()))
-    points = np.repeat(parents, daughters, axis=0) + offsets
-    # Daughters per run: the running daughter total after each run's last
-    # parent, differenced.
-    ends = np.concatenate(([0], np.cumsum(daughters)))[np.cumsum(n_parents)]
-    counts = ends - np.concatenate(([0], ends[:-1]))
-    if not palm:
-        return points, counts
-    centers = -sample_uniform_ball(p.n, p.rd, rng, size=runs)
-    n_siblings = rng.poisson(p.mbar, size=runs)
-    siblings = np.repeat(centers, n_siblings, axis=0) + sample_uniform_ball(
-        p.n, p.rd, rng, size=int(n_siblings.sum())
-    )
-    # A stable sort by run puts each run's siblings right after its daughters.
-    run_ids = np.arange(runs)
-    owner = np.concatenate([np.repeat(run_ids, counts), np.repeat(run_ids, n_siblings)])
-    order = np.argsort(owner, kind="stable")
-    return np.concatenate([points, siblings])[order], counts + n_siblings
+    points = np.repeat(centers, daughters, axis=0) + offsets
+    counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
+    return points, counts
 
 
 def sample_mcp(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -258,9 +312,13 @@ def simulate_kth_distances(
 
     Runs are simulated in blocks of cfg.runs_per_block(palm); block b
     draws from substream (seed, stream, b), and its last rows are dropped
-    when samples ends inside it.  Row i therefore depends only on (params,
-    window, seed, i): output is bit-identical for any worker count and for
-    repeated calls, and a larger samples extends the same rows.
+    when samples ends inside it.  Every parent's radius and daughter count
+    is drawn; directions and offsets only for the parents that can hold
+    one of the run's max_k nearest points (see _kept_parents).  Row i
+    therefore depends only on (params, window, seed, max_k, i): output is
+    bit-identical for any worker count and for repeated calls, a larger
+    samples extends the same rows, and a different max_k draws different
+    rows of the same law.
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
     block_runs = cfg.runs_per_block(palm)
@@ -269,7 +327,8 @@ def simulate_kth_distances(
     def block(b: int) -> None:
         lo = b * block_runs
         hi = min(lo + block_runs, cfg.samples)
-        points, counts = _sample_block(cfg, _substream(cfg.seed, stream, b), block_runs, palm)
+        rng = _substream(cfg.seed, stream, b)
+        points, counts = _sample_block(cfg, rng, block_runs, palm, cfg.max_k)
         rows = _select_block(points, counts, cfg.max_k)[: hi - lo]
         out[lo:hi, : rows.shape[1]] = rows
         out[lo:hi, rows.shape[1]:] = np.inf

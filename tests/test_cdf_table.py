@@ -186,6 +186,19 @@ def test_long_high_order_curve_working_set_is_bounded(fig1_params):
     assert peak < 32 * 2**20, peak
 
 
+@pytest.mark.parametrize("mbar", [5.0, 170.0])
+def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mbar):
+    # From k = 172 (mbar = 5) or k = 140 (mbar = 170) some mbar^j / j! take
+    # the log-space route; entries still equal the one-order calls.
+    p = McpParams(lambda_p=2e-5, mbar=mbar, rd=50.0, n=2)
+    radii = [0.0, 10.0, 100.0]
+    ks = list(range(1, 301))
+    table = analytic._cdf_table(CurveKind.NND_SMALL_RD_LIMIT, radii, ks, p)
+    for i, k in enumerate(ks):
+        for j, r in enumerate(radii):
+            assert table[i, j] == cdf_nnd_small_rd_limit(r, k, p), (k, r)
+
+
 class TestNonFinite:
     def test_curve_rejects_non_finite_values_and_radii(self, fig1_params):
         for radii, values in (([0.0, 1.0], [0.0, math.nan]), ([0.0, math.inf], [0.0, 1.0])):

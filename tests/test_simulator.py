@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcpdist import (
@@ -274,6 +274,20 @@ class TestValidationHarness:
             assert row.threshold == pytest.approx(1.5 * 1.36 / math.sqrt(4000))
             assert row.passed
 
+    @pytest.mark.parametrize(
+        "p, k_values",
+        [
+            (McpParams(1e-3, 50.0, 5.0, 2), range(1, 9)),  # dense clusters
+            (McpParams(0.02, 3.0, 2.0, 3), range(1, 5)),
+        ],
+    )
+    def test_rows_pass_where_thinning_drops_most(self, p, k_values):
+        # Runs at these parameters keep a small share of their parents.
+        rows = validate_against_analytic(p, list(k_values), samples=20_000, seed=3)
+        assert len(rows) == 2 * len(k_values)
+        for row in rows:
+            assert row.passed, row
+
 
 class TestBlockPath:
     @given(
@@ -301,6 +315,75 @@ class TestBlockPath:
             padded = np.full((counts.size, max_k), np.inf)
             padded[:, : rows.shape[1]] = rows
             assert padded.tobytes() == expected.tobytes()
+
+    @given(
+        parents=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from((0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 7.0)) | st.floats(0.0, 12.0),
+                st.integers(0, 4),
+            ),
+            max_size=24,
+        ),
+        own=st.none() | st.lists(st.tuples(st.floats(0.0, 2.0), st.integers(0, 4)),
+                                 min_size=4, max_size=4),
+        radial=st.booleans(),
+        n=st.integers(1, 3),
+        max_k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(parents=[(0, 1.0, 4), (0, 4.9999, 1)], own=None, radial=True, n=1, max_k=4, seed=0)
+    def test_kept_parents_hold_the_nearest_points(self, parents, own, radial, n, max_k, seed):
+        # Four runs of (run, radius, daughters) parents with rd = 2: radius
+        # ties, zero-count parents, runs short of max_k, and with own the
+        # Palm own cluster of each run (radius <= rd).  radial puts the
+        # daughters on the parent's line at distance rd, alternately inward
+        # and outward, so points of kept and dropped parents meet at the
+        # reach (1 + 2 = 5 - 2); in the example a point of the parent at
+        # 4.9999 lies just inside the fourth distance, 3.
+        runs, rd = 4, 2.0
+        owner = np.array([run for run, _, _ in parents], dtype=np.int64)
+        radii = np.array([radius for _, radius, _ in parents])
+        counts = np.array([count for _, _, count in parents], dtype=np.int64)
+        if own is not None:
+            owner = np.concatenate([owner, np.arange(runs)])
+            radii = np.concatenate([radii, [radius for radius, _ in own]])
+            counts = np.concatenate([counts, [count for _, count in own]])
+        order = np.argsort(owner, kind="stable")
+        owner, radii, counts = owner[order], radii[order], counts[order]
+        rng = rng_for(seed)
+        centers = simulator._scale_directions(rng.standard_normal((radii.size, n)), radii)
+        if radial:
+            units = simulator._scale_directions(np.repeat(centers, counts, axis=0), np.ones(counts.sum()))
+            inward_first = np.where(np.arange(counts.sum()) % 2, 1.0, -1.0)
+            offsets = units * rd * inward_first[:, np.newaxis]
+        else:
+            offsets = sample_uniform_ball(n, rd, rng, size=int(counts.sum()))
+        points = np.repeat(centers, counts, axis=0) + offsets
+
+        keep = simulator._kept_parents(owner, radii, counts, runs, rd, max_k)
+        assert keep[radii <= rd].all()
+        kept_points = points[np.repeat(keep, counts)]
+        kept_counts = np.bincount(owner[keep], weights=counts[keep], minlength=runs).astype(np.int64)
+        all_counts = np.bincount(owner, weights=counts, minlength=runs).astype(np.int64)
+        rows = []
+        for pts, cnt in ((points, all_counts), (kept_points, kept_counts)):
+            selected = simulator._select_block(pts, cnt, max_k)
+            padded = np.full((runs, max_k), np.inf)
+            padded[:, : selected.shape[1]] = selected
+            rows.append(padded.tobytes())
+        assert rows[0] == rows[1]
+
+    def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
+        # At fig1 with max_k = 4 a stationary run keeps about a fifth of its
+        # ~78.5 daughters; max_k None keeps all of them.
+        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
+        runs = cfg.runs_per_block()
+        _, all_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False)
+        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False, 4)
+        assert all_counts.mean() == pytest.approx(78.5, rel=0.05)
+        assert kept_counts.mean() < 0.3 * all_counts.mean()
+        assert (kept_counts >= np.minimum(all_counts, 4)).all()
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params):
         cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
