@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if out is not sys.stdout:
                 out.close()
-    except (_CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CensoringError as exc:
@@ -202,10 +202,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _params_from(args: argparse.Namespace) -> McpParams:
     _require(args, "lambda_p", "mbar", "rd")
     n = args.n if args.n is not None else 2
-    try:
-        return McpParams(lambda_p=args.lambda_p, mbar=args.mbar, rd=args.rd, n=n)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    return McpParams(lambda_p=args.lambda_p, mbar=args.mbar, rd=args.rd, n=n)
 
 
 def _check_table_size(values: int, what: str) -> None:
@@ -340,12 +337,8 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     ])
     out.write("lambda_p,rd,k,value\n")
     for lam in lambda_ps:
-        try:
-            base = McpParams(lambda_p=lam, mbar=args.mbar, rd=rd_grid[0], n=n)
-        except ValueError as exc:
-            raise _CliError(str(exc))
         spec = SweepSpec(
-            base=base,
+            base=McpParams(lambda_p=lam, mbar=args.mbar, rd=rd_grid[0], n=n),
             rd_grid=rd_grid,
             connect_range=args.R,
             k_values=k_values,

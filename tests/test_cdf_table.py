@@ -186,7 +186,7 @@ def test_long_high_order_curve_working_set_is_bounded(fig1_params):
     assert peak < 32 * 2**20, peak
 
 
-@pytest.mark.parametrize("mbar", [5.0, 170.0])
+@pytest.mark.parametrize("mbar", [5.0, 170.0, 1e3])
 def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mbar):
     # From k = 172 (mbar = 5) or k = 140 (mbar = 170) some mbar^j / j! take
     # the log-space route; entries still equal the one-order calls.
@@ -207,7 +207,7 @@ class TestNonFinite:
 
     def test_table_raises_before_clipping(self, fig1_params, monkeypatch):
         # A NaN PMF used to come out of the clip as a CDF value of 0.0.
-        def nan_pmf(kernel, m_max, log_space=None):
+        def nan_pmf(kernel, m_max):
             return np.full((kernel.t.shape[0], m_max + 1), math.nan)
 
         monkeypatch.setattr(analytic, "_count_pmf", nan_pmf)

@@ -159,22 +159,19 @@ class TestLimits:
             p = McpParams(lambda_p=0.01, mbar=2.0, rd=1e-3 * 5.0, n=2)
             assert abs(cdf_nnd(5.0, k, p) - cdf_nnd_small_rd_limit(5.0, k, p)) <= 1e-4
 
-    @pytest.mark.parametrize("mbar, k", [(5.0, 172), (1e5, 70)])
+    @pytest.mark.parametrize(
+        "mbar, k", [(5.0, 172), (1e5, 70), (800.0, 820), (1e3, 1000), (1e5, 100)]
+    )
     def test_small_rd_limit_beyond_double_range_terms(self, mbar, k):
         # (k-1)! > 2^1024 from k = 172, and 1e5^(k-1) from k = 63: both
-        # used to raise OverflowError.  Reference: each Poisson weight
-        # e^(-mbar) mbar^j / j! formed whole in log space.
+        # used to raise OverflowError.  Beyond mbar ~ 710 e^(-mbar)
+        # underflows while mbar^j / j! overflows.  Reference: each Poisson
+        # weight e^(-mbar) mbar^j / j! formed whole in log space.
         p = McpParams(lambda_p=2e-5, mbar=mbar, rd=50.0, n=2)
         ccdf = np.cumsum(count_pmf(10.0, p, m_max=k - 1).probs)
         weights = [math.exp(j * math.log(mbar) - math.lgamma(j + 1) - mbar) for j in range(k)]
         expected = 1.0 - sum(weights[k - i] * ccdf[i - 1] for i in range(1, k + 1))
         assert cdf_nnd_small_rd_limit(10.0, k, p) == pytest.approx(expected, abs=1e-12)
-
-    def test_small_rd_limit_unrepresentable_terms_are_a_value_error(self):
-        # 1e5^99 / 99! exceeds double precision while e^(-1e5) underflows.
-        p = McpParams(lambda_p=2e-5, mbar=1e5, rd=50.0, n=2)
-        with pytest.raises(ValueError, match="not finite"):
-            cdf_nnd_small_rd_limit(10.0, 100, p)
 
     def test_large_rd_ppp_limit(self):
         # rd three decades above r: both CDFs collapse onto the PPP law
