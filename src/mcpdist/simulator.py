@@ -4,16 +4,16 @@ Samples stationary and Palm-conditioned realizations, measures kth
 distances from the origin, and compares empirical CDFs against the
 analytic curves.  Runs are simulated in fixed blocks, each drawn in a few
 vectorized calls from its own counter-based substream keyed by (seed,
-stream, block).  The block size depends only on the parameters and the
-window, so results are identical for any worker count, and a larger run
-budget extends the same rows.
+stream, block).  The block size depends only on the parameters, the
+window and max_k, so results are identical for any worker count, and a
+larger run budget extends the same rows.
 
-Every parent draws its distance from the origin and its daughter count.
-When only the max_k nearest points of a run are wanted, a parent farther
-than rd beyond the reach of the run's first max_k points cannot supply
-one, so only the remaining parents draw a direction and daughter offsets.
-The max_k nearest points keep their law, but the draws that follow the
-thinning depend on max_k, so the rows do too.
+Each run draws its parents in order of distance from the origin, as the
+gaps of a unit-rate Poisson process in the volume coordinate, in rounds,
+and stops once no further parent can place a point among its max_k
+nearest.  Only the kept parents draw a direction and daughter offsets.
+The max_k nearest points keep their law, but the draws depend on max_k,
+so the rows do too.
 """
 
 from __future__ import annotations
@@ -75,14 +75,36 @@ class CensoringError(RuntimeError):
     """Too many runs were censored for the empirical CDF to be trusted."""
 
 
+def _parents_within(p: McpParams, radius: float) -> float:
+    # Campbell mean lambda_p v_n radius^n of the parents within radius of
+    # the origin, formed in logs so that a huge radius gives inf rather
+    # than an OverflowError.
+    log_parents = (math.log(p.lambda_p) + math.log(unit_ball_volume(p.n))
+                   + p.n * math.log(radius))
+    return math.exp(min(log_parents, 709.0))
+
+
 def _mean_counts(p: McpParams, observation_radius: float) -> tuple[float, float]:
     # Campbell means of the parents, lambda_p v_n (R + rd)^n, and of the
-    # daughters, mbar times that, that one stationary run samples; formed
-    # in logs so that a huge window gives inf rather than an OverflowError.
-    log_parents = (math.log(p.lambda_p) + math.log(unit_ball_volume(p.n))
-                   + p.n * math.log(observation_radius + p.rd))
-    parents = math.exp(min(log_parents, 709.0))
+    # daughters, mbar times that, in the window of one stationary run.
+    parents = _parents_within(p, observation_radius + p.rd)
     return parents, parents * p.mbar
+
+
+def _drawn_parents(p: McpParams, observation_radius: float, max_k: int | None) -> float:
+    """Mean number of parents that one run keeps.
+
+    The parents within rho hold max_k daughters on average where
+    lambda_p mbar v_n rho^n = max_k, and parents out to about rho + 2 rd
+    are kept (see _radial_parents).  The window edge R + rd caps that
+    radius, and max_k None keeps every parent of the window.
+    """
+    edge = observation_radius + p.rd
+    if max_k is not None:
+        log_rho = (math.log(max_k) - math.log(p.mbar) - math.log(p.lambda_p)
+                   - math.log(unit_ball_volume(p.n))) / p.n
+        edge = min(math.exp(min(log_rho, math.log(edge))) + 2.0 * p.rd, edge)
+    return _parents_within(p, edge)
 
 
 def _check_budget(p: McpParams, observation_radius: float, samples: int, max_k: int) -> None:
@@ -126,15 +148,17 @@ class SimConfig:
         _check_budget(self.params, self.observation_radius, self.samples, self.max_k)
 
     def runs_per_block(self, palm: bool = False) -> int:
-        """Runs simulated together: about _BLOCK_POINTS points per block.
+        """Runs simulated together: about _BLOCK_POINTS drawn points per block.
 
-        Points here are the daughters (plus the mbar siblings under Palm),
-        or the parents where mbar < 1 makes those the more numerous draw.
+        A run draws, on average, the parents it keeps and one more, and
+        the daughters of the kept parents (plus the mbar siblings under
+        Palm); see _drawn_parents.
         """
-        mean = max(_mean_counts(self.params, self.observation_radius))
+        parents = _drawn_parents(self.params, self.observation_radius, self.max_k)
+        mean = 1.0 + parents * (1.0 + self.params.mbar)
         if palm:
             mean += self.params.mbar
-        return int(max(1.0, _BLOCK_POINTS // max(mean, 1.0)))
+        return int(max(1.0, _BLOCK_POINTS // mean))
 
 
 def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -161,35 +185,82 @@ def sample_uniform_ball(n, radius, rng, size=None):
     return g[0] if size is None else g
 
 
-def _kept_parents(owner, radii, counts, runs: int, rd: float, max_k: int) -> np.ndarray:
-    """Mask of the parents that can place a point among their run's max_k nearest.
+def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int, rd: float,
+                    max_k: int | None, own=None):
+    """Each run's kept parents, drawn in order of distance from the origin.
 
-    owner, radii and counts give each parent's run, distance from the
-    origin and daughter count.  Ranked by radius within its run, the first
-    parents whose counts reach max_k hold max_k points within B = rho + rd
-    of the origin, rho the radius of the last of them; a parent with
-    rho - rd > B places every daughter beyond B, so it is dropped.  Runs
-    with fewer than max_k points keep every parent, and a parent within rd
-    of the origin (the Palm own cluster among them) is always kept.
-    _KEEP_MARGIN widens B over the rounding of computed distances.
+    Ranked by distance, the parents of a Poisson process sit at volumes
+    v = lambda_p v_n r^n that form a unit-rate Poisson process on the line,
+    so draw(rows, m) gives, for each run in rows, the (len(rows), m) volume
+    gaps and daughter counts of its next m parents outward.  Parents are
+    kept only inside the window, v <= v_max, whose edge has radius outer.
+    The first parent at which a run's running daughter count reaches max_k
+    has radius rho; a parent with r - rd > rho + rd places every daughter
+    beyond the run's max_k nearest points, so it is dropped, and
+    _KEEP_MARGIN widens the reach rho + rd over the rounding of computed
+    distances.  Runs with fewer than max_k points in the window, and every
+    run for max_k None, keep every parent of the window (a rho found past
+    the window edge keeps them all too, so counts past it need no mask).
+
+    own is None or the Palm own clusters, (radii <= rd, counts) per run:
+    each joins its run's running count at its radius and is always kept.
+
+    Radii come out sorted, so the kept parents are a prefix of each run's
+    parents, and a run is done once its last drawn parent is not kept.
+    The first round draws m parents per run; the runs left draw rounds of
+    ceil(sqrt(m)) parents, the spread of a Poisson count of mean m, then
+    three times as many each round.  Returns the kept parents' (run,
+    radius, daughter count), run by run, each run's own cluster first and
+    then its parents outward.
     """
-    order = np.argsort(radii)
-    # Run ids in the smallest unsigned type: numpy sorts 8- and 16-bit keys
-    # stably by radix, several times faster than int64 keys.
-    run_ids = owner.astype(np.min_scalar_type(runs))
-    order = order[np.argsort(run_ids[order], kind="stable")]
-    run = owner[order]
-    per_run = np.bincount(run, minlength=runs)
-    starts = np.cumsum(per_run) - per_run
-    running = np.cumsum(counts[order])
-    before = np.concatenate(([0], running))[starts]
-    # Running counts only grow within a run, so the parents still short of
-    # max_k come first and their number is the rank of the run's j*.
-    short = np.bincount(run[running - before[run] < max_k], minlength=runs)
     reach = np.full(runs, np.inf)
-    full = short < per_run
-    reach[full] = radii[order[starts[full] + short[full]]] + rd
-    return radii - rd <= reach[owner] * (1.0 + _KEEP_MARGIN)
+    last = np.zeros(runs)  # volume of each run's last drawn parent
+    total = np.zeros(runs, dtype=np.int64)  # daughters of its parents so far
+    kept = np.full(runs, int(own is not None))
+    # A window too small for double precision holds no parent.
+    scale = max(v_max, np.finfo(float).tiny)
+    step = math.ceil(math.sqrt(m))
+    active = np.arange(runs)
+    rounds = []
+    while active.size:
+        gaps, counts = draw(active, m)
+        # Adding the last volume to the first gap, not to every cumulative
+        # sum, gives the same bits as one cumulative sum over all rounds.
+        gaps[:, 0] += last[active]
+        v = np.cumsum(gaps, axis=1, out=gaps)
+        radii = outer * (np.minimum(v, v_max) / scale) ** (1.0 / n)
+        if max_k is not None:
+            running = np.cumsum(counts, axis=1) + total[active, np.newaxis]
+            if own is not None:
+                own_r, own_c = own[0][active], own[1][active]
+                running += own_c[:, np.newaxis] * (own_r[:, np.newaxis] <= radii)
+            hit = running >= max_k
+            rows, j = np.arange(active.size), hit.argmax(axis=1)
+            rho = radii[rows, j]
+            if own is not None:
+                # Counts already at max_k before parent j came from the own
+                # cluster, which joined between parent j - 1 and parent j.
+                rho = np.where(running[rows, j] - counts[rows, j] >= max_k, own_r, rho)
+            found = hit[:, -1] & np.isinf(reach[active])
+            reach[active[found]] = rho[found] + rd
+            total[active] += counts.sum(axis=1)
+        keep = (v <= v_max) & (radii - rd <= (reach[active] * (1.0 + _KEEP_MARGIN))[:, np.newaxis])
+        at, col = np.nonzero(keep)
+        owner = active[at]
+        rounds.append((owner, kept[owner] + col, radii[keep], counts[keep]))
+        kept[active] += keep.sum(axis=1)
+        last[active] = v[:, -1]
+        active = active[keep[:, -1]]
+        m, step = step, 3 * step
+    starts = np.cumsum(kept) - kept
+    radii = np.empty(int(kept.sum()))
+    counts = np.empty(radii.size, dtype=np.int64)
+    if own is not None:
+        radii[starts], counts[starts] = own
+    for owner, pos, r, c in rounds:
+        radii[starts[owner] + pos] = r
+        counts[starts[owner] + pos] = c
+    return np.repeat(np.arange(runs), kept), radii, counts
 
 
 def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool,
@@ -202,32 +273,31 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     Stationary: parents form a Poisson process in the ball of radius
     observation_radius + rd, since any parent farther out cannot place a
     daughter inside the observation window; parents themselves are not
-    points of the process.  Palm adds, after each run's parents, the
-    typical point's own cluster: the cluster center sits at -u for u
-    uniform in the cluster ball, and the Poisson(mbar) siblings are
-    uniform around it.  The typical point itself is excluded.
+    points of the process.  Palm adds to each run the typical point's own
+    cluster: the cluster center sits at -u for u uniform in the cluster
+    ball, and the Poisson(mbar) siblings are uniform around it.  The
+    typical point itself is excluded.
 
-    Every parent's radius and daughter count is drawn first (the own
-    cluster's |u| and sibling count last).  Given max_k, only the parents
-    that _kept_parents keeps then draw a direction and daughter offsets,
-    so each run holds its max_k nearest points but not all of its points;
-    max_k None keeps every parent.
+    Under Palm the own clusters' |u| and sibling counts are drawn first.
+    Then each run draws its parents outward in rounds, a volume gap and a
+    daughter count each, until no further parent can hold one of its
+    max_k nearest points or the window ends (see _radial_parents); the
+    first round draws about as many parents as a run keeps.  Only the kept
+    parents then draw a direction and daughter offsets, so each run holds
+    its max_k nearest points but not all of its points; max_k None keeps
+    every parent of the window.
     """
     p = cfg.params
-    n_parents = rng.poisson(_mean_counts(p, cfg.observation_radius)[0], size=runs)
-    total = int(n_parents.sum())
-    radii = (cfg.observation_radius + p.rd) * rng.random(total) ** (1.0 / p.n)
-    daughters = rng.poisson(p.mbar, size=total)
-    if palm:
-        # Each run's own cluster goes in right after its last parent; its
-        # center, |u| times a uniform direction, has the law of -u.
-        ends = np.cumsum(n_parents)
-        radii = np.insert(radii, ends, p.rd * rng.random(runs) ** (1.0 / p.n))
-        daughters = np.insert(daughters, ends, rng.poisson(p.mbar, size=runs))
-    owner = np.repeat(np.arange(runs), n_parents + 1 if palm else n_parents)
-    if max_k is not None:
-        keep = _kept_parents(owner, radii, daughters, runs, p.rd, max_k)
-        owner, radii, daughters = owner[keep], radii[keep], daughters[keep]
+    own = (p.rd * rng.random(runs) ** (1.0 / p.n), rng.poisson(p.mbar, size=runs)) if palm else None
+
+    def draw(rows, m):
+        return rng.standard_exponential((rows.size, m)), rng.poisson(p.mbar, size=(rows.size, m))
+
+    owner, radii, daughters = _radial_parents(
+        draw, runs, math.ceil(_drawn_parents(p, cfg.observation_radius, max_k)) + 1,
+        _mean_counts(p, cfg.observation_radius)[0], cfg.observation_radius + p.rd,
+        p.n, p.rd, max_k, own)
+    # The center at radius |u| in a uniform direction has the law of -u.
     centers = _scale_directions(rng.standard_normal((radii.size, p.n)), radii)
     offsets = sample_uniform_ball(p.n, p.rd, rng, size=int(daughters.sum()))
     points = np.repeat(centers, daughters, axis=0) + offsets
@@ -310,15 +380,15 @@ def simulate_kth_distances(
 ) -> np.ndarray:
     """(samples, max_k) matrix of kth distances over independent runs.
 
-    Runs are simulated in blocks of cfg.runs_per_block(palm); block b
-    draws from substream (seed, stream, b), and its last rows are dropped
-    when samples ends inside it.  Every parent's radius and daughter count
-    is drawn; directions and offsets only for the parents that can hold
-    one of the run's max_k nearest points (see _kept_parents).  Row i
-    therefore depends only on (params, window, seed, max_k, i): output is
-    bit-identical for any worker count and for repeated calls, a larger
-    samples extends the same rows, and a different max_k draws different
-    rows of the same law.
+    Runs are simulated in blocks of cfg.runs_per_block(palm), sized by
+    the points a run draws; block b draws from substream (seed, stream, b),
+    and its last rows are dropped when samples ends inside it.  Each run
+    draws its parents outward until none further can hold one of its
+    max_k nearest points, and only the kept parents draw directions and
+    offsets (see _radial_parents).  Row i therefore depends only on
+    (params, window, seed, max_k, i): output is bit-identical for any
+    worker count and for repeated calls, a larger samples extends the same
+    rows, and a different max_k draws different rows of the same law.
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
     block_runs = cfg.runs_per_block(palm)

@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcpdist import (
@@ -25,11 +25,72 @@ from mcpdist import (
 )
 from mcpdist import simulator
 from mcpdist.analytic import CurveKind, distribution_curve
-from mcpdist.simulator import _substream, validate_against_analytic
+from mcpdist.simulator import _KEEP_MARGIN, _substream, validate_against_analytic
 
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
+
+
+def counts_within(cfg, palm, r, block_runs=10_000):
+    """Points within r of the origin in each of cfg.samples runs, drawn
+    through the block sampler with every parent of the window kept."""
+    out = []
+    for b in range(-(-cfg.samples // block_runs)):
+        points, counts = simulator._sample_block(cfg, _substream(cfg.seed, int(palm), b), block_runs, palm)
+        inside = (points * points).sum(axis=1) <= r * r
+        out.append(np.bincount(np.repeat(np.arange(block_runs), counts), weights=inside,
+                               minlength=block_runs))
+    return np.concatenate(out)[: cfg.samples].astype(np.int64)
+
+
+class CountingRng:
+    """A Generator that counts the sampler's rounds and daughter-count draws."""
+
+    def __init__(self, rng):
+        self.rng, self.rounds, self.daughter_counts = rng, 0, 0
+
+    def standard_exponential(self, size):
+        self.rounds += 1
+        return self.rng.standard_exponential(size)
+
+    def poisson(self, lam, size):
+        self.daughter_counts += math.prod(np.atleast_1d(size))
+        return self.rng.poisson(lam, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _kept_parents(owner, radii, counts, runs: int, rd: float, max_k: int) -> np.ndarray:
+    """Mask of the parents that can place a point among their run's max_k nearest.
+
+    owner, radii and counts give each parent's run, distance from the
+    origin and daughter count.  Ranked by radius within its run, the first
+    parents whose counts reach max_k hold max_k points within B = rho + rd
+    of the origin, rho the radius of the last of them; a parent with
+    rho - rd > B places every daughter beyond B, so it is dropped.  Runs
+    with fewer than max_k points keep every parent, and a parent within rd
+    of the origin (the Palm own cluster among them) is always kept.
+    _KEEP_MARGIN widens B over the rounding of computed distances.
+    """
+    order = np.argsort(radii)
+    # Run ids in the smallest unsigned type: numpy sorts 8- and 16-bit keys
+    # stably by radix, several times faster than int64 keys.
+    run_ids = owner.astype(np.min_scalar_type(runs))
+    order = order[np.argsort(run_ids[order], kind="stable")]
+    run = owner[order]
+    per_run = np.bincount(run, minlength=runs)
+    starts = np.cumsum(per_run) - per_run
+    running = np.cumsum(counts[order])
+    before = np.concatenate(([0], running))[starts]
+    # Running counts only grow within a run, so the parents still short of
+    # max_k come first and their number is the rank of the run's j*.
+    short = np.bincount(run[running - before[run] < max_k], minlength=runs)
+    reach = np.full(runs, np.inf)
+    full = short < per_run
+    reach[full] = radii[order[starts[full] + short[full]]] + rd
+    return radii - rd <= reach[owner] * (1.0 + _KEEP_MARGIN)
 
 
 class TestUniformBall:
@@ -94,11 +155,7 @@ class TestMcpSampler:
         r = 60.0
         runs = 100_000
         cfg = SimConfig(fig1_params, r, runs, 2026, 1)
-        counts = np.zeros(runs, dtype=np.int64)
-        for i in range(runs):
-            pts = sample_mcp(cfg, _substream(cfg.seed, 0, i))
-            if pts.size:
-                counts[i] = int(((pts * pts).sum(axis=1) <= r * r).sum())
+        counts = counts_within(cfg, False, r)
         pmf = count_pmf(r, fig1_params, m_max=40)
         assert pmf.truncation_mass < 1e-6
         freq = np.bincount(counts, minlength=41)[:41] / runs
@@ -122,9 +179,7 @@ class TestPalmSampler:
     def test_sibling_count_mean(self):
         p = McpParams(1e-300, 5.0, 1.0, 2)
         cfg = SimConfig(p, 10.0, 100_000, 11, 1)
-        totals = np.array(
-            [sample_mcp_palm(cfg, _substream(cfg.seed, 1, i)).shape[0] for i in range(cfg.samples)]
-        )
+        totals = counts_within(cfg, True, math.inf)
         se = math.sqrt(5.0 / cfg.samples)
         assert totals.mean() == pytest.approx(5.0, abs=3 * se)
 
@@ -133,11 +188,7 @@ class TestPalmSampler:
         p = McpParams(1e-300, fig1_params.mbar, fig1_params.rd, 2)
         r = 40.0
         cfg = SimConfig(p, r, 50_000, 13, 1)
-        misses = 0
-        for i in range(cfg.samples):
-            pts = sample_mcp_palm(cfg, _substream(cfg.seed, 1, i))
-            if pts.size == 0 or float((pts * pts).sum(axis=1).min()) > r * r:
-                misses += 1
+        misses = int((counts_within(cfg, True, r) == 0).sum())
         q0 = q_weight(r, 0, fig1_params)
         se = math.sqrt(q0 * (1 - q0) / cfg.samples)
         assert misses / cfg.samples == pytest.approx(q0, abs=3 * se)
@@ -146,11 +197,7 @@ class TestPalmSampler:
         r = 60.0
         runs = 100_000
         cfg = SimConfig(fig1_params, r, runs, 515, 1)
-        counts = np.zeros(runs, dtype=np.int64)
-        for i in range(runs):
-            pts = sample_mcp_palm(cfg, _substream(cfg.seed, 1, i))
-            if pts.size:
-                counts[i] = int(((pts * pts).sum(axis=1) <= r * r).sum())
+        counts = counts_within(cfg, True, r)
         pmf = palm_count_pmf(r, fig1_params, m_max=45)
         assert pmf.truncation_mass < 1e-6
         freq = np.bincount(counts, minlength=46)[:46] / runs
@@ -318,54 +365,108 @@ class TestBlockPath:
 
     @given(
         parents=st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.sampled_from((0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 7.0)) | st.floats(0.0, 12.0),
-                st.integers(0, 4),
+            st.lists(
+                st.tuples(
+                    st.sampled_from((0.0, 0.5, 1.0, 3.0)) | st.floats(0.0, 6.0, allow_subnormal=False),
+                    st.integers(0, 4),
+                ),
+                max_size=10,
             ),
-            max_size=24,
+            min_size=4, max_size=4,
         ),
         own=st.none() | st.lists(st.tuples(st.floats(0.0, 2.0), st.integers(0, 4)),
                                  min_size=4, max_size=4),
+        window=st.sampled_from((5.0, 12.0)) | st.floats(0.5, 40.0),
         radial=st.booleans(),
         n=st.integers(1, 3),
-        max_k=st.integers(1, 6),
+        max_k=st.none() | st.integers(1, 6),
+        m=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(parents=[(0, 1.0, 4), (0, 4.9999, 1)], own=None, radial=True, n=1, max_k=4, seed=0)
-    def test_kept_parents_hold_the_nearest_points(self, parents, own, radial, n, max_k, seed):
-        # Four runs of (run, radius, daughters) parents with rd = 2: radius
-        # ties, zero-count parents, runs short of max_k, and with own the
-        # Palm own cluster of each run (radius <= rd).  radial puts the
+    @example(parents=[[(1.0, 4), (3.9999, 1)], [], [], []], own=None, window=12.0, radial=True,
+             n=1, max_k=4, m=1, seed=0)
+    @example(parents=[[(3.0, 0), (3.0, 1)], [(3.0, 3), (3.0, 2)], [], [(13.0, 0)]],
+             own=[(1.0, 4), (1.0, 1), (0.0, 0), (2.0, 4)], window=12.0, radial=False, n=1,
+             max_k=4, m=2, seed=0)
+    @settings(max_examples=200)
+    def test_radial_rounds_keep_the_oracle_parents(self, parents, own, window, radial, n, max_k,
+                                                    m, seed):
+        # Four runs of (volume gap, daughters) parent sequences with rd = 2
+        # and unit intensity, so a parent at volume v has radius v^(1/n):
+        # radius ties, zero-count parents, runs short of max_k, a window
+        # edge inside a round, and with own the Palm own cluster of each run
+        # (radius <= rd), which can be the parent that reaches max_k (run 0
+        # of the second example, whose parent at 6 is dropped).  Each
+        # sequence ends with a parent of 4 daughters past the window.  The
+        # rounds must keep exactly the parents that the reference
+        # _kept_parents keeps among the window's parents, and stop in the
+        # round that holds a run's first dropped parent.  radial puts the
         # daughters on the parent's line at distance rd, alternately inward
         # and outward, so points of kept and dropped parents meet at the
-        # reach (1 + 2 = 5 - 2); in the example a point of the parent at
-        # 4.9999 lies just inside the fourth distance, 3.
+        # reach; in the example a point of the parent at 4.9999 lies just
+        # inside the fourth distance, 3.
         runs, rd = 4, 2.0
-        owner = np.array([run for run, _, _ in parents], dtype=np.int64)
-        radii = np.array([radius for _, radius, _ in parents])
-        counts = np.array([count for _, _, count in parents], dtype=np.int64)
-        if own is not None:
-            owner = np.concatenate([owner, np.arange(runs)])
-            radii = np.concatenate([radii, [radius for radius, _ in own]])
-            counts = np.concatenate([counts, [count for _, count in own]])
-        order = np.argsort(owner, kind="stable")
-        owner, radii, counts = owner[order], radii[order], counts[order]
+        gaps = [np.array([gap for gap, _ in run] + [window + 1.0]) for run in parents]
+        counts = [np.array([count for _, count in run] + [4], dtype=np.int64) for run in parents]
+        drawn = np.zeros(runs, dtype=np.int64)
+
+        def draw(rows, size):
+            g = np.full((rows.size, size), 1.0)
+            c = np.zeros((rows.size, size), dtype=np.int64)
+            for i, run in enumerate(rows):
+                part = slice(drawn[run], drawn[run] + size)
+                g[i, : gaps[run][part].size] = gaps[run][part]
+                c[i, : counts[run][part].size] = counts[run][part]
+                drawn[run] += size
+            return g, c
+
+        own_arrays = None if own is None else (
+            np.array([radius for radius, _ in own]), np.array([count for _, count in own]))
+        got = simulator._radial_parents(draw, runs, m, window, window ** (1.0 / n), n, rd, max_k,
+                                        own_arrays)
+
+        # The window's parents, each run's own cluster first.
+        owner, radii, daughters = [], [], []
+        for run in range(runs):
+            v = np.cumsum(gaps[run])
+            inside = v <= window
+            if own is not None:
+                owner.append(run), radii.append(own[run][0]), daughters.append(own[run][1])
+            owner += [run] * int(inside.sum())
+            radii += list(v[inside] ** (1.0 / n))
+            daughters += list(counts[run][inside])
+        owner = np.array(owner, dtype=np.int64)
+        radii, daughters = np.array(radii, dtype=float), np.array(daughters, dtype=np.int64)
+        keep = (np.ones(owner.size, dtype=bool) if max_k is None
+                else _kept_parents(owner, radii, daughters, runs, rd, max_k))
+        assert np.array_equal(got[0], owner[keep])
+        assert np.array_equal(got[2], daughters[keep])
+        np.testing.assert_allclose(got[1], radii[keep], rtol=1e-12, atol=0.0)
+
+        # Rounds of m, then s = ceil(sqrt(m)), 3 s, 9 s, ... parents.
+        step, ends = math.ceil(math.sqrt(m)), [m]
+        while ends[-1] < 100:
+            ends.append(ends[-1] + step)
+            step *= 3
+        first_dropped = np.bincount(owner[keep], minlength=runs) - (own is not None)
+        for run in range(runs):
+            assert drawn[run] == next(end for end in ends if end > first_dropped[run])
+
+        if max_k is None:
+            return
         rng = rng_for(seed)
         centers = simulator._scale_directions(rng.standard_normal((radii.size, n)), radii)
         if radial:
-            units = simulator._scale_directions(np.repeat(centers, counts, axis=0), np.ones(counts.sum()))
-            inward_first = np.where(np.arange(counts.sum()) % 2, 1.0, -1.0)
+            units = simulator._scale_directions(np.repeat(centers, daughters, axis=0),
+                                                np.ones(daughters.sum()))
+            inward_first = np.where(np.arange(daughters.sum()) % 2, 1.0, -1.0)
             offsets = units * rd * inward_first[:, np.newaxis]
         else:
-            offsets = sample_uniform_ball(n, rd, rng, size=int(counts.sum()))
-        points = np.repeat(centers, counts, axis=0) + offsets
-
-        keep = simulator._kept_parents(owner, radii, counts, runs, rd, max_k)
-        assert keep[radii <= rd].all()
-        kept_points = points[np.repeat(keep, counts)]
-        kept_counts = np.bincount(owner[keep], weights=counts[keep], minlength=runs).astype(np.int64)
-        all_counts = np.bincount(owner, weights=counts, minlength=runs).astype(np.int64)
+            offsets = sample_uniform_ball(n, rd, rng, size=int(daughters.sum()))
+        points = np.repeat(centers, daughters, axis=0) + offsets
+        kept_points = points[np.repeat(keep, daughters)]
+        kept_counts = np.bincount(owner[keep], weights=daughters[keep], minlength=runs).astype(np.int64)
+        all_counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
         rows = []
         for pts, cnt in ((points, all_counts), (kept_points, kept_counts)):
             selected = simulator._select_block(pts, cnt, max_k)
@@ -376,14 +477,40 @@ class TestBlockPath:
 
     def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
         # At fig1 with max_k = 4 a stationary run keeps about a fifth of its
-        # ~78.5 daughters; max_k None keeps all of them.
+        # ~78.5 daughters, and still at least 4; max_k None keeps all of them.
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         runs = cfg.runs_per_block()
         _, all_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False)
         _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False, 4)
         assert all_counts.mean() == pytest.approx(78.5, rel=0.05)
         assert kept_counts.mean() < 0.3 * all_counts.mean()
-        assert (kept_counts >= np.minimum(all_counts, 4)).all()
+        assert (kept_counts >= 4).all()
+
+    @pytest.mark.parametrize(
+        "p, radius, max_k",
+        [
+            (McpParams(2e-5, 5.0, 50.0, 2), 450.0, 4),  # fig1
+            (McpParams(1e-3, 50.0, 5.0, 2), 96.7, 8),  # dense clusters
+            (McpParams(0.02, 3.0, 2.0, 3), 7.97, 4),
+        ],
+    )
+    def test_runs_draw_few_parents_in_few_rounds(self, p, radius, max_k):
+        # Every drawn parent costs a volume gap and a daughter count.  At
+        # fig1 with max_k = 4 a stationary run keeps about 3.5 of the 15.7
+        # parents of its window and must draw at most 6; every block draws
+        # in at most 4 rounds.  The windows are those of validate.
+        cfg = SimConfig(p, radius, 1, 0, max_k)
+        for palm in (False, True):
+            runs = cfg.runs_per_block(palm)
+            parents = []
+            for b in range(10):
+                rng = CountingRng(_substream(0, int(palm), b))
+                simulator._sample_block(cfg, rng, runs, palm, max_k)
+                assert rng.rounds <= 4
+                # Under Palm, one count per run is the own cluster's.
+                parents.append(rng.daughter_counts / runs - palm)
+            if p.mbar == 5.0 and not palm:
+                assert np.mean(parents) <= 6.0
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params):
         cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
@@ -395,10 +522,10 @@ class TestBlockPath:
     def test_more_samples_extend_the_same_rows(self, fig1_params):
         for palm in (False, True):
             rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3), palm=palm)
-                    for samples in (100, 300, 1000)]
-            assert 100 < SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm) < 300
-            assert np.array_equal(rows[2][:300], rows[1])
-            assert np.array_equal(rows[2][:100], rows[0])
+                    for samples in (300, 1200, 2500)]
+            assert 300 < SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm) < 1200
+            assert np.array_equal(rows[2][:1200], rows[1])
+            assert np.array_equal(rows[2][:300], rows[0])
 
     def test_runs_with_fewer_than_max_k_points_are_inf_padded(self):
         # no parents: stationary runs are empty, and Palm runs hold only the
@@ -410,11 +537,22 @@ class TestBlockPath:
         assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
 
     def test_block_size_follows_expected_points(self, fig1_params):
+        # A run draws the parents out to rho + 2 rd, where the parents within
+        # rho hold max_k = 1 daughters on average, one parent more, and the
+        # daughters of the parents it keeps.
         cfg = SimConfig(fig1_params, 450.0, 10, 1, 1)
-        mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
+        lambda_p, mbar = fig1_params.lambda_p, fig1_params.mbar
+        rho = math.sqrt(1.0 / (lambda_p * mbar * math.pi))
+        mean = 1.0 + lambda_p * math.pi * (rho + 100.0) ** 2 * (1.0 + mbar)
         assert cfg.runs_per_block() == int(2**14 // mean)
-        assert cfg.runs_per_block(palm=True) == int(2**14 // (mean + fig1_params.mbar))
+        assert cfg.runs_per_block(palm=True) == int(2**14 // (mean + mbar))
         assert SimConfig(fig1_params, 450.0, 10**6, 1, 1).runs_per_block() == cfg.runs_per_block()
+        # the window edge R + rd = 150 caps rho + 2 rd, and max_k None is the edge
+        small = SimConfig(fig1_params, 100.0, 10, 1, 40)
+        mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar)
+        assert small.runs_per_block() == int(2**14 // mean)
+        assert simulator._drawn_parents(fig1_params, 100.0, None) == pytest.approx(
+            lambda_p * math.pi * 150.0**2, rel=1e-12)
         sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
         assert sparse.runs_per_block() == 2**14
         # with mbar < 1 the ~5.4e5 parents per run are the larger draw
