@@ -9,27 +9,24 @@ Writes four files into the output directory:
   fig3.csv       cache-hit probability vs cluster radius (with PPP rows)
 
 The fig1 files carry both the analytic curve and a Monte Carlo ECDF
-column so the overlay can be plotted directly.
+column so the overlay can be plotted directly.  The sweeps are written by
+the `mcpdist sweep` command.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from mcpdist import (
     EmpiricalCdf,
     McpParams,
     SimConfig,
-    SweepMetric,
-    SweepSpec,
     distribution_curves,
     quantile_radius,
     simulate_kth_distances,
-    sweep,
 )
 from mcpdist.analytic import CurveKind
+from mcpdist.cli import main as cli_main
 
 FIG1 = McpParams(lambda_p=2e-5, mbar=5.0, rd=50.0, n=2)
 FIG2_LAMBDAS = (3e-2, 1.3e-2, 0.4e-2)
@@ -54,37 +51,32 @@ def write_fig1(path: Path, kind: CurveKind, palm: bool, samples: int, seed: int)
                 fh.write(f"{float(r)!r},{curve.k},{float(a)!r},{float(e)!r}\n")
 
 
-def write_sweep(path: Path, metric: SweepMetric, lambdas, rd_points: int) -> None:
-    rd_grid = tuple(np.geomspace(R / 100.0, 10.0 * R, rd_points))
-    with path.open("w", newline="") as fh:
-        fh.write(f"# metric={metric.value} mbar={MBAR!r} R={R!r} n=2\n")
-        fh.write("lambda_p,rd,k,value\n")
-        for lam in lambdas:
-            spec = SweepSpec(
-                base=McpParams(lam, MBAR, rd_grid[0], 2),
-                rd_grid=rd_grid,
-                connect_range=R,
-                k_values=K_VALUES,
-            )
-            for row in sweep(spec, metric):
-                rd_text = "inf" if np.isinf(row.rd) else repr(row.rd)
-                fh.write(f"{lam!r},{rd_text},{row.k},{row.value!r}\n")
+def write_sweep(path: Path, metric: str, lambdas, rd_points: int) -> None:
+    """A sweep over rd from R / 100 to 10 R (the CLI default grid) at every k."""
+    code = cli_main([
+        "sweep", "--metric", metric, "--lambda-p", ",".join(map(repr, lambdas)),
+        "--mbar", repr(MBAR), "--R", repr(R), "--n", "2",
+        "--k", ",".join(map(str, K_VALUES)), "--rd-points", str(rd_points),
+        "--output", str(path),
+    ])
+    if code != 0:
+        raise SystemExit(code)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("figures"))
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rd-points", type=int, default=25)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
     jobs = [
         ("fig1_cd.csv", lambda p: write_fig1(p, CurveKind.CONTACT, False, args.samples, args.seed)),
         ("fig1_nnd.csv", lambda p: write_fig1(p, CurveKind.NND, True, args.samples, args.seed)),
-        ("fig2.csv", lambda p: write_sweep(p, SweepMetric.CONNECTIVITY, FIG2_LAMBDAS, args.rd_points)),
-        ("fig3.csv", lambda p: write_sweep(p, SweepMetric.CACHE_HIT, FIG3_LAMBDAS, args.rd_points)),
+        ("fig2.csv", lambda p: write_sweep(p, "connectivity", FIG2_LAMBDAS, args.rd_points)),
+        ("fig3.csv", lambda p: write_sweep(p, "cache", FIG3_LAMBDAS, args.rd_points)),
     ]
     for name, job in jobs:
         target = args.out / name

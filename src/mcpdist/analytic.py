@@ -3,11 +3,10 @@
 The count N of cluster-process points inside a ball of radius r has a
 probability generating function exp(g(s)), with g a one-dimensional
 integral over the lens volume between the probe ball and the cluster
-ball.  Taylor coefficients h_k of g at s = 0 yield the PMF of N either
-through the exp power-series recurrence (production path) or through the
-Faa di Bruno partition sum (kept for cross-validation).  The recurrence
-runs on p_m / p_0 with a log-space scale, so it stays finite where p_0
-underflows.  The kth contact distance CDF is a partial PMF sum;
+ball.  Taylor coefficients h_k of g at s = 0 yield the PMF of N through
+the exp power-series recurrence, run on p_m / p_0 with a log-space scale
+so that it stays finite where p_0 underflows.  The kth contact distance
+CDF is a partial PMF sum;
 nearest-neighbor distances follow by convolving with the intra-cluster
 weights q_j under the reduced Palm distribution.  The small-rd limit is
 the same NND sum with the Poisson(mbar) weights e^(-mbar) mbar^j / j! in
@@ -43,19 +42,14 @@ __all__ = [
     "cdf_contact",
     "cdf_nnd",
     "cdf_nnd_small_rd_limit",
-    "corollary_contact_cdf",
-    "corollary_nnd_cdf",
+    "cdf_table",
     "count_pmf",
-    "count_pmf_partition",
     "distribution_curve",
     "distribution_curves",
-    "enumerate_partitions",
     "h_coefficient",
     "log_pgf_count",
-    "log_pgf_count_1d",
     "palm_count_pmf",
     "pgf_count",
-    "pgf_count_1d",
     "pgf_count_palm",
     "ppp_cdf_contact",
     "q_weight",
@@ -330,29 +324,6 @@ def pgf_count(s: float, r: float, p: McpParams) -> float:
     return math.exp(log_pgf_count(s, r, p))
 
 
-def log_pgf_count_1d(s: float, r: float, p: McpParams) -> float:
-    """Closed-form g(s) for dimension one.
-
-    On the line the lens is piecewise linear in the separation, so the
-    integral evaluates in closed form:
-    2 lambda_p [ |r - rd| e^z - (r + rd) + beta expm1(z)/z ] with
-    beta = 2 min(r, rd) and z = lambda_d (s - 1) beta.
-    """
-    if p.n != 1:
-        raise ValueError("closed form is only valid in dimension 1")
-    _check_pgf_args(s, r)
-    if r <= 0.0 or s == 1.0:
-        return 0.0
-    beta = 2.0 * min(r, p.rd)
-    z = p.lambda_d * (s - 1.0) * beta
-    ramp = beta if z == 0.0 else beta * math.expm1(z) / z
-    return 2.0 * p.lambda_p * (abs(r - p.rd) * math.exp(z) - (r + p.rd) + ramp)
-
-
-def pgf_count_1d(s: float, r: float, p: McpParams) -> float:
-    return math.exp(log_pgf_count_1d(s, r, p))
-
-
 def pgf_count_palm(s: float, r: float, p: McpParams) -> float:
     """Count PGF under the reduced Palm distribution.
 
@@ -382,34 +353,6 @@ def _check_radius(r: float | np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # PMF extraction
 # ---------------------------------------------------------------------------
-
-
-def enumerate_partitions(m: int) -> list[tuple[int, ...]]:
-    """All multiplicity tuples (b_1, ..., b_m) with sum i * b_i = m.
-
-    Each tuple encodes one integer partition of m by part multiplicities;
-    m = 0 yields the single empty tuple (the empty product).
-    """
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m!r}")
-    if m == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    b = [0] * m
-
-    def fill(part: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(b))
-            return
-        if part == 0:
-            return
-        for count in range(remaining // part, -1, -1):
-            b[part - 1] = count
-            fill(part - 1, remaining - count * part)
-        b[part - 1] = 0
-
-    fill(m, m)
-    return out
 
 
 def count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:
@@ -542,31 +485,6 @@ def _recurrence(jh: np.ndarray, top: int, adaptive: bool) -> tuple[np.ndarray, n
     return formed[:, : m + 1], np.cumsum(jumps[:, : m + 1], axis=1)
 
 
-def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
-    """PMF via the Faa di Bruno partition sum (cross-validation path).
-
-    P[N=m] = e^(g(0)) * sum over multiplicity tuples of
-    prod_i h_i^(b_i) / b_i!.  Cost grows with the partition function, so
-    this is only meant for moderate m.
-    """
-    if r < 0.0 or m_max < 0:
-        raise ValueError("radius and m_max must be nonnegative")
-    kernel = _Kernel([r], p)
-    base = math.exp(kernel.log_pgf(0.0)[0])
-    h = [0.0, *kernel.h(1, m_max + 1)[0]]
-    probs = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        acc = 0.0
-        for b in enumerate_partitions(m):
-            term = 1.0
-            for i, b_i in enumerate(b, start=1):
-                if b_i:
-                    term *= h[i] ** b_i / math.factorial(b_i)
-            acc += term
-        probs[m] = base * acc
-    return PmfVector(probs, 1.0 - float(probs.sum()))
-
-
 # ---------------------------------------------------------------------------
 # Contact distance CDF
 # ---------------------------------------------------------------------------
@@ -575,22 +493,6 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
 def cdf_contact(r: float, k: int, p: McpParams) -> float:
     """CDF of the kth contact distance: P[at least k points within r]."""
     return _cdf_eval(CurveKind.CONTACT, r, k, p)
-
-
-def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
-    """Explicit low-order contact CDF expressions (k = 1, 2, 3)."""
-    if k not in (1, 2, 3):
-        raise ValueError("explicit expressions cover k = 1, 2, 3 only")
-    if r <= 0.0:
-        return 0.0
-    kernel = _Kernel([r], p)
-    e = math.exp(kernel.log_pgf(0.0)[0])
-    h1, h2 = kernel.h(1, 3)[0]
-    if k == 1:
-        return _clip01(1.0 - e)
-    if k == 2:
-        return _clip01(1.0 - e * (1.0 + h1))
-    return _clip01(1.0 - e * (1.0 + h1) - e * (h2 + h1 * h1 / 2.0))
 
 
 def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
@@ -646,26 +548,6 @@ def cdf_nnd(r: float, k: int, p: McpParams) -> float:
     return _cdf_eval(CurveKind.NND, r, k, p)
 
 
-def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
-    """Explicit low-order nearest-neighbor CDF expressions (k = 1, 2, 3)."""
-    if k not in (1, 2, 3):
-        raise ValueError("explicit expressions cover k = 1, 2, 3 only")
-    if r <= 0.0:
-        return 0.0
-    kernel = _Kernel([r], p)
-    e = math.exp(kernel.log_pgf(0.0)[0])
-    h1, h2 = kernel.h(1, 3)[0]
-    q0, q1, q2 = kernel.q(0, 3)[0]
-    if k == 1:
-        return _clip01(1.0 - e * q0)
-    fbar1 = e
-    fbar2 = e * (1.0 + h1)
-    if k == 2:
-        return _clip01(1.0 - q1 * fbar1 - q0 * fbar2)
-    fbar3 = e * (1.0 + h1 + h2 + h1 * h1 / 2.0)
-    return _clip01(1.0 - q2 * fbar1 - q1 * fbar2 - q0 * fbar3)
-
-
 def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
     """Vanishing-cluster-radius limit of the kth nearest-neighbor CDF.
 
@@ -684,7 +566,7 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -> np.ndarray:
+def cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -> np.ndarray:
     """CDF values of one kind for every order in ks at every radius.
 
     p is one McpParams for every radius or a sequence of one per radius,
@@ -696,6 +578,7 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -
     one-order call with that radius's McpParams bit for bit.  A non-finite
     value raises ValueError.
     """
+    kind = CurveKind(kind)
     radii = np.asarray(radii, dtype=float)
     params = _row_params(p, radii.size)
     for k in ks:
@@ -738,7 +621,7 @@ def _cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) -
 
 def _cdf_eval(kind: CurveKind, r: float, k: int, p: McpParams) -> float:
     """One CDF value: the one-radius, one-order table."""
-    return float(_cdf_table(kind, [r], [k], p)[0, 0])
+    return float(cdf_table(kind, [r], [k], p)[0, 0])
 
 
 def _row_cells(top: int) -> int:
@@ -746,21 +629,19 @@ def _row_cells(top: int) -> int:
     return (_NODES + 1) * (_KERNEL_ARRAYS + 2 * min(top + 1, _ORDER_BLOCK))
 
 
-def quantile_radius(
-    kind: CurveKind, k: int, p: McpParams, tail: float = _CURVE_TAIL
-) -> float:
-    """Doubling search for the radius where the CDF reaches 1 - tail."""
+def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
+    """Doubling search for the radius where the CDF reaches 1 - 1e-4."""
     _check_order(k)
     # Start from the matching Poisson quantile and double/halve from there.
-    r = _count_radius(float(gammainccinv(k, tail)), p)
-    target = 1.0 - tail
+    r = _count_radius(float(gammainccinv(k, _CURVE_TAIL)), p)
+    target = 1.0 - _CURVE_TAIL
     if _cdf_eval(kind, r, k, p) < target:
         for _ in range(200):
             r *= 2.0
             if _cdf_eval(kind, r, k, p) >= target:
                 return r
         raise ValueError(
-            f"the {kind.value} CDF for k={k} does not reach 1 - {tail} within 200 doublings "
+            f"the {kind.value} CDF for k={k} does not reach 1 - {_CURVE_TAIL} within 200 doublings "
             f"of the radius (last tried r={r!r})"
         )
     for _ in range(200):
@@ -801,7 +682,7 @@ def distribution_curves(
         grid = np.array([0.0])
     else:
         grid = np.linspace(0.0, float(r_max), num)
-    table = _cdf_table(kind, grid, ks, p)
+    table = cdf_table(kind, grid, ks, p)
     return [DistributionCurve(grid, values, kind, k, p) for k, values in zip(ks, table)]
 
 
@@ -825,6 +706,3 @@ def _is_integer(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-
-def _clip01(value: float) -> float:
-    return min(1.0, max(0.0, value))

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import CurveKind, McpParams, _cdf_table, ppp_cdf_contact
+from .analytic import CurveKind, McpParams, cdf_table, ppp_cdf_contact
 from .geometry import ball_volume
 
 __all__ = [
@@ -83,7 +83,7 @@ def _metric(metric: SweepMetric, R: float, ks, params: Sequence[McpParams]) -> n
     if not math.isfinite(R) or R <= 0.0:
         raise ValueError(f"range must be finite and positive, got {R!r}")
     kind = CurveKind.CONTACT if metric is SweepMetric.CONNECTIVITY else CurveKind.NND
-    return _cdf_table(kind, np.full(len(params), R), ks, params)
+    return cdf_table(kind, np.full(len(params), R), ks, params)
 
 
 def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[SweepRow]:

@@ -56,7 +56,9 @@ _CONFIG_TYPES = {
     "seed": ("an integer", _is_int),
 }
 _SWEEP_LIST_KEYS = ("lambda_p", "rd")
-# Largest --grid-points / --rd-points: each point is a separate evaluation.
+# Largest --grid-points / --rd-points.  A sweep builds its rd grid, with
+# one McpParams per point, before the table value cap below is checked, and
+# each point of either grid is one CSV row per k, formatted in Python.
 _MAX_GRID_POINTS = 100_000
 # Most values one cdf or sweep call may ask for: its CDF table holds them
 # all at once.  The same cap as validate's kth distances.
@@ -199,6 +201,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _CliError(f"missing required parameter --{name.replace('_', '-')}")
 
 
+def _list_arg(value, flag: str) -> list:
+    """A list flag's (or config key's) values; a single number is one item."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise _CliError(f"{flag} needs at least one value")
+    return values
+
+
 def _params_from(args: argparse.Namespace) -> McpParams:
     _require(args, "lambda_p", "mbar", "rd")
     n = args.n if args.n is not None else 2
@@ -230,7 +240,7 @@ def _fmt(value) -> str:
 
 def _cmd_cdf(args: argparse.Namespace, out) -> int:
     params = _params_from(args)
-    k_values = sorted(set(args.k)) if args.k else [1]
+    k_values = sorted(set(_list_arg(args.k, "--k"))) if args.k is not None else [1]
     if any(k < 1 for k in k_values):
         raise _CliError("k values must be positive")
     if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
@@ -312,9 +322,10 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     if not 0.0 < args.R < math.inf:
         raise _CliError("--R must be finite and positive")
     n = args.n if args.n is not None else 2
-    k_values = tuple(sorted(set(args.k))) if args.k else (1, 2, 3, 4)
+    k_values = tuple(sorted(set(_list_arg(args.k, "--k")))) if args.k is not None else (1, 2, 3, 4)
+    lambda_ps = _list_arg(args.lambda_p, "--lambda-p")
     if args.rd is not None:
-        rd_grid = tuple(sorted(set(args.rd if isinstance(args.rd, list) else [args.rd])))
+        rd_grid = tuple(sorted(set(_list_arg(args.rd, "--rd"))))
     else:
         rd_min = args.rd_min if args.rd_min is not None else args.R / 100.0
         rd_max = args.rd_max if args.rd_max is not None else 10.0 * args.R
@@ -325,7 +336,6 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         else:
             rd_grid = tuple(np.geomspace(rd_min, rd_max, args.rd_points))
     metric = SweepMetric.CONNECTIVITY if args.metric == "connectivity" else SweepMetric.CACHE_HIT
-    lambda_ps = args.lambda_p if isinstance(args.lambda_p, list) else [args.lambda_p]
     _check_table_size(
         len(lambda_ps) * len(rd_grid) * len(k_values), "lambda-p values x rd points x k values"
     )

@@ -46,6 +46,8 @@ __all__ = [
 THREADS_ENV_VAR = "MCPDIST_THREADS"
 # KS acceptance threshold: 1.5x the 95% DKW band.
 KS_THRESHOLD_FACTOR = 1.5 * 1.36
+# Largest share of runs that may end outside the observation window.
+MAX_CENSORED_FRACTION = 0.01
 
 # Fail-fast caps, checked before any sampling: the Campbell mean of the
 # points one run draws, and the entries of the (samples, max_k) matrix.
@@ -389,6 +391,8 @@ def simulate_kth_distances(
     (params, window, seed, max_k, i): output is bit-identical for any
     worker count and for repeated calls, a larger samples extends the same
     rows, and a different max_k draws different rows of the same law.
+    With workers None the thread count is MCPDIST_THREADS (default 1);
+    when set, MCPDIST_THREADS also caps an explicit workers.
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
     block_runs = cfg.runs_per_block(palm)
@@ -447,21 +451,21 @@ class EmpiricalCdf:
         return self.censored_count / self.total
 
 
-def ks_distance(
-    ecdf: EmpiricalCdf, curve: DistributionCurve, censored_tolerance: float = 0.01
-) -> float:
+def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
     """Sup-distance between the empirical CDF and a sampled curve.
 
     Both one-sided jumps are checked at every sample point; the curve is
     interpolated linearly between its nodes and treated as 0 below its
     first node, so step CDFs encoded via adjacent nodes compare exactly.
+    Raises CensoringError if more than MAX_CENSORED_FRACTION of the runs
+    are censored.
     """
     if ecdf.total == 0:
         raise ValueError("empirical CDF holds no runs")
-    if ecdf.censored_fraction() > censored_tolerance:
+    if ecdf.censored_fraction() > MAX_CENSORED_FRACTION:
         raise CensoringError(
             f"{ecdf.censored_count} of {ecdf.total} runs censored "
-            f"({ecdf.censored_fraction():.2%} > {censored_tolerance:.2%}); "
+            f"({ecdf.censored_fraction():.2%} > {MAX_CENSORED_FRACTION:.2%}); "
             "enlarge the observation window"
         )
     x = ecdf.sorted_samples
@@ -502,7 +506,6 @@ def validate_against_analytic(
     k_values: list[int],
     samples: int,
     seed: int,
-    workers: int | None = None,
     r_max: float | None = None,
     dump=None,
 ) -> list[ValidationRow]:
@@ -513,7 +516,8 @@ def validate_against_analytic(
     the observation window.  The simulation caps are checked (at the
     smallest window the runs could have) before any curve is computed.
     If dump is a text stream, the stationary runs' kth distances are
-    written to it with write_raw_samples.
+    written to it with write_raw_samples.  The simulations run on
+    MCPDIST_THREADS worker threads (default 1).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -530,7 +534,7 @@ def validate_against_analytic(
     ):
         radius = r_max if r_max is not None else quantile_radius(curve_kind, k_max, p)
         cfg = SimConfig(p, radius, samples, seed, k_max)
-        distances = simulate_kth_distances(cfg, palm=palm, workers=workers)
+        distances = simulate_kth_distances(cfg, palm=palm)
         if dump is not None and not palm:
             write_raw_samples(dump, distances, radius)
         for curve in distribution_curves(curve_kind, k_values, p, r_max=radius):

@@ -25,11 +25,12 @@ from mcpdist import (
     sweep,
     validate_against_analytic,
 )
-from mcpdist.analytic import (
+from mcpdist.analytic import log_pgf_count
+
+from oracles import (
     corollary_contact_cdf,
     corollary_nnd_cdf,
     count_pmf_partition,
-    log_pgf_count,
     log_pgf_count_1d,
 )
 
@@ -52,8 +53,9 @@ def report(criterion, description, passed, detail):
     assert passed, f"criterion {criterion} ({description}): {detail}"
 
 
-def test_criterion_01_fig1_reproduction():
-    rows = validate_against_analytic(FIG1, [1, 2, 3, 4], samples=100_000, seed=1, workers=4)
+def test_criterion_01_fig1_reproduction(monkeypatch):
+    monkeypatch.setenv("MCPDIST_THREADS", "4")
+    rows = validate_against_analytic(FIG1, [1, 2, 3, 4], samples=100_000, seed=1)
     worst = {"cd": 0.0, "nnd": 0.0}
     for row in rows:
         worst[row.kind] = max(worst[row.kind], row.ks)

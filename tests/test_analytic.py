@@ -11,17 +11,18 @@ from mcpdist import (
     cdf_contact,
     cdf_nnd,
     count_pmf,
-    enumerate_partitions,
     h_coefficient,
     palm_count_pmf,
     pgf_count,
     ppp_cdf_contact,
     unit_ball_volume,
 )
-from mcpdist.analytic import (
+from mcpdist.analytic import log_pgf_count
+
+from oracles import (
     corollary_contact_cdf,
     count_pmf_partition,
-    log_pgf_count,
+    enumerate_partitions,
     log_pgf_count_1d,
     pgf_count_1d,
 )

@@ -30,8 +30,10 @@ from mcpdist import (
     sweep,
 )
 from mcpdist import analytic
-from mcpdist.analytic import CurveKind, corollary_contact_cdf, corollary_nnd_cdf
+from mcpdist.analytic import CurveKind
 from mcpdist.cli import main
+
+from oracles import corollary_contact_cdf, corollary_nnd_cdf
 
 POINTWISE = {
     CurveKind.CONTACT: cdf_contact,
@@ -71,7 +73,7 @@ def test_table_entries_equal_pointwise_calls(
         # Small chunks, so the grid spans several of them.
         cells = chunk_rows * analytic._row_cells(max(ks) - 1)
     with mock.patch.object(analytic, "_CHUNK_CELLS", cells):
-        table = analytic._cdf_table(kind, radii, ks, p if row_factors is None else row_params)
+        table = analytic.cdf_table(kind, radii, ks, p if row_factors is None else row_params)
     assert table.shape == (len(ks), len(radii))
     for i, k in enumerate(ks):
         for j, r in enumerate(radii):
@@ -81,7 +83,7 @@ def test_table_entries_equal_pointwise_calls(
 def test_table_spans_several_chunks_by_default(fig1_params):
     radii = np.linspace(0.0, 400.0, 700)
     ks = [4, 1, 3]
-    table = analytic._cdf_table(CurveKind.NND, radii, ks, fig1_params)
+    table = analytic.cdf_table(CurveKind.NND, radii, ks, fig1_params)
     rows = analytic._CHUNK_CELLS // analytic._row_cells(max(ks) - 1)
     assert radii.size > rows
     for i, k in enumerate(ks):
@@ -103,7 +105,7 @@ def test_rows_that_rescale_at_different_orders_match_pointwise_calls(kind):
     _, level = analytic._recurrence(np.arange(1, top + 1) * h, top, adaptive=False)
     first_rescale = {int(np.argmax(row > 0.0)) for row in level if row[-1] > 0.0}
     assert len(first_rescale) >= 4 and min(first_rescale) < 400 < 600 < max(first_rescale)
-    table = analytic._cdf_table(kind, radii, ks, p)
+    table = analytic.cdf_table(kind, radii, ks, p)
     for i, k in enumerate(ks):
         for j, r in enumerate(radii):
             assert table[i, j] == POINTWISE[kind](float(r), k, p), (k, r)
@@ -193,7 +195,7 @@ def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mb
     p = McpParams(lambda_p=2e-5, mbar=mbar, rd=50.0, n=2)
     radii = [0.0, 10.0, 100.0]
     ks = list(range(1, 301))
-    table = analytic._cdf_table(CurveKind.NND_SMALL_RD_LIMIT, radii, ks, p)
+    table = analytic.cdf_table(CurveKind.NND_SMALL_RD_LIMIT, radii, ks, p)
     for i, k in enumerate(ks):
         for j, r in enumerate(radii):
             assert table[i, j] == cdf_nnd_small_rd_limit(r, k, p), (k, r)
@@ -213,7 +215,7 @@ class TestNonFinite:
         monkeypatch.setattr(analytic, "_count_pmf", nan_pmf)
         for kind in POINTWISE:
             with pytest.raises(ValueError, match="not finite") as info:
-                analytic._cdf_table(kind, [0.0, 10.0, 20.0], [2], fig1_params)
+                analytic.cdf_table(kind, [0.0, 10.0, 20.0], [2], fig1_params)
             # r = 0 is a CDF value of 0 except in the small-rd limit.
             first = 0.0 if kind is CurveKind.NND_SMALL_RD_LIMIT else 10.0
             assert str(info.value) == f"the {kind.value} CDF for k=2 at r={first!r} is not finite"

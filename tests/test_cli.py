@@ -242,6 +242,33 @@ class TestSweepCommand:
         assert code == 2
 
 
+_SWEEP_ARGS = ["sweep", "--metric", "cache", "--mbar", "2", "--R", "5"]
+_CDF_ARGS = ["cdf", "--kind", "cd", *FIG1_ARGS]
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03", "--rd="], None),
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03", "--rd", ","], None),
+    ([*_SWEEP_ARGS, "--lambda-p="], None),
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03", "--k=,"], None),
+    ([*_CDF_ARGS, "--k=,"], None),
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03"], {"rd": []}),
+    (_SWEEP_ARGS, {"lambda_p": []}),
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03"], {"k": []}),
+    (_CDF_ARGS, {"k": []}),
+])
+def test_empty_list_exits_2(capsys, tmp_path, argv, config):
+    # An empty list once crashed (rd), printed only the header (lambda-p)
+    # or fell back to the default (k).
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "at least one value" in err
+
+
 class TestSubprocessInterface:
     def test_module_entry_point_byte_identical(self, tmp_path):
         argv = [

@@ -17,7 +17,8 @@ from mcpdist import (
     ppp_cdf_contact,
     q_weight,
 )
-from mcpdist.analytic import corollary_nnd_cdf
+
+from oracles import corollary_nnd_cdf
 
 
 def q_sum(r, p, tol=1e-16, j_max=400):

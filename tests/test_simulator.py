@@ -230,7 +230,8 @@ class TestHarness:
         cfg = SimConfig(fig1_params, 80.0, 400, 99, 3)
         base = simulate_kth_distances(cfg)
         again = simulate_kth_distances(cfg)
-        threaded = simulate_kth_distances(cfg, workers=8)
+        monkeypatch.setenv("MCPDIST_THREADS", "8")
+        threaded = simulate_kth_distances(cfg)
         assert np.array_equal(base, again)
         assert np.array_equal(base, threaded)
         monkeypatch.setenv("MCPDIST_THREADS", "2")
@@ -512,11 +513,14 @@ class TestBlockPath:
             if p.mbar == 5.0 and not palm:
                 assert np.mean(parents) <= 6.0
 
-    def test_partial_last_block_is_worker_invariant(self, fig1_params):
+    def test_partial_last_block_is_worker_invariant(self, fig1_params, monkeypatch):
         cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
         for palm in (False, True):
             assert cfg.samples % cfg.runs_per_block(palm) != 0
-            outputs = [simulate_kth_distances(cfg, palm=palm, workers=w).tobytes() for w in (1, 2, 3)]
+            outputs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("MCPDIST_THREADS", threads)
+                outputs.append(simulate_kth_distances(cfg, palm=palm).tobytes())
             assert outputs[0] == outputs[1] == outputs[2]
 
     def test_more_samples_extend_the_same_rows(self, fig1_params):
