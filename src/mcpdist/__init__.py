@@ -34,11 +34,7 @@ from .simulator import (
     CensoringError,
     EmpiricalCdf,
     SimConfig,
-    kth_distances,
     ks_distance,
-    sample_mcp,
-    sample_mcp_palm,
-    sample_uniform_ball,
     simulate_kth_distances,
     validate_against_analytic,
 )
@@ -66,16 +62,12 @@ __all__ = [
     "h_coefficient",
     "intersection_volume",
     "ks_distance",
-    "kth_distances",
     "palm_count_pmf",
     "pgf_count",
     "pgf_count_palm",
     "ppp_cdf_contact",
     "q_weight",
     "quantile_radius",
-    "sample_mcp",
-    "sample_mcp_palm",
-    "sample_uniform_ball",
     "simulate_kth_distances",
     "sweep",
     "unit_ball_volume",

@@ -358,8 +358,8 @@ def _check_radius(r: float | np.ndarray) -> None:
 def count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:
     """PMF of the point count in B(o, r), orders 0..m_max.
 
-    Production path: the power-series recurrence m p_m = sum_j j h_j p_(m-j)
-    with p_0 = e^(g(0)).  With m_max None the vector is extended until five
+    Formed by the power-series recurrence m p_m = sum_j j h_j p_(m-j) with
+    p_0 = e^(g(0)).  With m_max None the vector is extended until five
     consecutive orders fall below 1e-14 of the running maximum; a ValueError
     reports an expected count, or a tail, that would need more than 4096
     orders.  The recurrence runs on p_m / p_0 with a log-space scale, so it
@@ -581,8 +581,7 @@ def cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) ->
     kind = CurveKind(kind)
     radii = np.asarray(radii, dtype=float)
     params = _row_params(p, radii.size)
-    for k in ks:
-        _check_order(k)
+    _check_orders(ks)
     table = np.zeros((len(ks), radii.size))
     top = max(ks) - 1
     # The contact and NND CDFs vanish at r <= 0; the small-rd limit keeps
@@ -668,10 +667,7 @@ def distribution_curves(
     """
     kind = CurveKind(kind)
     ks = list(ks)
-    if not ks:
-        raise ValueError("need at least one order k")
-    for k in ks:
-        _check_order(k)
+    _check_orders(ks)
     if r_max is None:
         r_max = quantile_radius(kind, max(ks), p)
     if r_max < 0.0:
@@ -700,6 +696,13 @@ def distribution_curve(
 def _check_order(k: int) -> None:
     if not _is_integer(k) or not 1 <= k <= _PMF_HARD_CAP:
         raise ValueError(f"k must be an integer in 1..{_PMF_HARD_CAP}, got {k!r}")
+
+
+def _check_orders(ks) -> None:
+    if len(ks) == 0:
+        raise ValueError("need at least one order k")
+    for k in ks:
+        _check_order(k)
 
 
 def _is_integer(value) -> bool:

@@ -1,12 +1,12 @@
 """Monte Carlo oracle: cluster-process sampling and empirical-CDF tooling.
 
-Samples stationary and Palm-conditioned realizations, measures kth
-distances from the origin, and compares empirical CDFs against the
-analytic curves.  Runs are simulated in fixed blocks, each drawn in a few
-vectorized calls from its own counter-based substream keyed by (seed,
-stream, block).  The block size depends only on the parameters, the
-window and max_k, so results are identical for any worker count, and a
-larger run budget extends the same rows.
+Draws, for each run of a stationary or Palm-conditioned realization, the
+distances from the origin to its max_k nearest points, and compares their
+empirical CDFs against the analytic curves.  Runs are simulated in fixed
+blocks, each drawn in a few vectorized calls from its own counter-based
+substream keyed by (seed, stream, block).  The block size depends only on
+the parameters, the window and max_k, so results are identical for any
+worker count, and a larger run budget extends the same rows.
 
 Each run draws its parents in order of distance from the origin, as the
 gaps of a unit-rate Poisson process in the volume coordinate, in rounds,
@@ -33,11 +33,7 @@ __all__ = [
     "EmpiricalCdf",
     "SimConfig",
     "ValidationRow",
-    "kth_distances",
     "ks_distance",
-    "sample_mcp",
-    "sample_mcp_palm",
-    "sample_uniform_ball",
     "simulate_kth_distances",
     "validate_against_analytic",
     "write_raw_samples",
@@ -93,19 +89,18 @@ def _mean_counts(p: McpParams, observation_radius: float) -> tuple[float, float]
     return parents, parents * p.mbar
 
 
-def _drawn_parents(p: McpParams, observation_radius: float, max_k: int | None) -> float:
+def _drawn_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
     """Mean number of parents that one run keeps.
 
     The parents within rho hold max_k daughters on average where
     lambda_p mbar v_n rho^n = max_k, and parents out to about rho + 2 rd
     are kept (see _radial_parents).  The window edge R + rd caps that
-    radius, and max_k None keeps every parent of the window.
+    radius.
     """
     edge = observation_radius + p.rd
-    if max_k is not None:
-        log_rho = (math.log(max_k) - math.log(p.mbar) - math.log(p.lambda_p)
-                   - math.log(unit_ball_volume(p.n))) / p.n
-        edge = min(math.exp(min(log_rho, math.log(edge))) + 2.0 * p.rd, edge)
+    log_rho = (math.log(max_k) - math.log(p.mbar) - math.log(p.lambda_p)
+               - math.log(unit_ball_volume(p.n))) / p.n
+    edge = min(math.exp(min(log_rho, math.log(edge))) + 2.0 * p.rd, edge)
     return _parents_within(p, edge)
 
 
@@ -124,6 +119,13 @@ def _check_budget(p: McpParams, observation_radius: float, samples: int, max_k: 
         )
 
 
+def _check_seed(seed) -> None:
+    # SeedSequence takes any nonnegative integer; anything else would fail
+    # only once sampling starts, with a message that names no argument.
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign: parameters, window, and run budget."""
@@ -135,6 +137,7 @@ class SimConfig:
     max_k: int
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not math.isfinite(self.observation_radius) or self.observation_radius <= 0.0:
             raise ValueError("observation_radius must be finite and positive")
         if self.samples < 1:
@@ -175,20 +178,18 @@ def _scale_directions(g: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return g
 
 
-def sample_uniform_ball(n, radius, rng, size=None):
-    """Uniform draw(s) in the n-ball of the given radius about the origin.
+def _uniform_ball(n: int, radius: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, n) uniform draws in the n-ball of the given radius about the origin.
 
     Direction from a normalized Gaussian vector, radius from U^(1/n)
-    scaling.  Returns shape (n,) for size None, else (size, n).
+    scaling.
     """
-    m = 1 if size is None else int(size)
-    g = rng.standard_normal((m, n))
-    g = _scale_directions(g, radius * rng.random(m) ** (1.0 / n))
-    return g[0] if size is None else g
+    g = rng.standard_normal((size, n))
+    return _scale_directions(g, radius * rng.random(size) ** (1.0 / n))
 
 
 def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int, rd: float,
-                    max_k: int | None, own=None):
+                    max_k: int, own=None):
     """Each run's kept parents, drawn in order of distance from the origin.
 
     Ranked by distance, the parents of a Poisson process sit at volumes
@@ -200,9 +201,9 @@ def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int,
     has radius rho; a parent with r - rd > rho + rd places every daughter
     beyond the run's max_k nearest points, so it is dropped, and
     _KEEP_MARGIN widens the reach rho + rd over the rounding of computed
-    distances.  Runs with fewer than max_k points in the window, and every
-    run for max_k None, keep every parent of the window (a rho found past
-    the window edge keeps them all too, so counts past it need no mask).
+    distances.  Runs with fewer than max_k points in the window keep every
+    parent of the window (a rho found past the window edge keeps them all
+    too, so counts past it need no mask).
 
     own is None or the Palm own clusters, (radii <= rd, counts) per run:
     each joins its run's running count at its radius and is always kept.
@@ -231,21 +232,20 @@ def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int,
         gaps[:, 0] += last[active]
         v = np.cumsum(gaps, axis=1, out=gaps)
         radii = outer * (np.minimum(v, v_max) / scale) ** (1.0 / n)
-        if max_k is not None:
-            running = np.cumsum(counts, axis=1) + total[active, np.newaxis]
-            if own is not None:
-                own_r, own_c = own[0][active], own[1][active]
-                running += own_c[:, np.newaxis] * (own_r[:, np.newaxis] <= radii)
-            hit = running >= max_k
-            rows, j = np.arange(active.size), hit.argmax(axis=1)
-            rho = radii[rows, j]
-            if own is not None:
-                # Counts already at max_k before parent j came from the own
-                # cluster, which joined between parent j - 1 and parent j.
-                rho = np.where(running[rows, j] - counts[rows, j] >= max_k, own_r, rho)
-            found = hit[:, -1] & np.isinf(reach[active])
-            reach[active[found]] = rho[found] + rd
-            total[active] += counts.sum(axis=1)
+        running = np.cumsum(counts, axis=1) + total[active, np.newaxis]
+        if own is not None:
+            own_r, own_c = own[0][active], own[1][active]
+            running += own_c[:, np.newaxis] * (own_r[:, np.newaxis] <= radii)
+        hit = running >= max_k
+        rows, j = np.arange(active.size), hit.argmax(axis=1)
+        rho = radii[rows, j]
+        if own is not None:
+            # Counts already at max_k before parent j came from the own
+            # cluster, which joined between parent j - 1 and parent j.
+            rho = np.where(running[rows, j] - counts[rows, j] >= max_k, own_r, rho)
+        found = hit[:, -1] & np.isinf(reach[active])
+        reach[active[found]] = rho[found] + rd
+        total[active] += counts.sum(axis=1)
         keep = (v <= v_max) & (radii - rd <= (reach[active] * (1.0 + _KEEP_MARGIN))[:, np.newaxis])
         at, col = np.nonzero(keep)
         owner = active[at]
@@ -265,8 +265,7 @@ def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int,
     return np.repeat(np.arange(runs), kept), radii, counts
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool,
-                  max_k: int | None = None):
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool, max_k: int):
     """`runs` independent realizations as (points, counts).
 
     points is (N, n) with each run's points contiguous and in run order;
@@ -286,8 +285,7 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     max_k nearest points or the window ends (see _radial_parents); the
     first round draws about as many parents as a run keeps.  Only the kept
     parents then draw a direction and daughter offsets, so each run holds
-    its max_k nearest points but not all of its points; max_k None keeps
-    every parent of the window.
+    its max_k nearest points but not all of its points.
     """
     p = cfg.params
     own = (p.rd * rng.random(runs) ** (1.0 / p.n), rng.poisson(p.mbar, size=runs)) if palm else None
@@ -301,20 +299,10 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
         p.n, p.rd, max_k, own)
     # The center at radius |u| in a uniform direction has the law of -u.
     centers = _scale_directions(rng.standard_normal((radii.size, p.n)), radii)
-    offsets = sample_uniform_ball(p.n, p.rd, rng, size=int(daughters.sum()))
+    offsets = _uniform_ball(p.n, p.rd, rng, int(daughters.sum()))
     points = np.repeat(centers, daughters, axis=0) + offsets
     counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
     return points, counts
-
-
-def sample_mcp(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One stationary realization: daughter points as an (N, n) array."""
-    return _sample_block(cfg, rng, 1, palm=False)[0]
-
-
-def sample_mcp_palm(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One reduced-Palm realization seen from a typical point at the origin."""
-    return _sample_block(cfg, rng, 1, palm=True)[0]
 
 
 def _select_block(points: np.ndarray, counts: np.ndarray, max_k: int) -> np.ndarray:
@@ -350,17 +338,6 @@ def _select_block(points: np.ndarray, counts: np.ndarray, max_k: int) -> np.ndar
         table = np.partition(table, max_k - 1, axis=1)[:, :max_k]
     table.sort(axis=1)
     return np.sqrt(table)
-
-
-def kth_distances(sample: np.ndarray, max_k: int) -> np.ndarray:
-    """Distances from the origin to the max_k closest points, inf-padded."""
-    if max_k < 1:
-        raise ValueError("max_k must be at least 1")
-    sample = np.asarray(sample, dtype=float)
-    row = _select_block(sample, np.array([len(sample)]), max_k)[0]
-    out = np.full(max_k, np.inf)
-    out[: row.size] = row
-    return out
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -513,11 +490,11 @@ def validate_against_analytic(
 
     Returns one row per (kind, k) with the KS distance and its DKW-based
     threshold.  Raises CensoringError if more than 1% of runs end beyond
-    the observation window.  The simulation caps are checked (at the
-    smallest window the runs could have) before any curve is computed.
-    If dump is a text stream, the stationary runs' kth distances are
-    written to it with write_raw_samples.  The simulations run on
-    MCPDIST_THREADS worker threads (default 1).
+    the observation window.  The seed and the simulation caps (at the
+    smallest window the runs could have) are checked before any curve is
+    computed.  If dump is a text stream, the stationary runs' kth
+    distances are written to it with write_raw_samples.  The simulations
+    run on MCPDIST_THREADS worker threads (default 1).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -525,6 +502,7 @@ def validate_against_analytic(
     if not k_values or k_values[0] < 1:
         raise ValueError("k values must be positive integers")
     k_max = k_values[-1]
+    _check_seed(seed)
     _check_budget(p, r_max if r_max is not None else 0.0, samples, k_max)
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []

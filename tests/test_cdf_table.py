@@ -219,3 +219,14 @@ class TestNonFinite:
             # r = 0 is a CDF value of 0 except in the small-rd limit.
             first = 0.0 if kind is CurveKind.NND_SMALL_RD_LIMIT else 10.0
             assert str(info.value) == f"the {kind.value} CDF for k=2 at r={first!r} is not finite"
+
+
+@pytest.mark.parametrize("ks, message", [
+    ([], "need at least one order k"),
+    (np.array([], dtype=int), "need at least one order k"),
+    ([1, 0], "k must be an integer"),
+])
+def test_table_orders_are_checked(fig1_params, ks, message):
+    for kind in POINTWISE:
+        with pytest.raises(ValueError, match=message):
+            analytic.cdf_table(kind, [10.0, 20.0], ks, fig1_params)

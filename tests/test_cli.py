@@ -165,6 +165,22 @@ class TestValidateCommand:
         code, _, _ = run_cli(capsys, "validate", "--samples", "0", *FIG1_ARGS)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--seed", "-1"], None),
+        (["--seed=-1"], None),
+        ([], {"seed": -3}),
+    ])
+    def test_negative_seed_is_named(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--samples", "100", *argv, *FIG1_ARGS)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be a nonnegative integer") and err.count("\n") == 1
+
     def test_excessive_censoring_exits_4(self, capsys):
         # clamp the observation window far below the k=4 quantile
         code, _, err = run_cli(

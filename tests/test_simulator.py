@@ -14,13 +14,9 @@ from mcpdist import (
     SimConfig,
     count_pmf,
     ks_distance,
-    kth_distances,
     palm_count_pmf,
     pgf_count,
     q_weight,
-    sample_mcp,
-    sample_mcp_palm,
-    sample_uniform_ball,
     simulate_kth_distances,
 )
 from mcpdist import simulator
@@ -32,16 +28,12 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
-def counts_within(cfg, palm, r, block_runs=10_000):
-    """Points within r of the origin in each of cfg.samples runs, drawn
-    through the block sampler with every parent of the window kept."""
-    out = []
-    for b in range(-(-cfg.samples // block_runs)):
-        points, counts = simulator._sample_block(cfg, _substream(cfg.seed, int(palm), b), block_runs, palm)
-        inside = (points * points).sum(axis=1) <= r * r
-        out.append(np.bincount(np.repeat(np.arange(block_runs), counts), weights=inside,
-                               minlength=block_runs))
-    return np.concatenate(out)[: cfg.samples].astype(np.int64)
+def counts_within(cfg, palm, r):
+    """N(r) = #{k : R_k <= r, R_k finite}, the points within r of the origin
+    in each of cfg.samples runs of simulate_kth_distances.  Exact below
+    cfg.max_k; a run that reaches cfg.max_k holds at least that many."""
+    d = simulate_kth_distances(cfg, palm=palm)
+    return (np.isfinite(d) & (d <= r)).sum(axis=1)
 
 
 class CountingRng:
@@ -96,21 +88,19 @@ def _kept_parents(owner, radii, counts, runs: int, rd: float, max_k: int) -> np.
 class TestUniformBall:
     def test_support_and_shape(self):
         rng = rng_for(1)
-        pts = sample_uniform_ball(3, 2.5, rng, size=50_000)
+        pts = simulator._uniform_ball(3, 2.5, rng, 50_000)
         assert pts.shape == (50_000, 3)
         assert np.all(np.linalg.norm(pts, axis=1) <= 2.5)
-        single = sample_uniform_ball(4, 1.0, rng)
-        assert single.shape == (4,)
 
     def test_symmetry_on_the_line(self):
         rng = rng_for(2)
-        pts = sample_uniform_ball(1, 1.0, rng, size=100_000)
+        pts = simulator._uniform_ball(1, 1.0, rng, 100_000)
         assert abs(float(pts.mean())) <= 0.01
 
     def test_radial_quantile(self):
         # mass inside half the radius is the volume ratio (1/2)^n
         rng = rng_for(3)
-        pts = sample_uniform_ball(2, 1.0, rng, size=100_000)
+        pts = simulator._uniform_ball(2, 1.0, rng, 100_000)
         frac = float(np.mean(np.linalg.norm(pts, axis=1) <= 0.5))
         assert frac == pytest.approx(0.25, abs=0.005)
 
@@ -118,26 +108,26 @@ class TestUniformBall:
 class TestMcpSampler:
     def test_vanishing_parent_intensity(self):
         cfg = SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 1, 0, 1)
-        assert sample_mcp(cfg, rng_for(0)).shape == (0, 2)
+        assert np.isinf(simulate_kth_distances(cfg)).all()
 
     def test_expected_total_points(self, fig1_params):
-        cfg = SimConfig(fig1_params, 100.0, 10_000, 42, 1)
+        # A run short of max_k points keeps every parent of its window, so
+        # with max_k above every run's count each row holds all its points.
+        cfg = SimConfig(fig1_params, 100.0, 10_000, 42, 100)
         window = 100.0 + 50.0
         expect = fig1_params.lambda_p * math.pi * window**2 * fig1_params.mbar
-        totals = np.array(
-            [sample_mcp(cfg, _substream(cfg.seed, 0, i)).shape[0] for i in range(cfg.samples)]
-        )
+        totals = counts_within(cfg, False, math.inf)
+        assert totals.max() < cfg.max_k
         se = totals.std(ddof=1) / math.sqrt(cfg.samples)
         assert totals.mean() == pytest.approx(expect, abs=3 * se)
 
     def test_points_stay_inside_support_ball(self, fig1_params):
         # daughters can reach at most observation_radius + 2 rd from origin
-        cfg = SimConfig(fig1_params, 100.0, 200, 14, 1)
+        cfg = SimConfig(fig1_params, 100.0, 200, 14, 100)
         limit = 100.0 + 2.0 * fig1_params.rd
-        for i in range(cfg.samples):
-            pts = sample_mcp(cfg, _substream(cfg.seed, 0, i))
-            if pts.size:
-                assert float(np.linalg.norm(pts, axis=1).max()) <= limit + 1e-9
+        d = simulate_kth_distances(cfg)
+        assert np.isinf(d[:, -1]).all()
+        assert float(d[np.isfinite(d)].max()) <= limit + 1e-9
 
     def test_void_probability_matches_pgf(self, fig1_params):
         # P[no point within r] against the analytic zero-count probability
@@ -154,7 +144,7 @@ class TestMcpSampler:
         # standard errors per bin with at least 25 expected hits
         r = 60.0
         runs = 100_000
-        cfg = SimConfig(fig1_params, r, runs, 2026, 1)
+        cfg = SimConfig(fig1_params, r, runs, 2026, 41)
         counts = counts_within(cfg, False, r)
         pmf = count_pmf(r, fig1_params, m_max=40)
         assert pmf.truncation_mass < 1e-6
@@ -170,16 +160,13 @@ class TestMcpSampler:
 class TestPalmSampler:
     def test_reduced_palm_leaves_nothing_behind(self):
         cfg = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 200, 3, 1)
-        empty = sum(
-            sample_mcp_palm(cfg, _substream(cfg.seed, 1, i)).shape[0] == 0
-            for i in range(cfg.samples)
-        )
-        assert empty == cfg.samples
+        assert np.isinf(simulate_kth_distances(cfg, palm=True)).all()
 
     def test_sibling_count_mean(self):
         p = McpParams(1e-300, 5.0, 1.0, 2)
-        cfg = SimConfig(p, 10.0, 100_000, 11, 1)
+        cfg = SimConfig(p, 10.0, 100_000, 11, 30)
         totals = counts_within(cfg, True, math.inf)
+        assert totals.max() < cfg.max_k
         se = math.sqrt(5.0 / cfg.samples)
         assert totals.mean() == pytest.approx(5.0, abs=3 * se)
 
@@ -196,7 +183,7 @@ class TestPalmSampler:
     def test_palm_count_histogram_matches_pmf(self, fig1_params):
         r = 60.0
         runs = 100_000
-        cfg = SimConfig(fig1_params, r, runs, 515, 1)
+        cfg = SimConfig(fig1_params, r, runs, 515, 46)
         counts = counts_within(cfg, True, r)
         pmf = palm_count_pmf(r, fig1_params, m_max=45)
         assert pmf.truncation_mass < 1e-6
@@ -207,22 +194,6 @@ class TestPalmSampler:
                 continue
             se = math.sqrt(p * (1 - p) / runs)
             assert freq[m] == pytest.approx(p, abs=3 * se), m
-
-
-class TestKthDistances:
-    def test_empty_sample_fully_censored(self):
-        out = kth_distances(np.empty((0, 2)), 3)
-        assert np.all(np.isinf(out))
-
-    def test_sorting_example(self):
-        out = kth_distances(np.array([[3.0, 0.0], [0.0, 1.0]]), 3)
-        assert out[0] == 1.0 and out[1] == 3.0 and math.isinf(out[2])
-
-    def test_matches_full_sort(self):
-        rng = rng_for(5)
-        pts = rng.normal(size=(200, 3))
-        expected = np.sort(np.linalg.norm(pts, axis=1))[:7]
-        np.testing.assert_allclose(kth_distances(pts, 7), expected, rtol=1e-15)
 
 
 class TestHarness:
@@ -244,6 +215,12 @@ class TestHarness:
             monkeypatch.setenv("MCPDIST_THREADS", bad)
             with pytest.raises(ValueError, match=f"MCPDIST_THREADS.*{bad!r}"):
                 simulate_kth_distances(cfg)
+
+    def test_seed_is_checked(self, fig1_params):
+        for bad in (-1, 1.5, True, "1"):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                SimConfig(fig1_params, 80.0, 10, bad, 1)
+        assert SimConfig(fig1_params, 80.0, 10, np.int64(3), 1).seed == 3
 
     def test_window_sufficiency(self, fig1_params):
         # doubling the window must not move the ECDF beyond Monte Carlo noise
@@ -337,25 +314,60 @@ class TestValidationHarness:
             assert row.passed, row
 
 
+def kth_distances(sample, max_k):
+    """Distances from the origin to the max_k closest points of one run,
+    inf-padded, through the block selection the simulator uses."""
+    sample = np.asarray(sample, dtype=float)
+    row = simulator._select_block(sample, np.array([len(sample)]), max_k)[0]
+    out = np.full(max_k, np.inf)
+    out[: row.size] = row
+    return out
+
+
+class TestKthDistances:
+    def test_empty_sample_fully_censored(self):
+        out = kth_distances(np.empty((0, 2)), 3)
+        assert np.all(np.isinf(out))
+
+    def test_sorting_example(self):
+        out = kth_distances(np.array([[3.0, 0.0], [0.0, 1.0]]), 3)
+        assert out[0] == 1.0 and out[1] == 3.0 and math.isinf(out[2])
+
+    def test_matches_full_sort(self):
+        rng = rng_for(5)
+        pts = rng.normal(size=(200, 3))
+        expected = np.sort(np.linalg.norm(pts, axis=1))[:7]
+        np.testing.assert_allclose(kth_distances(pts, 7), expected, rtol=1e-15)
+
+
 class TestBlockPath:
     @given(
         counts=st.lists(st.integers(0, 12), min_size=1, max_size=8),
         n=st.integers(1, 4),
         max_k=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
+        tie=st.booleans(),
     )
-    def test_block_selection_matches_per_run(self, counts, n, max_k, seed):
+    @example(counts=[0], n=2, max_k=3, seed=0, tie=False)  # an empty sample
+    @example(counts=[2], n=2, max_k=3, seed=0, tie=False)  # two points, one inf
+    @example(counts=[200], n=3, max_k=7, seed=5, tie=False)  # a full sort
+    def test_block_selection_matches_per_run(self, counts, n, max_k, seed, tie):
         # empty runs, runs shorter than max_k and a split selection table
-        # all give exactly what kth_distances gives run by run
+        # all give exactly the run-by-run oracle: squares summed in column
+        # order, sorted, square-rooted and inf-padded to max_k
         rng = rng_for(seed)
         counts = np.array(counts)
         points = rng.normal(size=(int(counts.sum()), n)) * rng.uniform(0.1, 100.0)
-        if points.shape[0] > 1:
-            points[-1] = points[0]  # a tie
+        if tie and points.shape[0] > 1:
+            points[-1] = points[0]
         starts = np.cumsum(counts) - counts
-        expected = np.array([
-            kth_distances(points[s : s + c], max_k) for s, c in zip(starts, counts)
-        ])
+        expected = np.full((counts.size, max_k), np.inf)
+        for row, (s, c) in zip(expected, zip(starts, counts)):
+            d2 = np.zeros(c)
+            for column in points[s : s + c].T:
+                d2 += column * column
+            nearest = np.sqrt(np.sort(d2))[:max_k]
+            row[: nearest.size] = nearest
         for cells in (simulator._TABLE_CELLS, 1):
             with patch.object(simulator, "_TABLE_CELLS", cells):
                 rows = simulator._select_block(points, counts, max_k)
@@ -380,7 +392,7 @@ class TestBlockPath:
         window=st.sampled_from((5.0, 12.0)) | st.floats(0.5, 40.0),
         radial=st.booleans(),
         n=st.integers(1, 3),
-        max_k=st.none() | st.integers(1, 6),
+        max_k=st.integers(1, 6),
         m=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -438,8 +450,7 @@ class TestBlockPath:
             daughters += list(counts[run][inside])
         owner = np.array(owner, dtype=np.int64)
         radii, daughters = np.array(radii, dtype=float), np.array(daughters, dtype=np.int64)
-        keep = (np.ones(owner.size, dtype=bool) if max_k is None
-                else _kept_parents(owner, radii, daughters, runs, rd, max_k))
+        keep = _kept_parents(owner, radii, daughters, runs, rd, max_k)
         assert np.array_equal(got[0], owner[keep])
         assert np.array_equal(got[2], daughters[keep])
         np.testing.assert_allclose(got[1], radii[keep], rtol=1e-12, atol=0.0)
@@ -453,8 +464,6 @@ class TestBlockPath:
         for run in range(runs):
             assert drawn[run] == next(end for end in ends if end > first_dropped[run])
 
-        if max_k is None:
-            return
         rng = rng_for(seed)
         centers = simulator._scale_directions(rng.standard_normal((radii.size, n)), radii)
         if radial:
@@ -463,7 +472,7 @@ class TestBlockPath:
             inward_first = np.where(np.arange(daughters.sum()) % 2, 1.0, -1.0)
             offsets = units * rd * inward_first[:, np.newaxis]
         else:
-            offsets = sample_uniform_ball(n, rd, rng, size=int(daughters.sum()))
+            offsets = simulator._uniform_ball(n, rd, rng, int(daughters.sum()))
         points = np.repeat(centers, daughters, axis=0) + offsets
         kept_points = points[np.repeat(keep, daughters)]
         kept_counts = np.bincount(owner[keep], weights=daughters[keep], minlength=runs).astype(np.int64)
@@ -477,14 +486,15 @@ class TestBlockPath:
         assert rows[0] == rows[1]
 
     def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
-        # At fig1 with max_k = 4 a stationary run keeps about a fifth of its
-        # ~78.5 daughters, and still at least 4; max_k None keeps all of them.
+        # At fig1 with max_k = 4 a stationary run keeps about a fifth of the
+        # daughters of its window, whose Campbell mean is lambda_p mbar
+        # pi (R + rd)^2 = 78.5, and still at least 4.
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
+        window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
+        assert window_mean == pytest.approx(78.5, rel=1e-3)
         runs = cfg.runs_per_block()
-        _, all_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False)
         _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False, 4)
-        assert all_counts.mean() == pytest.approx(78.5, rel=0.05)
-        assert kept_counts.mean() < 0.3 * all_counts.mean()
+        assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
 
     @pytest.mark.parametrize(
@@ -551,12 +561,10 @@ class TestBlockPath:
         assert cfg.runs_per_block() == int(2**14 // mean)
         assert cfg.runs_per_block(palm=True) == int(2**14 // (mean + mbar))
         assert SimConfig(fig1_params, 450.0, 10**6, 1, 1).runs_per_block() == cfg.runs_per_block()
-        # the window edge R + rd = 150 caps rho + 2 rd, and max_k None is the edge
+        # the window edge R + rd = 150 caps rho + 2 rd
         small = SimConfig(fig1_params, 100.0, 10, 1, 40)
         mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar)
         assert small.runs_per_block() == int(2**14 // mean)
-        assert simulator._drawn_parents(fig1_params, 100.0, None) == pytest.approx(
-            lambda_p * math.pi * 150.0**2, rel=1e-12)
         sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
         assert sparse.runs_per_block() == 2**14
         # with mbar < 1 the ~5.4e5 parents per run are the larger draw
