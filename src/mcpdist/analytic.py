@@ -6,11 +6,10 @@ integral over the lens volume between the probe ball and the cluster
 ball.  Taylor coefficients h_k of g at s = 0 yield the PMF of N through
 the exp power-series recurrence, run on p_m / p_0 with a log-space scale
 so that it stays finite where p_0 underflows.  The kth contact distance
-CDF is a partial PMF sum;
-nearest-neighbor distances follow by convolving with the intra-cluster
-weights q_j under the reduced Palm distribution.  The small-rd limit is
-the same NND sum with the Poisson(mbar) weights e^(-mbar) mbar^j / j! in
-place of q_j, each formed whole in log space.
+CDF is a partial PMF sum; nearest-neighbor distances follow by convolving
+with the intra-cluster weights q_j under the reduced Palm distribution.
+The small-rd limit is the same NND sum with the Poisson(mbar) weights
+e^(-mbar) mbar^j / j! in place of q_j, each formed whole in log space.
 
 Everything runs on a vector of radii, one row per radius, and each row
 may carry its own parameters (rd, lambda_d, lambda_p; n is shared): the
@@ -633,6 +632,9 @@ def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
     _check_order(k)
     # Start from the matching Poisson quantile and double/halve from there.
     r = _count_radius(float(gammainccinv(k, _CURVE_TAIL)), p)
+    if math.isinf(r):
+        raise ValueError(f"the intensity lambda_p mbar v_n underflows, so the {kind.value} "
+                         f"CDF has no finite 1 - {_CURVE_TAIL} quantile; pass an explicit grid end")
     target = 1.0 - _CURVE_TAIL
     if _cdf_eval(kind, r, k, p) < target:
         for _ in range(200):

@@ -3,7 +3,7 @@
 Draws, for each run of a stationary or Palm-conditioned realization, the
 distances from the origin to its max_k nearest points, and compares their
 empirical CDFs against the analytic curves.  Runs are simulated in fixed
-blocks, each drawn in a few vectorized calls from its own counter-based
+blocks, each drawn in a few vectorized calls from its own SFC64
 substream keyed by (seed, stream, block).  The block size depends only on
 the parameters, the window and max_k, so results are identical for any
 worker count, and a larger run budget extends the same rows.
@@ -11,9 +11,9 @@ worker count, and a larger run budget extends the same rows.
 Each run draws its parents in order of distance from the origin, as the
 gaps of a unit-rate Poisson process in the volume coordinate, in rounds,
 and stops once no further parent can place a point among its max_k
-nearest.  Only the kept parents draw a direction and daughter offsets.
-The max_k nearest points keep their law, but the draws depend on max_k,
-so the rows do too.
+nearest.  Only the kept parents draw daughter offsets, each about a
+parent on the first axis of its own frame.  The max_k nearest distances
+keep their law, but the draws depend on max_k, so the rows do too.
 """
 
 from __future__ import annotations
@@ -168,24 +168,27 @@ class SimConfig:
 
 def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _scale_directions(g: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Rescale each Gaussian row of g, in place, to length radii[i]."""
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    g *= np.divide(radii, norms, out=np.zeros(radii.size), where=norms > 0.0)[:, np.newaxis]
-    return g
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _uniform_ball(n: int, radius: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n) uniform draws in the n-ball of the given radius about the origin.
-
-    Direction from a normalized Gaussian vector, radius from U^(1/n)
-    scaling.
-    """
+    """(size, n) uniform draws in the n-ball: Gaussian directions, U^(1/n) lengths."""
     g = rng.standard_normal((size, n))
-    return _scale_directions(g, radius * rng.random(size) ** (1.0 / n))
+    lengths = radius * rng.random(size) ** (1.0 / n)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    g *= np.divide(lengths, norms, out=np.zeros(size), where=norms > 0.0)[:, np.newaxis]
+    return g
+
+
+def _daughter_points(rng, n: int, rd: float, radii: np.ndarray, daughters: np.ndarray):
+    """daughters[i] points uniform in the rd-ball about radii[i] e_1, parent by parent.
+
+    A rotation taking a parent's direction to e_1 keeps its offsets' joint
+    law, so the distances sqrt((rho + o_1)^2 + sum_{i>=2} o_i^2) keep theirs.
+    """
+    points = _uniform_ball(n, rd, rng, int(daughters.sum()))
+    points[:, 0] += np.repeat(radii, daughters)
+    return points
 
 
 def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int, rd: float,
@@ -269,7 +272,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     """`runs` independent realizations as (points, counts).
 
     points is (N, n) with each run's points contiguous and in run order;
-    counts[i] is the number of points of run i.
+    counts[i] is the number of points of run i.  Points are in their
+    parent's frame (_daughter_points): only their distances are meaningful.
 
     Stationary: parents form a Poisson process in the ball of radius
     observation_radius + rd, since any parent farther out cannot place a
@@ -284,8 +288,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     daughter count each, until no further parent can hold one of its
     max_k nearest points or the window ends (see _radial_parents); the
     first round draws about as many parents as a run keeps.  Only the kept
-    parents then draw a direction and daughter offsets, so each run holds
-    its max_k nearest points but not all of its points.
+    parents, the own cluster as one more at radius |u|, then draw daughter
+    offsets, so each run holds its max_k nearest points but not all of them.
     """
     p = cfg.params
     own = (p.rd * rng.random(runs) ** (1.0 / p.n), rng.poisson(p.mbar, size=runs)) if palm else None
@@ -297,12 +301,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
         draw, runs, math.ceil(_drawn_parents(p, cfg.observation_radius, max_k)) + 1,
         _mean_counts(p, cfg.observation_radius)[0], cfg.observation_radius + p.rd,
         p.n, p.rd, max_k, own)
-    # The center at radius |u| in a uniform direction has the law of -u.
-    centers = _scale_directions(rng.standard_normal((radii.size, p.n)), radii)
-    offsets = _uniform_ball(p.n, p.rd, rng, int(daughters.sum()))
-    points = np.repeat(centers, daughters, axis=0) + offsets
     counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
-    return points, counts
+    return _daughter_points(rng, p.n, p.rd, radii, daughters), counts
 
 
 def _select_block(points: np.ndarray, counts: np.ndarray, max_k: int) -> np.ndarray:
@@ -362,9 +362,8 @@ def simulate_kth_distances(
     Runs are simulated in blocks of cfg.runs_per_block(palm), sized by
     the points a run draws; block b draws from substream (seed, stream, b),
     and its last rows are dropped when samples ends inside it.  Each run
-    draws its parents outward until none further can hold one of its
-    max_k nearest points, and only the kept parents draw directions and
-    offsets (see _radial_parents).  Row i therefore depends only on
+    draws only the parents that can hold one of its max_k nearest points
+    (see _radial_parents), so row i depends only on
     (params, window, seed, max_k, i): output is bit-identical for any
     worker count and for repeated calls, a larger samples extends the same
     rows, and a different max_k draws different rows of the same law.
@@ -373,7 +372,7 @@ def simulate_kth_distances(
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
     block_runs = cfg.runs_per_block(palm)
-    out = np.empty((cfg.samples, cfg.max_k))
+    out = np.full((cfg.samples, cfg.max_k), np.inf)
 
     def block(b: int) -> None:
         lo = b * block_runs
@@ -382,7 +381,6 @@ def simulate_kth_distances(
         points, counts = _sample_block(cfg, rng, block_runs, palm, cfg.max_k)
         rows = _select_block(points, counts, cfg.max_k)[: hi - lo]
         out[lo:hi, : rows.shape[1]] = rows
-        out[lo:hi, rows.shape[1]:] = np.inf
 
     n_blocks = -(-cfg.samples // block_runs)
     # More threads than cores or blocks would only wait.

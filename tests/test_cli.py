@@ -358,6 +358,21 @@ class TestFailFast:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["cdf", "--kind", "nnd", "--k", "3"],
+                                      ["validate", "--k-max", "2"]])
+    def test_underflowing_intensity_asks_for_a_grid_end(self, capsys, argv):
+        # lambda_p mbar v_n underflows, so no finite radius holds the
+        # quantile that would end the auto grid
+        tiny = ["--n", "2", "--lambda-p", "1e-320", "--mbar", "5", "--rd", "50"]
+        code, out, err = run_cli(capsys, *argv, *tiny)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the intensity lambda_p mbar v_n underflows")
+        assert "no finite 1 - 0.0001 quantile; pass an explicit grid end" in err
+        assert err.count("\n") == 1
+        code, out, err = run_cli(capsys, "cdf", "--kind", "nnd", "--k", "3", "--grid-max", "100",
+                                 *tiny)
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) > 1
+
     def test_table_value_caps_exit_2_before_any_work(self, capsys):
         ks = ",".join(map(str, range(1, 4097)))
         for argv in (

@@ -12,7 +12,9 @@ from mcpdist import (
     EmpiricalCdf,
     McpParams,
     SimConfig,
+    ball_volume,
     count_pmf,
+    intersection_volume,
     ks_distance,
     palm_count_pmf,
     pgf_count,
@@ -21,7 +23,12 @@ from mcpdist import (
 )
 from mcpdist import simulator
 from mcpdist.analytic import CurveKind, distribution_curve
-from mcpdist.simulator import _KEEP_MARGIN, _substream, validate_against_analytic
+from mcpdist.simulator import (
+    _KEEP_MARGIN,
+    KS_THRESHOLD_FACTOR,
+    _substream,
+    validate_against_analytic,
+)
 
 
 def rng_for(seed=0):
@@ -37,10 +44,11 @@ def counts_within(cfg, palm, r):
 
 
 class CountingRng:
-    """A Generator that counts the sampler's rounds and daughter-count draws."""
+    """A Generator that counts the sampler's rounds, daughter-count draws and
+    standard normals."""
 
     def __init__(self, rng):
-        self.rng, self.rounds, self.daughter_counts = rng, 0, 0
+        self.rng, self.rounds, self.daughter_counts, self.normals = rng, 0, 0, 0
 
     def standard_exponential(self, size):
         self.rounds += 1
@@ -49,6 +57,10 @@ class CountingRng:
     def poisson(self, lam, size):
         self.daughter_counts += math.prod(np.atleast_1d(size))
         return self.rng.poisson(lam, size)
+
+    def standard_normal(self, size):
+        self.normals += math.prod(np.atleast_1d(size))
+        return self.rng.standard_normal(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -103,6 +115,24 @@ class TestUniformBall:
         pts = simulator._uniform_ball(2, 1.0, rng, 100_000)
         frac = float(np.mean(np.linalg.norm(pts, axis=1) <= 0.5))
         assert frac == pytest.approx(0.25, abs=0.005)
+
+
+class TestDaughterPoints:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rho_over_rd", [0.0, 0.5, 1.0, 3.0])
+    def test_distances_follow_the_lens_law(self, n, rho_over_rd):
+        # One parent at rho e_1 with N daughters: P[distance <= d] is the
+        # share of the cluster ball within d of the origin, the lens
+        # volume over the ball volume.  Exact two-sided KS against it.
+        rd, size = 2.0, 1_000_000
+        rho = rho_over_rd * rd
+        rng = _substream(7, n, int(4 * rho_over_rd))
+        points = simulator._daughter_points(rng, n, rd, np.array([rho]), np.array([size]))
+        d = np.sort(np.sqrt(np.einsum("ij,ij->i", points, points)))
+        cdf = intersection_volume(d, rd, rho, n) / ball_volume(rd, n)
+        steps = np.arange(1, size + 1) / size
+        ks = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / size))))
+        assert ks <= KS_THRESHOLD_FACTOR / math.sqrt(size)
 
 
 class TestMcpSampler:
@@ -464,16 +494,14 @@ class TestBlockPath:
         for run in range(runs):
             assert drawn[run] == next(end for end in ends if end > first_dropped[run])
 
-        rng = rng_for(seed)
-        centers = simulator._scale_directions(rng.standard_normal((radii.size, n)), radii)
+        # Each parent sits on the first axis of its own frame, as in the
+        # sampler.
         if radial:
-            units = simulator._scale_directions(np.repeat(centers, daughters, axis=0),
-                                                np.ones(daughters.sum()))
             inward_first = np.where(np.arange(daughters.sum()) % 2, 1.0, -1.0)
-            offsets = units * rd * inward_first[:, np.newaxis]
+            points = np.zeros((int(daughters.sum()), n))
+            points[:, 0] = np.repeat(radii, daughters) + rd * inward_first
         else:
-            offsets = simulator._uniform_ball(n, rd, rng, int(daughters.sum()))
-        points = np.repeat(centers, daughters, axis=0) + offsets
+            points = simulator._daughter_points(rng_for(seed), n, rd, radii, daughters)
         kept_points = points[np.repeat(keep, daughters)]
         kept_counts = np.bincount(owner[keep], weights=daughters[keep], minlength=runs).astype(np.int64)
         all_counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
@@ -496,6 +524,16 @@ class TestBlockPath:
         _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False, 4)
         assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
+
+    def test_blocks_draw_normals_only_for_daughters(self, fig1_params):
+        # Parents sit on the first axis, so a block's only normals are the
+        # n per point of its daughters' offsets, the Palm own cluster's
+        # among them: no parent draws a direction.
+        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
+        for palm in (False, True):
+            rng = CountingRng(_substream(3, int(palm), 0))
+            points, counts = simulator._sample_block(cfg, rng, cfg.runs_per_block(palm), palm, 4)
+            assert rng.normals == fig1_params.n * counts.sum() == points.size
 
     @pytest.mark.parametrize(
         "p, radius, max_k",
