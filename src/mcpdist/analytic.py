@@ -224,6 +224,13 @@ class _Kernel:
         t = np.concatenate([lambda_d, lambda_d]) * np.maximum(lens, 0.0)
         self.t, self.palm_t, self.palm_w = t[:rows], t[rows:], w[rows:]
         clusters = lambda_p * ball_volume(r + rd, n)
+        big = ~np.isfinite(clusters)
+        if big.any():
+            # The volume alone can overflow where a tiny lambda_p brings the
+            # count back into range; form lambda_p v_n (r + rd)^n in logs.
+            with np.errstate(over="ignore"):
+                clusters[big] = np.exp(np.log(lambda_p[big]) + math.log(unit_ball_volume(n))
+                                       + n * np.log((r + rd)[big]))
         if not np.isfinite(clusters).all():
             window = float((r + rd)[~np.isfinite(clusters)][0])
             raise ValueError(
@@ -672,8 +679,8 @@ def distribution_curves(
     _check_orders(ks)
     if r_max is None:
         r_max = quantile_radius(kind, max(ks), p)
-    if r_max < 0.0:
-        raise ValueError(f"r_max must be nonnegative, got {r_max!r}")
+    if not 0.0 <= r_max < math.inf:
+        raise ValueError(f"r_max must be finite and nonnegative, got {r_max!r}")
     if num < 2:
         raise ValueError(f"grid needs at least 2 points, got {num!r}")
     if r_max == 0.0:

@@ -8,11 +8,16 @@ order cap, volumes outside the double range, a simulation beyond its
 point or distance caps, a CDF table beyond its value cap, an unwritable
 output path), 4 excessive censoring.  Code 3 once meant quadrature
 non-convergence; it is no longer emitted and is not reused.
-"""
+
+The CLI checks only what the library cannot (required flags, config
+types, empty lists, its grid and table caps, --R); the library checks
+every other value.  A command computes before it opens --output, so on
+exit 2 or 4 nothing is written and an existing file keeps its bytes."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -26,7 +31,6 @@ from .analytic import (
     count_pmf,
     distribution_curves,
     palm_count_pmf,
-    quantile_radius,
 )
 from .apps import SweepMetric, SweepSpec, sweep
 from .simulator import MAX_DISTANCES, CensoringError, validate_against_analytic
@@ -74,12 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        out = sys.stdout if args.output is None else open(args.output, "w", newline="")
-        try:
-            return args.handler(args, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,9 +219,16 @@ def _check_table_size(values: int, what: str) -> None:
         raise _CliError(f"{what} = {values} exceeds the cap of {_MAX_TABLE_VALUES} values")
 
 
-def _echo(out, command: str, pairs: list[tuple[str, object]]) -> None:
+def _header(command: str, pairs: list[tuple[str, object]]) -> str:
     rendered = " ".join(f"{key}={_fmt(value)}" for key, value in pairs)
-    out.write(f"# command={command} {rendered}\n")
+    return f"# command={command} {rendered}\n"
+
+
+def _emit(path: str | None, head: str, lines) -> None:
+    """Write head, then stream lines, to path (default stdout): the last step of a command."""
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as out:
+        out.write(head)
+        out.writelines(lines)
 
 
 def _fmt(value) -> str:
@@ -238,86 +244,63 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cdf(args: argparse.Namespace, out) -> int:
+def _cmd_cdf(args: argparse.Namespace) -> int:
     params = _params_from(args)
     k_values = sorted(set(_list_arg(args.k, "--k"))) if args.k is not None else [1]
-    if any(k < 1 for k in k_values):
-        raise _CliError("k values must be positive")
     if not 2 <= args.grid_points <= _MAX_GRID_POINTS:
         raise _CliError(f"grid-points must be in 2..{_MAX_GRID_POINTS}")
     _check_table_size(len(k_values) * args.grid_points, "k values x grid-points")
-    if args.grid_max is not None and not 0.0 <= args.grid_max < math.inf:
-        raise _CliError("grid-max must be finite and nonnegative")
     kind = CurveKind.CONTACT if args.kind == "cd" else CurveKind.NND
-    grid_max = args.grid_max
-    if grid_max is None:
-        grid_max = quantile_radius(kind, max(k_values), params)
-    _echo(out, "cdf", [
+    curves = distribution_curves(kind, k_values, params, r_max=args.grid_max, num=args.grid_points)
+    head = _header("cdf", [
         ("kind", args.kind), ("n", params.n), ("lambda_p", params.lambda_p),
         ("mbar", params.mbar), ("rd", params.rd), ("k", k_values),
-        ("grid_max", grid_max), ("grid_points", args.grid_points),
+        ("grid_max", float(curves[0].radii[-1])), ("grid_points", args.grid_points),
     ])
-    out.write("r,k,cdf\n")
-    for curve in distribution_curves(kind, k_values, params, r_max=grid_max, num=args.grid_points):
-        for r, value in zip(curve.radii, curve.values):
-            out.write(f"{float(r)!r},{curve.k},{float(value)!r}\n")
+    _emit(args.output, head + "r,k,cdf\n", (
+        f"{float(r)!r},{curve.k},{float(value)!r}\n"
+        for curve in curves for r, value in zip(curve.radii, curve.values)
+    ))
     return 0
 
 
-def _cmd_pmf(args: argparse.Namespace, out) -> int:
+def _cmd_pmf(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    if args.r is None or args.r < 0:
-        raise _CliError("--r must be a nonnegative radius")
-    if args.m_max is not None and args.m_max < 0:
-        raise _CliError("--m-max must be nonnegative")
+    _require(args, "r")
     pmf = (palm_count_pmf if args.palm else count_pmf)(args.r, params, m_max=args.m_max)
-    _echo(out, "pmf", [
+    head = _header("pmf", [
         ("palm", int(args.palm)), ("n", params.n), ("lambda_p", params.lambda_p),
         ("mbar", params.mbar), ("rd", params.rd), ("r", float(args.r)),
         ("m_max", pmf.probs.size - 1), ("truncation_mass", float(pmf.truncation_mass)),
     ])
-    out.write("m,probability\n")
-    for m, prob in enumerate(pmf.probs):
-        out.write(f"{m},{float(prob)!r}\n")
+    _emit(args.output, head + "m,probability\n",
+          (f"{m},{float(prob)!r}\n" for m, prob in enumerate(pmf.probs)))
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, out) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     params = _params_from(args)
     samples = args.samples if args.samples is not None else 100_000
     seed = args.seed if args.seed is not None else 1
-    if samples < 1:
-        raise _CliError("samples must be at least 1")
-    if args.k_max < 1:
-        raise _CliError("k-max must be at least 1")
-    if args.r_max is not None and not 0.0 < args.r_max < math.inf:
-        raise _CliError("r-max must be finite and positive")
-    k_values = list(range(1, args.k_max + 1))
-    dump = open(args.dump_samples, "w", newline="") if args.dump_samples else None
-    try:
-        rows = validate_against_analytic(
-            params, k_values, samples=samples, seed=seed, r_max=args.r_max, dump=dump
-        )
-    finally:
-        if dump is not None:
-            dump.close()
-    _echo(out, "validate", [
+    rows = validate_against_analytic(
+        params, range(1, args.k_max + 1), samples=samples, seed=seed, r_max=args.r_max,
+        dump=args.dump_samples,
+    )
+    all_passed = all(row.passed for row in rows)
+    head = _header("validate", [
         ("n", params.n), ("lambda_p", params.lambda_p), ("mbar", params.mbar),
         ("rd", params.rd), ("k_max", args.k_max), ("samples", samples), ("seed", seed),
     ])
-    all_passed = True
-    for row in rows:
-        all_passed &= row.passed
-        out.write(
-            f"kind={row.kind} k={row.k} ks={row.ks!r} threshold={row.threshold!r} "
-            f"censored_fraction={row.censored_fraction!r} "
-            f"result={'pass' if row.passed else 'fail'}\n"
-        )
-    out.write(f"overall={'pass' if all_passed else 'fail'}\n")
+    _emit(args.output, head, [
+        *(f"kind={row.kind} k={row.k} ks={row.ks!r} threshold={row.threshold!r} "
+          f"censored_fraction={row.censored_fraction!r} "
+          f"result={'pass' if row.passed else 'fail'}\n" for row in rows),
+        f"overall={'pass' if all_passed else 'fail'}\n",
+    ])
     return 0 if all_passed else 1
 
 
-def _cmd_sweep(args: argparse.Namespace, out) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "lambda_p", "mbar", "R")
     if not 0.0 < args.R < math.inf:
         raise _CliError("--R must be finite and positive")
@@ -339,24 +322,26 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     _check_table_size(
         len(lambda_ps) * len(rd_grid) * len(k_values), "lambda-p values x rd points x k values"
     )
-    _echo(out, "sweep", [
-        ("metric", args.metric), ("n", n), ("lambda_p", lambda_ps),
-        ("mbar", float(args.mbar)), ("R", float(args.R)), ("k", list(k_values)),
-        ("rd", [float(r) for r in rd_grid]), ("hold", args.hold),
-        ("ppp_reference", int(not args.no_ppp_reference)),
-    ])
-    out.write("lambda_p,rd,k,value\n")
-    for lam in lambda_ps:
-        spec = SweepSpec(
+    panels = [
+        (lam, sweep(SweepSpec(
             base=McpParams(lambda_p=lam, mbar=args.mbar, rd=rd_grid[0], n=n),
             rd_grid=rd_grid,
             connect_range=args.R,
             k_values=k_values,
             include_ppp_reference=not args.no_ppp_reference,
-        )
-        for row in sweep(spec, metric, hold=args.hold):
-            rd_text = "inf" if math.isinf(row.rd) else repr(row.rd)
-            out.write(f"{float(lam)!r},{rd_text},{row.k},{row.value!r}\n")
+        ), metric, hold=args.hold))
+        for lam in lambda_ps
+    ]
+    head = _header("sweep", [
+        ("metric", args.metric), ("n", n), ("lambda_p", lambda_ps),
+        ("mbar", float(args.mbar)), ("R", float(args.R)), ("k", list(k_values)),
+        ("rd", [float(r) for r in rd_grid]), ("hold", args.hold),
+        ("ppp_reference", int(not args.no_ppp_reference)),
+    ])
+    _emit(args.output, head + "lambda_p,rd,k,value\n", (
+        f"{float(lam)!r},{'inf' if math.isinf(row.rd) else repr(row.rd)},{row.k},{row.value!r}\n"
+        for lam, rows in panels for row in rows
+    ))
     return 0
 
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CurveKind, DistributionCurve, McpParams, distribution_curves, quantile_radius
+from .analytic import (CurveKind, DistributionCurve, McpParams, _check_orders,
+                       distribution_curves, quantile_radius)
 from .geometry import unit_ball_volume
 
 __all__ = [
@@ -119,13 +121,6 @@ def _check_budget(p: McpParams, observation_radius: float, samples: int, max_k: 
         )
 
 
-def _check_seed(seed) -> None:
-    # SeedSequence takes any nonnegative integer; anything else would fail
-    # only once sampling starts, with a message that names no argument.
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign: parameters, window, and run budget."""
@@ -137,7 +132,11 @@ class SimConfig:
     max_k: int
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        # SeedSequence takes any nonnegative integer; anything else would
+        # fail only once sampling starts, with a message that names no argument.
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         if not math.isfinite(self.observation_radius) or self.observation_radius <= 0.0:
             raise ValueError("observation_radius must be finite and positive")
         if self.samples < 1:
@@ -478,45 +477,47 @@ class ValidationRow:
 
 def validate_against_analytic(
     p: McpParams,
-    k_values: list[int],
+    k_values: Sequence[int],
     samples: int,
     seed: int,
     r_max: float | None = None,
-    dump=None,
+    dump: str | os.PathLike | None = None,
 ) -> list[ValidationRow]:
     """Run the simulator against the analytic CDFs for every requested k.
 
     Returns one row per (kind, k) with the KS distance and its DKW-based
     threshold.  Raises CensoringError if more than 1% of runs end beyond
-    the observation window.  The seed and the simulation caps (at the
-    smallest window the runs could have) are checked before any curve is
-    computed.  If dump is a text stream, the stationary runs' kth
-    distances are written to it with write_raw_samples.  The simulations
-    run on MCPDIST_THREADS worker threads (default 1).
+    the observation window.  The orders are checked one by one (a long
+    range fails at its first order past the cap), then both windows
+    (r_max, or each kind's CDF tail radius) and both SimConfigs, before
+    any sampling.  If dump is a path, the stationary runs' kth distances
+    are written there with write_raw_samples once both passes have their
+    rows.  The simulations run on MCPDIST_THREADS worker threads (default 1).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
-    if not k_values or k_values[0] < 1:
-        raise ValueError("k values must be positive integers")
     k_max = k_values[-1]
-    _check_seed(seed)
-    _check_budget(p, r_max if r_max is not None else 0.0, samples, k_max)
+    configs = {
+        kind: SimConfig(p, r_max if r_max is not None else quantile_radius(kind, k_max, p),
+                        samples, seed, k_max)
+        for kind in (CurveKind.CONTACT, CurveKind.NND)
+    }
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
-    for palm, kind_name, curve_kind in (
-        (False, "cd", CurveKind.CONTACT),
-        (True, "nnd", CurveKind.NND),
-    ):
-        radius = r_max if r_max is not None else quantile_radius(curve_kind, k_max, p)
-        cfg = SimConfig(p, radius, samples, seed, k_max)
+    for kind, cfg in configs.items():
+        palm = kind is CurveKind.NND
+        radius = cfg.observation_radius
         distances = simulate_kth_distances(cfg, palm=palm)
         if dump is not None and not palm:
-            write_raw_samples(dump, distances, radius)
-        for curve in distribution_curves(curve_kind, k_values, p, r_max=radius):
+            stationary = distances
+        for curve in distribution_curves(kind, k_values, p, r_max=radius):
             ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
-            rows.append(ValidationRow(kind_name, curve.k, ks, threshold, ecdf.censored_fraction()))
+            rows.append(ValidationRow("nnd" if palm else "cd", curve.k, ks, threshold,
+                                      ecdf.censored_fraction()))
+    if dump is not None:
+        with open(dump, "w", newline="") as stream:
+            write_raw_samples(stream, stationary, configs[CurveKind.CONTACT].observation_radius)
     return rows
 
 

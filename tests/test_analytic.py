@@ -248,6 +248,16 @@ class TestContactCdf:
         with pytest.raises(ValueError):
             cdf_contact(1.0, 0, fig1_params)
 
+    def test_cluster_count_survives_an_overflowing_window_volume(self):
+        # v_n (r + rd)^n overflows, lambda_p v_n (r + rd)^n is about 9; the
+        # scale-invariant twin F(r; lambda_p, rd) = F(r / c; lambda_p c^n, rd / c)
+        # keeps every product finite.
+        p, c = McpParams(1e-308, 5.0, 50.0, 2), 1e100
+        twin = McpParams(1e-308 * c**2, 5.0, 50.0 / c, 2)
+        for r in (3e153, 6e153, 1e154):
+            for cdf in (cdf_contact, cdf_nnd):
+                assert cdf(r, 3, p) == pytest.approx(cdf(r / c, 3, twin), rel=1e-12)
+
     def test_orders_must_be_integers(self, fig1_params):
         # A float order used to fail inside numpy slicing with a TypeError,
         # and True passed as k = 1.

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcpdist import (
@@ -83,6 +86,15 @@ class TestCdfCommand:
         p = McpParams(2e-5, 5.0, 50.0, 2)
         for r_text, k_text, value_text in rows:
             assert float(value_text) == cdf_nnd(float(r_text), 2, p)
+
+    def test_tiny_parent_intensity_with_an_overflowing_window_volume(self, capsys):
+        # v_n (r + rd)^n overflows, though only about 9 clusters lie within
+        # r + rd of the origin at the grid end
+        code, out, err = run_cli(capsys, "cdf", "--kind", "cd", "--k", "3", "--lambda-p",
+                                 "1e-308", "--mbar", "5", "--rd", "50")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 512 and float(rows[-1][2]) >= 1.0 - 1e-4
 
     def test_missing_parameter_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "cdf", "--kind", "cd", "--n", "2")
@@ -348,6 +360,17 @@ class TestFailFast:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_huge_k_max_exits_2_before_any_k_list(self, capsys):
+        # The orders 1..k_max are checked one by one before any list of
+        # them is built, so the first order past the cap ends the run (the
+        # fuzz below tries k_max = 10^9).
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "validate", "--k-max", "3000000", "--samples", "100",
+                                 *FIG1_ARGS)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: k must be an integer in 1..4096") and err.count("\n") == 1
+
     def test_numeric_extremes_exit_2(self, capsys):
         for argv in (
             ["cdf", "--kind", "cd", "--lambda-p", "2e-5", "--mbar", "5", "--rd", "1e200"],
@@ -392,6 +415,43 @@ class TestFailFast:
             analytic.quantile_radius(CurveKind.CONTACT, 2, McpParams(2e-5, 5.0, 50.0, 2))
 
 
+_SENTINEL = b"sentinel: an existing file keeps these bytes\n"
+_OUTPUT, _DUMP = "<output>", "<dump>"
+
+
+@contextlib.contextmanager
+def _sentinel_files():
+    """Paths for the _OUTPUT and _DUMP placeholders, each pre-filled with _SENTINEL."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {_OUTPUT: os.path.join(tmp, "out.csv"), _DUMP: os.path.join(tmp, "dump.csv")}
+        for path in paths.values():
+            with open(path, "wb") as fh:
+                fh.write(_SENTINEL)
+        yield paths
+
+
+def _unchanged(paths) -> bool:
+    return all(pathlib.Path(path).read_bytes() == _SENTINEL for path in paths.values())
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([*_CDF_ARGS, "--k", "0", "-o", _OUTPUT], 2),
+    ([*_CDF_ARGS, "--grid-max", "1e200", "-o", _OUTPUT], 2),
+    ([*_SWEEP_ARGS, "--lambda-p", "0.03", "--rd", "1e200", "-o", _OUTPUT], 2),
+    (["validate", "--seed", "-1", "--samples", "100", *FIG1_ARGS, "--dump-samples", _DUMP], 2),
+    (["validate", "--k-max", "4", "--samples", "500", "--seed", "1", "--r-max", "30", *FIG1_ARGS,
+      "-o", _OUTPUT, "--dump-samples", _DUMP], 4),
+])
+def test_failed_command_writes_nothing(capsys, argv, expected):
+    # These once truncated the output or dump file, wrote the header, or
+    # left a full dump beside an empty report.
+    with _sentinel_files() as paths:
+        code, out, err = run_cli(capsys, *[paths.get(arg, arg) for arg in argv])
+        assert code == expected and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert _unchanged(paths)
+
+
 _NUMBERS = ("-1", "0", "nan", "inf", "1e-300", "1e-9", "0.003", "0.5", "1", "5", "50",
             "1e9", "1e200", "1e308")
 
@@ -426,23 +486,38 @@ def _invocations(draw):
         if draw(st.booleans()):
             argv += ["--m-max", draw(st.sampled_from(("0", "7", huge)))]
     else:
-        argv += ["--k-max", draw(st.sampled_from(("1", "2"))),
+        argv += ["--k-max", draw(st.sampled_from(("1", "2", huge))),
                  "--samples", draw(st.sampled_from(("1", "20", huge))),
                  "--seed", draw(st.sampled_from(("3", huge)))]
         if draw(st.booleans()):
             argv += ["--r-max", draw(number)]
+        if draw(st.booleans()):
+            argv += ["--dump-samples", _DUMP]
     return argv
 
 
 class TestCliFuzz:
     @settings(max_examples=60)
-    @given(argv=_invocations())
-    def test_every_input_gets_a_result_or_one_line(self, argv):
-        # a result, or one documented exit code with a one-line message
+    @given(argv=_invocations(), to_file=st.booleans())
+    @example(argv=["validate", *FIG1_ARGS, "--k-max", "1000000000", "--samples", "20",
+                   "--seed", "3", "--dump-samples", _DUMP], to_file=True)
+    def test_every_input_gets_a_result_or_one_line(self, argv, to_file):
+        # a result, or one documented exit code with a one-line message and
+        # nothing written to stdout, --output or --dump-samples
+        if to_file:
+            argv = [*argv, "-o", _OUTPUT]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        with _sentinel_files() as paths:
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([paths.get(arg, arg) for arg in argv])
+            elapsed = time.perf_counter() - start
+            unchanged = _unchanged(paths)
         message = err.getvalue()
         assert code in (0, 1, 2, 4), (argv, code, message)
         assert message.count("\n") <= 1 and "Traceback" not in message, (argv, message)
         assert (code == 0 or code == 1) == (message == ""), (argv, code, message)
+        if code in (2, 4):
+            assert out.getvalue() == "" and unchanged, (argv, code)
+        if argv[0] == "validate" and argv[argv.index("--k-max") + 1] == "1000000000":
+            assert code == 2 and elapsed < 1.0, (argv, code, elapsed)
