@@ -613,8 +613,7 @@ def cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) ->
             w = kernel.q(0, top + 1)
         else:
             mbar = np.array([q.mbar for q in params[idx]])[:, np.newaxis]
-            j = np.arange(top + 1.0)
-            w = np.exp(xlogy(j, mbar) - mbar - gammaln(j + 1.0))
+            w = _padded(_poisson_sums(mbar, np.ones_like(mbar), 0, top + 1), top + 1)
         table[:, idx] = [1.0 - (w[:, k - 1 :: -1] * ccdf[:, :k]).sum(axis=1) for k in ks]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
@@ -710,6 +709,9 @@ def _check_order(k: int) -> None:
 def _check_orders(ks) -> None:
     if len(ks) == 0:
         raise ValueError("need at least one order k")
+    if isinstance(ks, range):
+        # A rising range ends at its largest order; a falling one starts there.
+        _check_order(ks[-1])
     for k in ks:
         _check_order(k)
 

@@ -45,16 +45,13 @@ class SweepSpec:
     include_ppp_reference: bool = True
 
     def __post_init__(self):
+        # cdf_table and _metric check the orders and the range.  rd is checked
+        # here: under hold="lambda_d" a bad rd would be reported as a bad mbar.
         object.__setattr__(self, "rd_grid", tuple(float(r) for r in self.rd_grid))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if not self.rd_grid or any(r <= 0.0 for r in self.rd_grid):
             raise ValueError("rd_grid must be nonempty and positive")
         if any(b >= a for b, a in zip(self.rd_grid, self.rd_grid[1:])):
             raise ValueError("rd_grid must be strictly increasing")
-        if not math.isfinite(self.connect_range) or self.connect_range <= 0.0:
-            raise ValueError("connect_range must be finite and positive")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("k_values must be positive integers")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ Draws, for each run of a stationary or Palm-conditioned realization, the
 distances from the origin to its max_k nearest points, and compares their
 empirical CDFs against the analytic curves.  Runs are simulated in fixed
 blocks, each drawn in a few vectorized calls from its own SFC64
-substream keyed by (seed, stream, block).  The block size depends only on
-the parameters, the window and max_k, so results are identical for any
+substream keyed by (seed, stream, block).  SimConfig sizes the blocks,
+and checks the MAX_MEAN_POINTS cap, from one Campbell mean of the points
+a run draws (kept parents, their daughters, Palm siblings), so a wide
+window costs only what a run draws in it.  That mean depends only on the
+parameters, the window and max_k, so results are identical for any
 worker count, and a larger run budget extends the same rows.
 
 Each run draws its parents in order of distance from the origin, as the
@@ -48,7 +51,7 @@ KS_THRESHOLD_FACTOR = 1.5 * 1.36
 MAX_CENSORED_FRACTION = 0.01
 
 # Fail-fast caps, checked before any sampling: the Campbell mean of the
-# points one run draws, and the entries of the (samples, max_k) matrix.
+# points one Palm run draws, and the entries of the (samples, max_k) matrix.
 MAX_MEAN_POINTS = 1_000_000
 MAX_DISTANCES = 50_000_000
 
@@ -60,6 +63,10 @@ _TABLE_CELLS = 4 * _BLOCK_POINTS
 # Every sampled point lies within observation_radius + 2 rd of the origin;
 # inside this range its squared distance is a normal double.
 _REACH_RANGE = (1e-150, 1e150)
+# A parent's radius is formed from its share v / v_max of the window's
+# mean parent count v_max (see _radial_parents); below this cap the share
+# stays a normal double for any volume v above 1e-150.
+_MAX_WINDOW_PARENTS = 1e150
 
 # Relative slack on the reach within which parents are kept.  A computed
 # distance is off by at most a few (n + 4) ulps of the parent radius plus
@@ -84,13 +91,6 @@ def _parents_within(p: McpParams, radius: float) -> float:
     return math.exp(min(log_parents, 709.0))
 
 
-def _mean_counts(p: McpParams, observation_radius: float) -> tuple[float, float]:
-    # Campbell means of the parents, lambda_p v_n (R + rd)^n, and of the
-    # daughters, mbar times that, in the window of one stationary run.
-    parents = _parents_within(p, observation_radius + p.rd)
-    return parents, parents * p.mbar
-
-
 def _drawn_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
     """Mean number of parents that one run keeps.
 
@@ -104,21 +104,6 @@ def _drawn_parents(p: McpParams, observation_radius: float, max_k: int) -> float
                - math.log(unit_ball_volume(p.n))) / p.n
     edge = min(math.exp(min(log_rho, math.log(edge))) + 2.0 * p.rd, edge)
     return _parents_within(p, edge)
-
-
-def _check_budget(p: McpParams, observation_radius: float, samples: int, max_k: int) -> None:
-    if samples * max_k > MAX_DISTANCES:
-        raise ValueError(
-            f"samples x max_k = {samples * max_k} exceeds the cap of {MAX_DISTANCES} distances"
-        )
-    parents, daughters = _mean_counts(p, observation_radius)
-    # Parents, daughters and the Palm siblings are all drawn as points.
-    mean = parents + daughters + p.mbar
-    if mean > MAX_MEAN_POINTS:
-        raise ValueError(
-            f"one run would sample {mean:.3g} points on average (parents, daughters "
-            f"and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -143,26 +128,36 @@ class SimConfig:
             raise ValueError("samples must be at least 1")
         if self.max_k < 1:
             raise ValueError("max_k must be at least 1")
-        reach = self.observation_radius + 2.0 * self.params.rd
+        p = self.params
+        reach = self.observation_radius + 2.0 * p.rd
         if not _REACH_RANGE[0] <= reach <= _REACH_RANGE[1]:
             raise ValueError(
                 f"observation_radius + 2 rd = {reach!r} lies outside {_REACH_RANGE}, "
                 "where squared distances would over- or underflow"
             )
-        _check_budget(self.params, self.observation_radius, self.samples, self.max_k)
+        if _parents_within(p, self.observation_radius + p.rd) > _MAX_WINDOW_PARENTS:
+            raise ValueError(f"the window holds more than {_MAX_WINDOW_PARENTS:.0e} parents on "
+                             "average, where parent radii would lose precision")
+        if self.samples * self.max_k > MAX_DISTANCES:
+            raise ValueError(f"samples x max_k = {self.samples * self.max_k} exceeds the cap "
+                             f"of {MAX_DISTANCES} distances")
+        mean = self._mean_points(palm=True)
+        if mean > MAX_MEAN_POINTS:
+            raise ValueError(
+                f"one run would draw {mean:.3g} points on average (kept parents, their "
+                f"daughters and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
+            )
+
+    def _mean_points(self, palm: bool) -> float:
+        # The parents a run keeps and one more, the kept parents' daughters,
+        # and under Palm the mbar siblings; see _drawn_parents.
+        p = self.params
+        mean = 1.0 + _drawn_parents(p, self.observation_radius, self.max_k) * (1.0 + p.mbar)
+        return mean + p.mbar if palm else mean
 
     def runs_per_block(self, palm: bool = False) -> int:
-        """Runs simulated together: about _BLOCK_POINTS drawn points per block.
-
-        A run draws, on average, the parents it keeps and one more, and
-        the daughters of the kept parents (plus the mbar siblings under
-        Palm); see _drawn_parents.
-        """
-        parents = _drawn_parents(self.params, self.observation_radius, self.max_k)
-        mean = 1.0 + parents * (1.0 + self.params.mbar)
-        if palm:
-            mean += self.params.mbar
-        return int(max(1.0, _BLOCK_POINTS // mean))
+        """Runs simulated together: about _BLOCK_POINTS drawn points per block."""
+        return int(max(1.0, _BLOCK_POINTS // self._mean_points(palm)))
 
 
 def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -267,8 +262,8 @@ def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int,
     return np.repeat(np.arange(runs), kept), radii, counts
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: bool, max_k: int):
-    """`runs` independent realizations as (points, counts).
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool):
+    """cfg.runs_per_block(palm) independent realizations as (points, counts).
 
     points is (N, n) with each run's points contiguous and in run order;
     counts[i] is the number of points of run i.  Points are in their
@@ -290,7 +285,7 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
     parents, the own cluster as one more at radius |u|, then draw daughter
     offsets, so each run holds its max_k nearest points but not all of them.
     """
-    p = cfg.params
+    p, runs, max_k = cfg.params, cfg.runs_per_block(palm), cfg.max_k
     own = (p.rd * rng.random(runs) ** (1.0 / p.n), rng.poisson(p.mbar, size=runs)) if palm else None
 
     def draw(rows, m):
@@ -298,7 +293,7 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, runs: int, palm: boo
 
     owner, radii, daughters = _radial_parents(
         draw, runs, math.ceil(_drawn_parents(p, cfg.observation_radius, max_k)) + 1,
-        _mean_counts(p, cfg.observation_radius)[0], cfg.observation_radius + p.rd,
+        _parents_within(p, cfg.observation_radius + p.rd), cfg.observation_radius + p.rd,
         p.n, p.rd, max_k, own)
     counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
     return _daughter_points(rng, p.n, p.rd, radii, daughters), counts
@@ -377,7 +372,7 @@ def simulate_kth_distances(
         lo = b * block_runs
         hi = min(lo + block_runs, cfg.samples)
         rng = _substream(cfg.seed, stream, b)
-        points, counts = _sample_block(cfg, rng, block_runs, palm, cfg.max_k)
+        points, counts = _sample_block(cfg, rng, palm)
         rows = _select_block(points, counts, cfg.max_k)[: hi - lo]
         out[lo:hi, : rows.shape[1]] = rows
 
@@ -486,13 +481,15 @@ def validate_against_analytic(
     """Run the simulator against the analytic CDFs for every requested k.
 
     Returns one row per (kind, k) with the KS distance and its DKW-based
-    threshold.  Raises CensoringError if more than 1% of runs end beyond
-    the observation window.  The orders are checked one by one (a long
-    range fails at its first order past the cap), then both windows
-    (r_max, or each kind's CDF tail radius) and both SimConfigs, before
-    any sampling.  If dump is a path, the stationary runs' kth distances
-    are written there with write_raw_samples once both passes have their
-    rows.  The simulations run on MCPDIST_THREADS worker threads (default 1).
+    threshold, which assumes an exact reference: each kind's reference
+    curves span its sampled distances, on a grid from 0 to the largest
+    in-window one.  Raises CensoringError if more than 1% of runs end
+    beyond the observation window.  The orders are checked (a range by its
+    last order), then both windows (r_max, or each kind's CDF tail radius)
+    and both SimConfigs, before any sampling.  If dump is a path, the
+    stationary runs' kth distances are written there with
+    write_raw_samples once both passes have their rows.  The simulations
+    run on MCPDIST_THREADS worker threads (default 1).
     """
     _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
@@ -510,7 +507,10 @@ def validate_against_analytic(
         distances = simulate_kth_distances(cfg, palm=palm)
         if dump is not None and not palm:
             stationary = distances
-        for curve in distribution_curves(kind, k_values, p, r_max=radius):
+        # The reference curves end at the largest in-window sample, not at
+        # the window edge, so their grid stays fine where the samples are.
+        end = float(np.max(distances, where=distances <= radius, initial=0.0))
+        for curve in distribution_curves(kind, k_values, p, r_max=end):
             ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
             rows.append(ValidationRow("nnd" if palm else "cd", curve.k, ks, threshold,

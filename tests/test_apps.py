@@ -155,9 +155,10 @@ class TestSweep:
             SweepSpec(base, (), R, (1,))
         with pytest.raises(ValueError):
             SweepSpec(base, (2.0, 1.0), R, (1,))
-        with pytest.raises(ValueError):
-            SweepSpec(base, (1.0,), -1.0, (1,))
-        with pytest.raises(ValueError):
-            SweepSpec(base, (1.0,), R, (0,))
+        # The range and the orders are checked by the sweep itself.
+        for connect_range, ks in ((-1.0, (1,)), (math.inf, (1,)), (R, (0,)), (R, (1.5,)),
+                                  (R, ())):
+            with pytest.raises(ValueError):
+                sweep(SweepSpec(base, (1.0,), connect_range, ks), SweepMetric.CONNECTIVITY)
         with pytest.raises(ValueError):
             sweep(SweepSpec(base, (1.0,), R, (1,)), SweepMetric.CONNECTIVITY, hold="bad")

@@ -361,15 +361,16 @@ class TestFailFast:
             assert err.startswith("error:") and err.count("\n") == 1
 
     def test_huge_k_max_exits_2_before_any_k_list(self, capsys):
-        # The orders 1..k_max are checked one by one before any list of
-        # them is built, so the first order past the cap ends the run (the
-        # fuzz below tries k_max = 10^9).
+        # The range of orders 1..k_max is checked by its last order before
+        # any list of them is built, and the message names it (the fuzz
+        # below tries k_max = 10^9).
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "validate", "--k-max", "3000000", "--samples", "100",
                                  *FIG1_ARGS)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: k must be an integer in 1..4096") and err.count("\n") == 1
+        assert err.endswith("got 3000000\n")
 
     def test_numeric_extremes_exit_2(self, capsys):
         for argv in (

@@ -329,6 +329,16 @@ class TestValidationHarness:
             assert row.threshold == pytest.approx(1.5 * 1.36 / math.sqrt(4000))
             assert row.passed
 
+    def test_rows_pass_in_a_wide_window(self, fig1_params):
+        # The window reaches 44 times the CDF tail radius.  The reference
+        # curves end at the largest sampled distance, so their 512 points
+        # cover the samples as finely as in the tail window.
+        rows = validate_against_analytic(fig1_params, range(1, 5), samples=20_000, seed=1,
+                                         r_max=20_000.0)
+        assert len(rows) == 8
+        for row in rows:
+            assert row.passed, row
+
     @pytest.mark.parametrize(
         "p, k_values",
         [
@@ -520,8 +530,7 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
         assert window_mean == pytest.approx(78.5, rel=1e-3)
-        runs = cfg.runs_per_block()
-        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), runs, False, 4)
+        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), False)
         assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
 
@@ -532,7 +541,7 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         for palm in (False, True):
             rng = CountingRng(_substream(3, int(palm), 0))
-            points, counts = simulator._sample_block(cfg, rng, cfg.runs_per_block(palm), palm, 4)
+            points, counts = simulator._sample_block(cfg, rng, palm)
             assert rng.normals == fig1_params.n * counts.sum() == points.size
 
     @pytest.mark.parametrize(
@@ -554,7 +563,7 @@ class TestBlockPath:
             parents = []
             for b in range(10):
                 rng = CountingRng(_substream(0, int(palm), b))
-                simulator._sample_block(cfg, rng, runs, palm, max_k)
+                simulator._sample_block(cfg, rng, palm)
                 assert rng.rounds <= 4
                 # Under Palm, one count per run is the own cluster's.
                 parents.append(rng.daughter_counts / runs - palm)
@@ -610,9 +619,20 @@ class TestBlockPath:
         assert thin.runs_per_block() == 1
 
     def test_budget_caps(self, fig1_params):
-        crowded = McpParams(1e3, 1e3, 50.0, 2)  # ~7.9e9 points per run
+        # A run draws the parents out to the window edge R + rd = 51 (rho +
+        # 2 rd = 100 lies past it) and their daughters: ~8.2e9 points.
+        crowded = McpParams(1e3, 1e3, 50.0, 2)
         with pytest.raises(ValueError, match="points on average"):
             SimConfig(crowded, 1.0, 100, 1, 1)
+        # The cap counts the points a run draws, not the ~3.8e6 of its
+        # window: a wide fig1 window draws as much as the 450 one.
+        wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4) for radius in (1e5, 450.0))
+        for palm in (False, True):
+            assert wide.runs_per_block(palm) == tail.runs_per_block(palm)
+        # A window of more than 1e150 parents on average (here 4.2e153) is
+        # refused: parent radii would lose precision.
+        with pytest.raises(ValueError, match="parents on average"):
+            SimConfig(McpParams(1.0, 5.0, 1.0, 3), 1e51, 100, 1, 4)
         with pytest.raises(ValueError, match="distances"):
             SimConfig(fig1_params, 450.0, 10**11, 1, 4)
         with pytest.raises(ValueError, match="points on average"):
