@@ -5,11 +5,11 @@ distances from the origin to its max_k nearest points, and compares their
 empirical CDFs against the analytic curves.  Runs are simulated in fixed
 blocks, each drawn in a few vectorized calls from its own SFC64
 substream keyed by (seed, stream, block).  SimConfig sizes the blocks,
-and checks the MAX_MEAN_POINTS cap, from one Campbell mean of the points
-a run draws (kept parents, their daughters, Palm siblings), so a wide
-window costs only what a run draws in it.  That mean depends only on the
-parameters, the window and max_k, so results are identical for any
-worker count, and a larger run budget extends the same rows.
+and checks the MAX_MEAN_POINTS cap, from one estimate (not a bound) of
+the points a run draws: kept parents, their daughters, Palm siblings.  A
+wide window costs only what a run draws in it.  The estimate depends only
+on the parameters, the window and max_k, so results are identical for
+any worker count, and a larger run budget extends the same rows.
 
 Each run draws its parents in order of distance from the origin, as the
 gaps of a unit-rate Poisson process in the volume coordinate, in rounds,
@@ -50,7 +50,7 @@ KS_THRESHOLD_FACTOR = 1.5 * 1.36
 # Largest share of runs that may end outside the observation window.
 MAX_CENSORED_FRACTION = 0.01
 
-# Fail-fast caps, checked before any sampling: the Campbell mean of the
+# Fail-fast caps, checked before any sampling: the estimated mean number of
 # points one Palm run draws, and the entries of the (samples, max_k) matrix.
 MAX_MEAN_POINTS = 1_000_000
 MAX_DISTANCES = 50_000_000
@@ -92,18 +92,18 @@ def _parents_within(p: McpParams, radius: float) -> float:
 
 
 def _drawn_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
-    """Mean number of parents that one run keeps.
+    """Estimated mean number of parents that one run keeps.
 
-    The parents within rho hold max_k daughters on average where
-    lambda_p mbar v_n rho^n = max_k, and parents out to about rho + 2 rd
-    are kept (see _radial_parents).  The window edge R + rd caps that
-    radius.
+    Parents within rho hold max_k daughters on average, lambda_p mbar v_n
+    rho^n = max_k, and those out to rho + 2 rd (up to the edge R + rd) are
+    kept; see _radial_parents.  So is the parent that brings a run to
+    max_k, with all its daughters: one per run while the window has one.
     """
-    edge = observation_radius + p.rd
+    window = observation_radius + p.rd
     log_rho = (math.log(max_k) - math.log(p.mbar) - math.log(p.lambda_p)
                - math.log(unit_ball_volume(p.n))) / p.n
-    edge = min(math.exp(min(log_rho, math.log(edge))) + 2.0 * p.rd, edge)
-    return _parents_within(p, edge)
+    edge = min(math.exp(min(log_rho, math.log(window))) + 2.0 * p.rd, window)
+    return max(_parents_within(p, edge), min(1.0, _parents_within(p, window)))
 
 
 @dataclass(frozen=True)

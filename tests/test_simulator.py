@@ -629,6 +629,14 @@ class TestBlockPath:
         wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4) for radius in (1e5, 450.0))
         for palm in (False, True):
             assert wide.runs_per_block(palm) == tail.runs_per_block(palm)
+        # Each run keeps the parent that brings it to max_k with all its
+        # ~mbar daughters, however few it needs: ~1e6 points per Palm run
+        # here, although its window holds only ~13 parents.
+        with pytest.raises(ValueError, match="points on average"):
+            SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1)
+        # At a tenth of that mbar a run fits, alone in its block.
+        few = SimConfig(McpParams(1e-6, 5e4, 1.0, 2), 2000.0, 1, 1, 1)
+        assert few.runs_per_block(False) == few.runs_per_block(True) == 1
         # A window of more than 1e150 parents on average (here 4.2e153) is
         # refused: parent radii would lose precision.
         with pytest.raises(ValueError, match="parents on average"):
