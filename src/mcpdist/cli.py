@@ -11,8 +11,9 @@ non-convergence; it is no longer emitted and is not reused.
 
 The CLI checks only what the library cannot (required flags, config
 types, empty lists, its grid and table caps, --R); the library checks
-every other value.  A command computes before it opens --output, so on
-exit 2 or 4 nothing is written and an existing file keeps its bytes."""
+every other value.  A command computes before it opens --output (and
+--dump-samples), and opens every file before it writes any, so on exit 2
+or 4 nothing is written and an existing file keeps its bytes."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .analytic import (
     palm_count_pmf,
 )
 from .apps import SweepMetric, SweepSpec, sweep
-from .simulator import MAX_DISTANCES, CensoringError, validate_against_analytic
+from .simulator import MAX_DISTANCES, CensoringError, validate_against_analytic, write_raw_samples
 
 __all__ = ["main"]
 
@@ -224,8 +225,19 @@ def _header(command: str, pairs: list[tuple[str, object]]) -> str:
     return f"# command={command} {rendered}\n"
 
 
-def _emit(path: str | None, head: str, lines) -> None:
-    """Write head, then stream lines, to path (default stdout): the last step of a command."""
+def _emit(path: str | None, head: str, lines, dump=None) -> None:
+    """Write head, then stream lines, to path (default stdout): the last step of a command.
+
+    dump is None or (path, write): write(stream) fills that second file.
+    Both are first opened for appending, which truncates nothing, so a path
+    that cannot be opened leaves the other's bytes as they were.
+    """
+    for target in (path, None if dump is None else dump[0]):
+        if target is not None:
+            open(target, "a").close()
+    if dump is not None:
+        with open(dump[0], "w", newline="") as stream:
+            dump[1](stream)
     with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as out:
         out.write(head)
         out.writelines(lines)
@@ -282,11 +294,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     params = _params_from(args)
     samples = args.samples if args.samples is not None else 100_000
     seed = args.seed if args.seed is not None else 1
-    rows = validate_against_analytic(
+    report = validate_against_analytic(
         params, range(1, args.k_max + 1), samples=samples, seed=seed, r_max=args.r_max,
-        dump=args.dump_samples,
     )
-    all_passed = all(row.passed for row in rows)
+    all_passed = all(row.passed for row in report)
     head = _header("validate", [
         ("n", params.n), ("lambda_p", params.lambda_p), ("mbar", params.mbar),
         ("rd", params.rd), ("k_max", args.k_max), ("samples", samples), ("seed", seed),
@@ -294,9 +305,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _emit(args.output, head, [
         *(f"kind={row.kind} k={row.k} ks={row.ks!r} threshold={row.threshold!r} "
           f"censored_fraction={row.censored_fraction!r} "
-          f"result={'pass' if row.passed else 'fail'}\n" for row in rows),
+          f"result={'pass' if row.passed else 'fail'}\n" for row in report),
         f"overall={'pass' if all_passed else 'fail'}\n",
-    ])
+    ], dump=None if args.dump_samples is None else (args.dump_samples, lambda stream: (
+        write_raw_samples(stream, report.stationary, report.observation_radius))))
     return 0 if all_passed else 1
 
 

@@ -2,21 +2,18 @@
 
 Draws, for each run of a stationary or Palm-conditioned realization, the
 distances from the origin to its max_k nearest points, and compares their
-empirical CDFs against the analytic curves.  Runs are simulated in fixed
-blocks, each drawn in a few vectorized calls from its own SFC64
+empirical CDFs against the analytic curves.  Each run draws its parents
+in order of distance from the origin, in rounds, and stops at its own
+running kth distance: only parents within rd of it draw daughters, each
+about a parent on the first axis of its own frame.  The max_k nearest
+distances keep their law, but the draws depend on max_k, so the rows do
+too.  Runs are simulated in fixed blocks, each from its own SFC64
 substream keyed by (seed, stream, block).  SimConfig sizes the blocks,
-and checks the MAX_MEAN_POINTS cap, from one estimate (not a bound) of
-the points a run draws: kept parents, their daughters, Palm siblings.  A
-wide window costs only what a run draws in it.  The estimate depends only
-on the parameters, the window and max_k, so results are identical for
-any worker count, and a larger run budget extends the same rows.
-
-Each run draws its parents in order of distance from the origin, as the
-gaps of a unit-rate Poisson process in the volume coordinate, in rounds,
-and stops once no further parent can place a point among its max_k
-nearest.  Only the kept parents draw daughter offsets, each about a
-parent on the first axis of its own frame.  The max_k nearest distances
-keep their law, but the draws depend on max_k, so the rows do too.
+and checks the MAX_MEAN_POINTS cap, from the exact mean number of points
+a run draws, an integral against the paper's kth contact (or NND) CDF
+that depends only on the parameters, the window and max_k: results are
+identical for any worker count, and a larger run budget extends the same
+rows.  A wide window costs only what a run draws in it.
 """
 
 from __future__ import annotations
@@ -25,18 +22,20 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammainccinv
 
-from .analytic import (CurveKind, DistributionCurve, McpParams, _check_orders,
-                       distribution_curves, quantile_radius)
+from .analytic import (_U, CurveKind, DistributionCurve, McpParams, _check_orders, _count_radius,
+                       _gl_weights, cdf_table, distribution_curves, quantile_radius)
 from .geometry import unit_ball_volume
 
 __all__ = [
     "CensoringError",
     "EmpiricalCdf",
     "SimConfig",
+    "ValidationReport",
     "ValidationRow",
     "ks_distance",
     "simulate_kth_distances",
@@ -50,29 +49,31 @@ KS_THRESHOLD_FACTOR = 1.5 * 1.36
 # Largest share of runs that may end outside the observation window.
 MAX_CENSORED_FRACTION = 0.01
 
-# Fail-fast caps, checked before any sampling: the estimated mean number of
-# points one Palm run draws, and the entries of the (samples, max_k) matrix.
+# Fail-fast caps, checked before any sampling: the mean number of points
+# one run draws, and the entries of the (samples, max_k) matrix.
 MAX_MEAN_POINTS = 1_000_000
 MAX_DISTANCES = 50_000_000
 
 # A block holds about this many points in expectation, and at most this
 # many runs; its selection table is split by runs beyond _TABLE_CELLS cells.
-_BLOCK_POINTS = 2**14
+_BLOCK_POINTS = 2**15
 _TABLE_CELLS = 4 * _BLOCK_POINTS
 
 # Every sampled point lies within observation_radius + 2 rd of the origin;
 # inside this range its squared distance is a normal double.
 _REACH_RANGE = (1e-150, 1e150)
 # A parent's radius is formed from its share v / v_max of the window's
-# mean parent count v_max (see _radial_parents); below this cap the share
+# mean parent count v_max (see _nearest); below this cap the share
 # stays a normal double for any volume v above 1e-150.
 _MAX_WINDOW_PARENTS = 1e150
 
-# Relative slack on the reach within which parents are kept.  A computed
-# distance is off by at most a few (n + 4) ulps of the parent radius plus
-# rd, about 1e-13 of it even at the largest n, so a wider reach only keeps
-# parents whose points cannot be selected.
+# Relative slack on the reach within which parents draw daughters.  A
+# computed distance is off by at most a few (n + 4) ulps of the parent
+# radius plus rd, about 1e-13 of it even at the largest n, so a wider reach
+# only draws daughters that cannot be selected.
 _KEEP_MARGIN = 1e-6
+
+_MEAN_TAIL = 1e-15  # the mean parents per run integrate 1 - F down to this
 
 _STATIONARY_STREAM = 0
 _PALM_STREAM = 1
@@ -82,28 +83,36 @@ class CensoringError(RuntimeError):
     """Too many runs were censored for the empirical CDF to be trusted."""
 
 
-def _parents_within(p: McpParams, radius: float) -> float:
-    # Campbell mean lambda_p v_n radius^n of the parents within radius of
-    # the origin, formed in logs so that a huge radius gives inf rather
-    # than an OverflowError.
+def _parents_within(p: McpParams, radius):
+    # Campbell mean lambda_p v_n radius^n of the parents within radius > 0
+    # (a float or an array), in logs: a huge radius gives inf, not an error.
     log_parents = (math.log(p.lambda_p) + math.log(unit_ball_volume(p.n))
-                   + p.n * math.log(radius))
-    return math.exp(min(log_parents, 709.0))
+                   + p.n * np.log(radius))
+    return np.exp(np.minimum(log_parents, 709.0))
 
 
-def _drawn_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
-    """Estimated mean number of parents that one run keeps.
+def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: bool) -> float:
+    """Mean number of parents (the Palm own cluster aside) that draw daughters in a run.
 
-    Parents within rho hold max_k daughters on average, lambda_p mbar v_n
-    rho^n = max_k, and those out to rho + 2 rd (up to the edge R + rd) are
-    kept; see _radial_parents.  So is the parent that brings a run to
-    max_k, with all its daughters: one per run while the window has one.
+    A parent at distance r <= R + rd draws them when r - rd < D_k, the
+    run's kth distance, an event its own daughters cannot move, so by
+    Campbell's theorem the mean is E[c min(D_k + rd, R + rd)^n], c =
+    lambda_p v_n, with F the paper's kth contact (Palm: NND) CDF of D_k:
+
+        c rd^n + integral_0^R n c (r + rd)^(n-1) (1 - F(r)) dr,
+
+    by analytic's 64-node Gauss-Legendre rule on [0, end]: end is R or the
+    first doubling, from the Poisson radius of that tail, where 1 - F falls
+    below _MEAN_TAIL.
     """
-    window = observation_radius + p.rd
-    log_rho = (math.log(max_k) - math.log(p.mbar) - math.log(p.lambda_p)
-               - math.log(unit_ball_volume(p.n))) / p.n
-    edge = min(math.exp(min(log_rho, math.log(window))) + 2.0 * p.rd, window)
-    return max(_parents_within(p, edge), min(1.0, _parents_within(p, window)))
+    kind = CurveKind.NND if palm else CurveKind.CONTACT
+    end = min(observation_radius, _count_radius(float(gammainccinv(max_k, _MEAN_TAIL)), p))
+    while end < observation_radius and cdf_table(kind, [end], [max_k], p)[0, 0] < 1.0 - _MEAN_TAIL:
+        end = min(2.0 * end, observation_radius)
+    r = end * _U
+    tail = 1.0 - cdf_table(kind, r, [max_k], p)[0]
+    shells = p.n / (r + p.rd) * _parents_within(p, r + p.rd)
+    return float(_parents_within(p, p.rd) + 0.5 * end * np.sum(_gl_weights * shells * tail))
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,8 @@ class SimConfig:
     samples: int
     seed: int
     max_k: int
+    # The mean points one run draws, stationary and Palm.
+    mean_points: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # SeedSequence takes any nonnegative integer; anything else would
@@ -141,23 +152,27 @@ class SimConfig:
         if self.samples * self.max_k > MAX_DISTANCES:
             raise ValueError(f"samples x max_k = {self.samples * self.max_k} exceeds the cap "
                              f"of {MAX_DISTANCES} distances")
-        mean = self._mean_points(palm=True)
-        if mean > MAX_MEAN_POINTS:
+        # A run draws one volume gap past its last parent that draws
+        # daughters, and a gap, a count and mbar daughters for each of them
+        # and for the Palm own cluster.  The parents within rd always draw:
+        # a floor that needs no CDF.
+        def points(parents):
+            return tuple(1.0 + (parents[palm] + palm) * (1.0 + p.mbar) for palm in (0, 1))
+
+        means = points([float(_parents_within(p, p.rd))] * 2)
+        if max(means) <= MAX_MEAN_POINTS:
+            means = points([_mean_parents(p, self.observation_radius, self.max_k, palm)
+                            for palm in (False, True)])
+        if max(means) > MAX_MEAN_POINTS:
             raise ValueError(
-                f"one run would draw {mean:.3g} points on average (kept parents, their "
+                f"one run would draw {max(means):.3g} points on average (its parents, their "
                 f"daughters and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
             )
-
-    def _mean_points(self, palm: bool) -> float:
-        # The parents a run keeps and one more, the kept parents' daughters,
-        # and under Palm the mbar siblings; see _drawn_parents.
-        p = self.params
-        mean = 1.0 + _drawn_parents(p, self.observation_radius, self.max_k) * (1.0 + p.mbar)
-        return mean + p.mbar if palm else mean
+        object.__setattr__(self, "mean_points", means)
 
     def runs_per_block(self, palm: bool = False) -> int:
         """Runs simulated together: about _BLOCK_POINTS drawn points per block."""
-        return int(max(1.0, _BLOCK_POINTS // self._mean_points(palm)))
+        return int(max(1.0, _BLOCK_POINTS // self.mean_points[palm]))
 
 
 def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -185,153 +200,125 @@ def _daughter_points(rng, n: int, rd: float, radii: np.ndarray, daughters: np.nd
     return points
 
 
-def _radial_parents(draw, runs: int, m: int, v_max: float, outer: float, n: int, rd: float,
-                    max_k: int, own=None):
-    """Each run's kept parents, drawn in order of distance from the origin.
-
-    Ranked by distance, the parents of a Poisson process sit at volumes
-    v = lambda_p v_n r^n that form a unit-rate Poisson process on the line,
-    so draw(rows, m) gives, for each run in rows, the (len(rows), m) volume
-    gaps and daughter counts of its next m parents outward.  Parents are
-    kept only inside the window, v <= v_max, whose edge has radius outer.
-    The first parent at which a run's running daughter count reaches max_k
-    has radius rho; a parent with r - rd > rho + rd places every daughter
-    beyond the run's max_k nearest points, so it is dropped, and
-    _KEEP_MARGIN widens the reach rho + rd over the rounding of computed
-    distances.  Runs with fewer than max_k points in the window keep every
-    parent of the window (a rho found past the window edge keeps them all
-    too, so counts past it need no mask).
-
-    own is None or the Palm own clusters, (radii <= rd, counts) per run:
-    each joins its run's running count at its radius and is always kept.
-
-    Radii come out sorted, so the kept parents are a prefix of each run's
-    parents, and a run is done once its last drawn parent is not kept.
-    The first round draws m parents per run; the runs left draw rounds of
-    ceil(sqrt(m)) parents, the spread of a Poisson count of mean m, then
-    three times as many each round.  Returns the kept parents' (run,
-    radius, daughter count), run by run, each run's own cluster first and
-    then its parents outward.
-    """
-    reach = np.full(runs, np.inf)
-    last = np.zeros(runs)  # volume of each run's last drawn parent
-    total = np.zeros(runs, dtype=np.int64)  # daughters of its parents so far
-    kept = np.full(runs, int(own is not None))
-    # A window too small for double precision holds no parent.
-    scale = max(v_max, np.finfo(float).tiny)
-    step = math.ceil(math.sqrt(m))
-    active = np.arange(runs)
-    rounds = []
-    while active.size:
-        gaps, counts = draw(active, m)
-        # Adding the last volume to the first gap, not to every cumulative
-        # sum, gives the same bits as one cumulative sum over all rounds.
-        gaps[:, 0] += last[active]
-        v = np.cumsum(gaps, axis=1, out=gaps)
-        radii = outer * (np.minimum(v, v_max) / scale) ** (1.0 / n)
-        running = np.cumsum(counts, axis=1) + total[active, np.newaxis]
-        if own is not None:
-            own_r, own_c = own[0][active], own[1][active]
-            running += own_c[:, np.newaxis] * (own_r[:, np.newaxis] <= radii)
-        hit = running >= max_k
-        rows, j = np.arange(active.size), hit.argmax(axis=1)
-        rho = radii[rows, j]
-        if own is not None:
-            # Counts already at max_k before parent j came from the own
-            # cluster, which joined between parent j - 1 and parent j.
-            rho = np.where(running[rows, j] - counts[rows, j] >= max_k, own_r, rho)
-        found = hit[:, -1] & np.isinf(reach[active])
-        reach[active[found]] = rho[found] + rd
-        total[active] += counts.sum(axis=1)
-        keep = (v <= v_max) & (radii - rd <= (reach[active] * (1.0 + _KEEP_MARGIN))[:, np.newaxis])
-        at, col = np.nonzero(keep)
-        owner = active[at]
-        rounds.append((owner, kept[owner] + col, radii[keep], counts[keep]))
-        kept[active] += keep.sum(axis=1)
-        last[active] = v[:, -1]
-        active = active[keep[:, -1]]
-        m, step = step, 3 * step
-    starts = np.cumsum(kept) - kept
-    radii = np.empty(int(kept.sum()))
-    counts = np.empty(radii.size, dtype=np.int64)
-    if own is not None:
-        radii[starts], counts[starts] = own
-    for owner, pos, r, c in rounds:
-        radii[starts[owner] + pos] = r
-        counts[starts[owner] + pos] = c
-    return np.repeat(np.arange(runs), kept), radii, counts
-
-
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool):
-    """cfg.runs_per_block(palm) independent realizations as (points, counts).
-
-    points is (N, n) with each run's points contiguous and in run order;
-    counts[i] is the number of points of run i.  Points are in their
-    parent's frame (_daughter_points): only their distances are meaningful.
-
-    Stationary: parents form a Poisson process in the ball of radius
-    observation_radius + rd, since any parent farther out cannot place a
-    daughter inside the observation window; parents themselves are not
-    points of the process.  Palm adds to each run the typical point's own
-    cluster: the cluster center sits at -u for u uniform in the cluster
-    ball, and the Poisson(mbar) siblings are uniform around it.  The
-    typical point itself is excluded.
-
-    Under Palm the own clusters' |u| and sibling counts are drawn first.
-    Then each run draws its parents outward in rounds, a volume gap and a
-    daughter count each, until no further parent can hold one of its
-    max_k nearest points or the window ends (see _radial_parents); the
-    first round draws about as many parents as a run keeps.  Only the kept
-    parents, the own cluster as one more at radius |u|, then draw daughter
-    offsets, so each run holds its max_k nearest points but not all of them.
-    """
-    p, runs, max_k = cfg.params, cfg.runs_per_block(palm), cfg.max_k
-    own = (p.rd * rng.random(runs) ** (1.0 / p.n), rng.poisson(p.mbar, size=runs)) if palm else None
-
-    def draw(rows, m):
-        return rng.standard_exponential((rows.size, m)), rng.poisson(p.mbar, size=(rows.size, m))
-
-    owner, radii, daughters = _radial_parents(
-        draw, runs, math.ceil(_drawn_parents(p, cfg.observation_radius, max_k)) + 1,
-        _parents_within(p, cfg.observation_radius + p.rd), cfg.observation_radius + p.rd,
-        p.n, p.rd, max_k, own)
-    counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
-    return _daughter_points(rng, p.n, p.rd, radii, daughters), counts
-
-
-def _select_block(points: np.ndarray, counts: np.ndarray, max_k: int) -> np.ndarray:
-    """Sorted distances to the up to max_k closest points of every run.
-
-    Returns (runs, width) with width = min(max_k, largest count); rows of
-    runs with fewer points are inf-padded.  Squared distances are scattered
-    into an inf-padded runs x largest-count table, partitioned and sorted
-    along each row, and square-rooted last (sqrt is monotone, so this picks
-    the same values).  Runs are split in halves while the table would
-    exceed _TABLE_CELLS cells, so one crowded run cannot blow it up.
-    """
-    width = int(counts.max(initial=0))
-    if counts.size > 1 and counts.size * width > _TABLE_CELLS:
-        half = counts.size // 2
-        cut = int(counts[:half].sum())
-        parts = (_select_block(points[:cut], counts[:half], max_k),
-                 _select_block(points[cut:], counts[half:], max_k))
-        out = np.full((counts.size, max(part.shape[1] for part in parts)), np.inf)
-        out[:half, : parts[0].shape[1]] = parts[0]
-        out[half:, : parts[1].shape[1]] = parts[1]
-        return out
+def _squared_norms(points: np.ndarray) -> np.ndarray:
     # Coordinates are summed in a fixed order, so a point's distance does
-    # not depend on what else is in the block.
+    # not depend on what else is drawn with it.
     d2 = np.zeros(points.shape[0])
     for column in points.T:
         d2 += column * column
-    run = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    table = np.full((counts.size, width), np.inf)
-    table[run, np.arange(d2.size) - starts[run]] = d2
-    if width > max_k:
-        table = np.partition(table, max_k - 1, axis=1)[:, :max_k]
-    table.sort(axis=1)
-    return np.sqrt(table)
+    return d2
+
+
+def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: float,
+             max_k: int, own=None):
+    """Squared distances to each run's max_k nearest points, drawing parents outward.
+
+    Ranked by distance, the parents of a Poisson process sit at volumes
+    v = lambda_p v_n r^n that form a unit-rate Poisson process on the line:
+    gaps(rows, m) gives the (len(rows), m) volume gaps of the next m
+    parents of each run in rows; the window ends at v_max, radius outer.
+    clusters(radii) gives the daughters' squared distances, parent by
+    parent, and their counts; own is None or the Palm own clusters' radii.
+
+    A run's reach is d_k, the kth of its running max_k smallest distances
+    (inf while it has fewer): a parent with r - rd > d_k, and every parent
+    after it, places each daughter beyond them (_KEEP_MARGIN covers
+    rounding).  Each round draws as many parents per active run as it has
+    drawn so far (one at first); those inside the window and the reach at
+    the round's start draw clusters, merged in by _select_block, and a run
+    is done at its first parent past either.  Returns the (runs, max_k)
+    table, inf-padded, each row's largest entry last, and the daughters
+    each run drew.
+    """
+    table = np.full((runs, max_k), np.inf)
+    drawn = np.zeros(runs, dtype=np.int64)
+
+    def merge(rows, owner, radii):
+        d2, counts = clusters(radii)
+        per_run = np.bincount(owner, weights=counts, minlength=rows.size).astype(np.int64)
+        drawn[rows] += per_run
+        got = per_run > 0  # only these rows can change
+        table[rows[got]] = _select_block(d2, per_run[got], table[rows[got]])
+
+    if own is not None:
+        merge(np.arange(runs), np.arange(runs), own)
+    last = np.zeros(runs)  # volume of each run's last drawn parent
+    # A window too small for double precision holds no parent.
+    scale = max(v_max, np.finfo(float).tiny)
+    active, m, total = np.arange(runs), 1, 0
+    while active.size:
+        g = gaps(active, m)
+        # Adding the last volume to the first gap, not to every cumulative
+        # sum, gives the same bits as one cumulative sum over all rounds.
+        g[:, 0] += last[active]
+        v = np.cumsum(g, axis=1, out=g)
+        radii = outer * (np.minimum(v, v_max) / scale) ** (1.0 / n)
+        reach = np.sqrt(table[active, -1]) * (1.0 + _KEEP_MARGIN)
+        keep = (v <= v_max) & (radii - rd <= reach[:, np.newaxis])
+        merge(active, np.nonzero(keep)[0], radii[keep])
+        last[active] = v[:, -1]
+        active = active[keep[:, -1]]
+        total += m
+        m = total
+    return table, drawn
+
+
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool, out=None):
+    """Draw cfg.runs_per_block(palm) independent runs (see _nearest).
+
+    Stationary: parents form a Poisson process in the ball of radius
+    observation_radius + rd, since any parent farther out cannot place a
+    daughter inside the observation window; parents are not points of the
+    process.  Palm first draws each run's own cluster, which holds the
+    typical point (excluded): its center sits at -u for u uniform in the
+    cluster ball, with Poisson(mbar) siblings uniform around it.
+
+    Returns (points, counts): the daughters drawn, (N, n) in draw order and
+    each in its parent's frame (only distances are meaningful), and the
+    number drawn for each run.  With out given, the sorted distances to the
+    max_k nearest points of its first len(out) runs go there, inf-padded.
+    """
+    p, runs = cfg.params, cfg.runs_per_block(palm)
+    own = p.rd * rng.random(runs) ** (1.0 / p.n) if palm else None
+    points = []
+
+    def clusters(radii):
+        counts = rng.poisson(p.mbar, size=radii.size)
+        points.append(_daughter_points(rng, p.n, p.rd, radii, counts))
+        return _squared_norms(points[-1]), counts
+
+    window = cfg.observation_radius + p.rd
+    table, counts = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
+                             runs, float(_parents_within(p, window)), window, p.n, p.rd,
+                             cfg.max_k, own)
+    if out is not None:
+        np.sqrt(np.sort(table[: len(out)], axis=1), out=out)
+    return np.concatenate(points) if points else np.empty((0, p.n)), counts
+
+
+def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Merge d2, counts[i] new squared distances of run i, run by run, into table.
+
+    Each row of the (runs, max_k) table holds a run's max_k smallest so
+    far, inf-padded, its largest last, and so does the returned one: the
+    new values go beside the old rows in an inf-padded runs x (max_k +
+    largest count) table, partitioned at max_k - 1 along each row.  Runs
+    are split in halves while that table would exceed _TABLE_CELLS cells,
+    so one crowded run cannot blow it up.
+    """
+    runs, max_k = table.shape
+    width = max_k + int(counts.max(initial=0))
+    if runs > 1 and runs * width > _TABLE_CELLS:
+        half = runs // 2
+        cut = int(counts[:half].sum())
+        return np.concatenate((_select_block(d2[:cut], counts[:half], table[:half]),
+                               _select_block(d2[cut:], counts[half:], table[half:])))
+    work = np.full((runs, width), np.inf)
+    work[:, :max_k] = table
+    # Flat index of each run's first new value, less its start in d2.
+    offset = np.arange(runs) * width + max_k - (np.cumsum(counts) - counts)
+    work.reshape(-1)[np.arange(d2.size) + np.repeat(offset, counts)] = d2
+    return np.partition(work, max_k - 1, axis=1)[:, :max_k]
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -357,7 +344,7 @@ def simulate_kth_distances(
     the points a run draws; block b draws from substream (seed, stream, b),
     and its last rows are dropped when samples ends inside it.  Each run
     draws only the parents that can hold one of its max_k nearest points
-    (see _radial_parents), so row i depends only on
+    (see _nearest), so row i depends only on
     (params, window, seed, max_k, i): output is bit-identical for any
     worker count and for repeated calls, a larger samples extends the same
     rows, and a different max_k draws different rows of the same law.
@@ -366,15 +353,12 @@ def simulate_kth_distances(
     """
     stream = _PALM_STREAM if palm else _STATIONARY_STREAM
     block_runs = cfg.runs_per_block(palm)
-    out = np.full((cfg.samples, cfg.max_k), np.inf)
+    out = np.empty((cfg.samples, cfg.max_k))
 
     def block(b: int) -> None:
         lo = b * block_runs
-        hi = min(lo + block_runs, cfg.samples)
-        rng = _substream(cfg.seed, stream, b)
-        points, counts = _sample_block(cfg, rng, palm)
-        rows = _select_block(points, counts, cfg.max_k)[: hi - lo]
-        out[lo:hi, : rows.shape[1]] = rows
+        _sample_block(cfg, _substream(cfg.seed, stream, b), palm,
+                      out[lo : min(lo + block_runs, cfg.samples)])
 
     n_blocks = -(-cfg.samples // block_runs)
     # More threads than cores or blocks would only wait.
@@ -470,26 +454,33 @@ class ValidationRow:
         return self.ks <= self.threshold
 
 
+class ValidationReport(list):
+    """A validation run's ValidationRows, one per (kind, k), with the stationary
+    (samples, max_k) kth distances they came from and their window radius."""
+
+    def __init__(self, rows, stationary: np.ndarray, observation_radius: float):
+        super().__init__(rows)
+        self.stationary, self.observation_radius = stationary, observation_radius
+
+
 def validate_against_analytic(
     p: McpParams,
     k_values: Sequence[int],
     samples: int,
     seed: int,
     r_max: float | None = None,
-    dump: str | os.PathLike | None = None,
-) -> list[ValidationRow]:
+) -> ValidationReport:
     """Run the simulator against the analytic CDFs for every requested k.
 
     Returns one row per (kind, k) with the KS distance and its DKW-based
     threshold, which assumes an exact reference: each kind's reference
     curves span its sampled distances, on a grid from 0 to the largest
-    in-window one.  Raises CensoringError if more than 1% of runs end
-    beyond the observation window.  The orders are checked (a range by its
-    last order), then both windows (r_max, or each kind's CDF tail radius)
-    and both SimConfigs, before any sampling.  If dump is a path, the
-    stationary runs' kth distances are written there with
-    write_raw_samples once both passes have their rows.  The simulations
-    run on MCPDIST_THREADS worker threads (default 1).
+    in-window one.  The report also holds the stationary kth distances.
+    Raises CensoringError if more than 1% of runs end beyond the
+    observation window.  The orders are checked (a range by its last
+    order), then both windows (r_max, or each kind's CDF tail radius) and
+    both SimConfigs, before any sampling.  The simulations run on
+    MCPDIST_THREADS worker threads (default 1).
     """
     _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
@@ -505,7 +496,7 @@ def validate_against_analytic(
         palm = kind is CurveKind.NND
         radius = cfg.observation_radius
         distances = simulate_kth_distances(cfg, palm=palm)
-        if dump is not None and not palm:
+        if not palm:
             stationary = distances
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
@@ -515,10 +506,7 @@ def validate_against_analytic(
             ks = ks_distance(ecdf, curve)
             rows.append(ValidationRow("nnd" if palm else "cd", curve.k, ks, threshold,
                                       ecdf.censored_fraction()))
-    if dump is not None:
-        with open(dump, "w", newline="") as stream:
-            write_raw_samples(stream, stationary, configs[CurveKind.CONTACT].observation_radius)
-    return rows
+    return ValidationReport(rows, stationary, configs[CurveKind.CONTACT].observation_radius)
 
 
 def write_raw_samples(stream, distances: np.ndarray, observation_radius: float) -> None:

@@ -360,6 +360,27 @@ class TestFailFast:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_high_dimensional_run_fits_the_point_cap(self, capsys):
+        # At n = 20 a stationary run draws about 5.5e4 points on average: the
+        # parents within rd of its kth distance and their daughters, not
+        # the window's.
+        code, out, err = run_cli(capsys, "validate", "--k-max", "4", "--samples", "200", "--seed",
+                                 "1", "--n", "20", "--lambda-p", "1e-3", "--mbar", "5", "--rd", "1")
+        assert code == 0 and err == "" and out.endswith("overall=pass\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # the CDF that prices a run is not finite at n = 400
+        (["--n", "400", "--lambda-p", "1e-3", "--mbar", "5", "--rd", "1", "--r-max", "10"],
+         "CDF for k=2 at r="),
+        # each Palm run draws its own cluster's ~1e300 siblings
+        (["--lambda-p", "2e-5", "--mbar", "1e300", "--rd", "50", "--r-max", "10"],
+         "points on average"),
+    ])
+    def test_unpriceable_runs_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "validate", "--k-max", "2", "--samples", "20", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
     def test_huge_k_max_exits_2_before_any_k_list(self, capsys):
         # The range of orders 1..k_max is checked by its last order before
         # any list of them is built, and the message names it (the fuzz
@@ -417,22 +438,23 @@ class TestFailFast:
 
 
 _SENTINEL = b"sentinel: an existing file keeps these bytes\n"
-_OUTPUT, _DUMP = "<output>", "<dump>"
+_OUTPUT, _DUMP, _MISSING = "<output>", "<dump>", "<missing>"
 
 
 @contextlib.contextmanager
 def _sentinel_files():
-    """Paths for the _OUTPUT and _DUMP placeholders, each pre-filled with _SENTINEL."""
+    """Paths for the _OUTPUT and _DUMP placeholders, each pre-filled with
+    _SENTINEL, and for _MISSING, in a directory that does not exist."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {_OUTPUT: os.path.join(tmp, "out.csv"), _DUMP: os.path.join(tmp, "dump.csv")}
         for path in paths.values():
             with open(path, "wb") as fh:
                 fh.write(_SENTINEL)
-        yield paths
+        yield {**paths, _MISSING: os.path.join(tmp, "missing", "out.csv")}
 
 
 def _unchanged(paths) -> bool:
-    return all(pathlib.Path(path).read_bytes() == _SENTINEL for path in paths.values())
+    return all(pathlib.Path(paths[name]).read_bytes() == _SENTINEL for name in (_OUTPUT, _DUMP))
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -442,10 +464,15 @@ def _unchanged(paths) -> bool:
     (["validate", "--seed", "-1", "--samples", "100", *FIG1_ARGS, "--dump-samples", _DUMP], 2),
     (["validate", "--k-max", "4", "--samples", "500", "--seed", "1", "--r-max", "30", *FIG1_ARGS,
       "-o", _OUTPUT, "--dump-samples", _DUMP], 4),
+    (["validate", "--samples", "50", "--seed", "3", *FIG1_ARGS, "-o", _MISSING,
+      "--dump-samples", _DUMP], 2),
+    (["validate", "--samples", "50", "--seed", "3", *FIG1_ARGS, "-o", _OUTPUT,
+      "--dump-samples", _MISSING], 2),
 ])
 def test_failed_command_writes_nothing(capsys, argv, expected):
     # These once truncated the output or dump file, wrote the header, or
-    # left a full dump beside an empty report.
+    # left a full dump beside an empty report, or (an --output path that
+    # cannot be opened) a full dump and no report.
     with _sentinel_files() as paths:
         code, out, err = run_cli(capsys, *[paths.get(arg, arg) for arg in argv])
         assert code == expected and out == ""

@@ -22,10 +22,11 @@ from mcpdist import (
     simulate_kth_distances,
 )
 from mcpdist import simulator
-from mcpdist.analytic import CurveKind, distribution_curve
+from mcpdist.analytic import CurveKind, cdf_table, distribution_curve, quantile_radius
 from mcpdist.simulator import (
     _KEEP_MARGIN,
     KS_THRESHOLD_FACTOR,
+    _mean_parents,
     _substream,
     validate_against_analytic,
 )
@@ -64,37 +65,6 @@ class CountingRng:
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
-
-
-def _kept_parents(owner, radii, counts, runs: int, rd: float, max_k: int) -> np.ndarray:
-    """Mask of the parents that can place a point among their run's max_k nearest.
-
-    owner, radii and counts give each parent's run, distance from the
-    origin and daughter count.  Ranked by radius within its run, the first
-    parents whose counts reach max_k hold max_k points within B = rho + rd
-    of the origin, rho the radius of the last of them; a parent with
-    rho - rd > B places every daughter beyond B, so it is dropped.  Runs
-    with fewer than max_k points keep every parent, and a parent within rd
-    of the origin (the Palm own cluster among them) is always kept.
-    _KEEP_MARGIN widens B over the rounding of computed distances.
-    """
-    order = np.argsort(radii)
-    # Run ids in the smallest unsigned type: numpy sorts 8- and 16-bit keys
-    # stably by radix, several times faster than int64 keys.
-    run_ids = owner.astype(np.min_scalar_type(runs))
-    order = order[np.argsort(run_ids[order], kind="stable")]
-    run = owner[order]
-    per_run = np.bincount(run, minlength=runs)
-    starts = np.cumsum(per_run) - per_run
-    running = np.cumsum(counts[order])
-    before = np.concatenate(([0], running))[starts]
-    # Running counts only grow within a run, so the parents still short of
-    # max_k come first and their number is the rank of the run's j*.
-    short = np.bincount(run[running - before[run] < max_k], minlength=runs)
-    reach = np.full(runs, np.inf)
-    full = short < per_run
-    reach[full] = radii[order[starts[full] + short[full]]] + rd
-    return radii - rd <= reach[owner] * (1.0 + _KEEP_MARGIN)
 
 
 class TestUniformBall:
@@ -356,12 +326,10 @@ class TestValidationHarness:
 
 def kth_distances(sample, max_k):
     """Distances from the origin to the max_k closest points of one run,
-    inf-padded, through the block selection the simulator uses."""
-    sample = np.asarray(sample, dtype=float)
-    row = simulator._select_block(sample, np.array([len(sample)]), max_k)[0]
-    out = np.full(max_k, np.inf)
-    out[: row.size] = row
-    return out
+    inf-padded, through the merge the simulator uses."""
+    d2 = simulator._squared_norms(np.asarray(sample, dtype=float))
+    table = simulator._select_block(d2, np.array([d2.size]), np.full((1, max_k), np.inf))
+    return np.sqrt(np.sort(table[0]))
 
 
 class TestKthDistances:
@@ -394,7 +362,8 @@ class TestBlockPath:
     def test_block_selection_matches_per_run(self, counts, n, max_k, seed, tie):
         # empty runs, runs shorter than max_k and a split selection table
         # all give exactly the run-by-run oracle: squares summed in column
-        # order, sorted, square-rooted and inf-padded to max_k
+        # order, sorted, square-rooted and inf-padded to max_k.  The merge
+        # gets each run's distances at once, or in two halves.
         rng = rng_for(seed)
         counts = np.array(counts)
         points = rng.normal(size=(int(counts.sum()), n)) * rng.uniform(0.1, 100.0)
@@ -408,120 +377,165 @@ class TestBlockPath:
                 d2 += column * column
             nearest = np.sqrt(np.sort(d2))[:max_k]
             row[: nearest.size] = nearest
+        d2 = simulator._squared_norms(points)
+        first = np.arange(d2.size) - np.repeat(starts, counts) < np.repeat(counts // 2, counts)
         for cells in (simulator._TABLE_CELLS, 1):
             with patch.object(simulator, "_TABLE_CELLS", cells):
-                rows = simulator._select_block(points, counts, max_k)
-            assert rows.shape[0] == counts.size and rows.shape[1] <= max_k
-            padded = np.full((counts.size, max_k), np.inf)
-            padded[:, : rows.shape[1]] = rows
-            assert padded.tobytes() == expected.tobytes()
+                empty = np.full((counts.size, max_k), np.inf)
+                whole = simulator._select_block(d2, counts, empty)
+                halves = simulator._select_block(d2[first], counts // 2, empty)
+                halves = simulator._select_block(d2[~first], counts - counts // 2, halves)
+            for table in (whole, halves):
+                assert np.sqrt(np.sort(table, axis=1)).tobytes() == expected.tobytes()
 
     @given(
         parents=st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from((0.0, 0.5, 1.0, 3.0)) | st.floats(0.0, 6.0, allow_subnormal=False),
-                    st.integers(0, 4),
-                ),
-                max_size=10,
-            ),
+            st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0))
+                     | st.floats(0.0, 6.0, allow_subnormal=False), max_size=10),
             min_size=4, max_size=4,
         ),
-        own=st.none() | st.lists(st.tuples(st.floats(0.0, 2.0), st.integers(0, 4)),
-                                 min_size=4, max_size=4),
+        own=st.none() | st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
         window=st.sampled_from((5.0, 12.0)) | st.floats(0.5, 40.0),
         radial=st.booleans(),
         n=st.integers(1, 3),
         max_k=st.integers(1, 6),
-        m=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(parents=[[(1.0, 4), (3.9999, 1)], [], [], []], own=None, window=12.0, radial=True,
-             n=1, max_k=4, m=1, seed=0)
-    @example(parents=[[(3.0, 0), (3.0, 1)], [(3.0, 3), (3.0, 2)], [], [(13.0, 0)]],
-             own=[(1.0, 4), (1.0, 1), (0.0, 0), (2.0, 4)], window=12.0, radial=False, n=1,
-             max_k=4, m=2, seed=0)
+    @example(parents=[[1.0, 3.9999], [], [], []], own=None, window=12.0, radial=True, n=1,
+             max_k=4, seed=0)
+    @example(parents=[[3.0, 0.0], [3.0, 0.0], [], [13.0]], own=[1.0, 1.0, 0.0, 2.0], window=12.0,
+             radial=False, n=1, max_k=4, seed=0)
     @settings(max_examples=200)
-    def test_radial_rounds_keep_the_oracle_parents(self, parents, own, window, radial, n, max_k,
-                                                    m, seed):
-        # Four runs of (volume gap, daughters) parent sequences with rd = 2
-        # and unit intensity, so a parent at volume v has radius v^(1/n):
-        # radius ties, zero-count parents, runs short of max_k, a window
-        # edge inside a round, and with own the Palm own cluster of each run
-        # (radius <= rd), which can be the parent that reaches max_k (run 0
-        # of the second example, whose parent at 6 is dropped).  Each
-        # sequence ends with a parent of 4 daughters past the window.  The
-        # rounds must keep exactly the parents that the reference
-        # _kept_parents keeps among the window's parents, and stop in the
-        # round that holds a run's first dropped parent.  radial puts the
-        # daughters on the parent's line at distance rd, alternately inward
-        # and outward, so points of kept and dropped parents meet at the
-        # reach; in the example a point of the parent at 4.9999 lies just
-        # inside the fourth distance, 3.
+    def test_rounds_match_the_full_window_oracle(self, parents, own, window, radial, n, max_k,
+                                                  seed):
+        # Four runs of volume-gap sequences with rd = 2 and unit intensity,
+        # so a parent at volume v has radius v^(1/n): radius ties, runs short
+        # of max_k, a window edge inside a round, and with own the Palm own
+        # cluster of each run (radius <= rd).  Each sequence ends with a gap
+        # past the window, then unit gaps.  A parent's daughters, 0 to 4,
+        # are a function of its radius alone, so the oracle, which draws
+        # every parent of the window through the same callbacks and sorts
+        # all their distances, sees the same points as the rounds.  radial
+        # puts them on the parent's line at distance rd, alternately inward
+        # and outward, so points of parents that draw and of parents that
+        # do not meet at the reach.
         runs, rd = 4, 2.0
-        gaps = [np.array([gap for gap, _ in run] + [window + 1.0]) for run in parents]
-        counts = [np.array([count for _, count in run] + [4], dtype=np.int64) for run in parents]
+        sequences = [np.array(run + [window + 1.0]) for run in parents]
+
+        def gaps_of(drawn):
+            def gaps(rows, m):
+                g = np.ones((rows.size, m))
+                for i, run in enumerate(rows):
+                    part = sequences[run][drawn[run] : drawn[run] + m]
+                    g[i, : part.size] = part
+                    drawn[run] += m
+                return g
+            return gaps
+
+        def clusters(radii):
+            counts, points = np.zeros(radii.size, dtype=np.int64), [np.zeros((0, n))]
+            for i, radius in enumerate(radii):
+                rng = rng_for([seed, *np.array([radius]).view(np.uint32)])
+                counts[i] = rng.integers(0, 5)
+                if radial:
+                    line = np.zeros((counts[i], n))
+                    line[:, 0] = radius + rd * np.where(np.arange(counts[i]) % 2, 1.0, -1.0)
+                    points.append(line)
+                else:
+                    points.append(simulator._daughter_points(rng, n, rd, radii[i : i + 1],
+                                                             counts[i : i + 1]))
+            return simulator._squared_norms(np.concatenate(points)), counts
+
         drawn = np.zeros(runs, dtype=np.int64)
+        outer = window ** (1.0 / n)
+        table, _ = simulator._nearest(gaps_of(drawn), clusters, runs, window, outer, n, rd, max_k,
+                                      None if own is None else np.array(own))
+        rows = np.sqrt(np.sort(table, axis=1))
 
-        def draw(rows, size):
-            g = np.full((rows.size, size), 1.0)
-            c = np.zeros((rows.size, size), dtype=np.int64)
-            for i, run in enumerate(rows):
-                part = slice(drawn[run], drawn[run] + size)
-                g[i, : gaps[run][part].size] = gaps[run][part]
-                c[i, : counts[run][part].size] = counts[run][part]
-                drawn[run] += size
-            return g, c
-
-        own_arrays = None if own is None else (
-            np.array([radius for radius, _ in own]), np.array([count for _, count in own]))
-        got = simulator._radial_parents(draw, runs, m, window, window ** (1.0 / n), n, rd, max_k,
-                                        own_arrays)
-
-        # The window's parents, each run's own cluster first.
-        owner, radii, daughters = [], [], []
+        # Rounds of 1, 1, 2, 4, ... parents end after 1, 2, 4, 8, ... of them.
+        ends = 2 ** np.arange(12)
+        oracle_drawn = np.zeros(runs, dtype=np.int64)
         for run in range(runs):
-            v = np.cumsum(gaps[run])
-            inside = v <= window
-            if own is not None:
-                owner.append(run), radii.append(own[run][0]), daughters.append(own[run][1])
-            owner += [run] * int(inside.sum())
-            radii += list(v[inside] ** (1.0 / n))
-            daughters += list(counts[run][inside])
-        owner = np.array(owner, dtype=np.int64)
-        radii, daughters = np.array(radii, dtype=float), np.array(daughters, dtype=np.int64)
-        keep = _kept_parents(owner, radii, daughters, runs, rd, max_k)
-        assert np.array_equal(got[0], owner[keep])
-        assert np.array_equal(got[2], daughters[keep])
-        np.testing.assert_allclose(got[1], radii[keep], rtol=1e-12, atol=0.0)
+            v = np.cumsum(gaps_of(oracle_drawn)(np.array([run]), 64)[0])
+            radii = outer * (np.minimum(v, window) / window) ** (1.0 / n)
+            inside = radii[v <= window]
+            d2, _ = clusters(inside if own is None else np.concatenate(([own[run]], inside)))
+            expected = np.full(max_k, np.inf)
+            nearest = np.sqrt(np.sort(d2))[:max_k]
+            expected[: nearest.size] = nearest
+            assert rows[run].tobytes() == expected.tobytes()
+            # A run stops in the round of its first parent past the window
+            # or past the reach of its kth distance, or in the next round.
+            past = (v > window) | (radii - rd > expected[-1] * (1.0 + _KEEP_MARGIN))
+            first_end = ends[ends > np.argmax(past)][0]
+            assert drawn[run] in (first_end, 2 * first_end)
 
-        # Rounds of m, then s = ceil(sqrt(m)), 3 s, 9 s, ... parents.
-        step, ends = math.ceil(math.sqrt(m)), [m]
-        while ends[-1] < 100:
-            ends.append(ends[-1] + step)
-            step *= 3
-        first_dropped = np.bincount(owner[keep], minlength=runs) - (own is not None)
-        for run in range(runs):
-            assert drawn[run] == next(end for end in ends if end > first_dropped[run])
+    def test_blocks_draw_counts_only_for_parents_that_draw_daughters(self, fig1_params,
+                                                                     monkeypatch):
+        # Every Poisson count drawn belongs to a parent that also draws its
+        # daughters' offsets, or under Palm to a run's own cluster.  The
+        # count-based reach drew about 5.7 counts per stationary run at
+        # fig1, where 3.5 parents drew daughters.
+        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
+        offsets, daughter_points = [], simulator._daughter_points
 
-        # Each parent sits on the first axis of its own frame, as in the
-        # sampler.
-        if radial:
-            inward_first = np.where(np.arange(daughters.sum()) % 2, 1.0, -1.0)
-            points = np.zeros((int(daughters.sum()), n))
-            points[:, 0] = np.repeat(radii, daughters) + rd * inward_first
-        else:
-            points = simulator._daughter_points(rng_for(seed), n, rd, radii, daughters)
-        kept_points = points[np.repeat(keep, daughters)]
-        kept_counts = np.bincount(owner[keep], weights=daughters[keep], minlength=runs).astype(np.int64)
-        all_counts = np.bincount(owner, weights=daughters, minlength=runs).astype(np.int64)
-        rows = []
-        for pts, cnt in ((points, all_counts), (kept_points, kept_counts)):
-            selected = simulator._select_block(pts, cnt, max_k)
-            padded = np.full((runs, max_k), np.inf)
-            padded[:, : selected.shape[1]] = selected
-            rows.append(padded.tobytes())
-        assert rows[0] == rows[1]
+        def recorded(rng, n, rd, radii, daughters):
+            offsets.append(radii.size)
+            return daughter_points(rng, n, rd, radii, daughters)
+
+        monkeypatch.setattr(simulator, "_daughter_points", recorded)
+        for palm in (False, True):
+            offsets.clear()
+            runs = cfg.runs_per_block(palm)
+            rng = CountingRng(_substream(3, int(palm), 0))
+            simulator._sample_block(cfg, rng, palm)
+            own = runs if palm else 0  # the own clusters draw first
+            assert offsets[0] == runs or not palm
+            parents = sum(offsets) - own
+            assert rng.daughter_counts == parents + own
+            assert parents < 2.5 * runs
+
+    @pytest.mark.parametrize(
+        "p, max_k, blocks",
+        [
+            (McpParams(2e-5, 5.0, 50.0, 2), 4, 4),  # fig1
+            (McpParams(1e-3, 50.0, 5.0, 2), 8, 16),  # dense clusters
+            (McpParams(0.02, 3.0, 2.0, 5), 4, 40),
+        ],
+    )
+    def test_mean_parents_match_the_sampled_reach(self, p, max_k, blocks, monkeypatch):
+        # SimConfig prices a run by the mean number of parents in its window
+        # with r - rd < D_k, its kth distance (NND under Palm, the own cluster
+        # not counted).  The blocks' recorded volume gaps give each run's
+        # parents, and its rows D_k.  Validate's windows.
+        nearest, needed = simulator._nearest, []
+
+        def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k, own=None):
+            drawn = [[] for _ in range(runs)]
+
+            def recorded(rows, m):
+                g = gaps(rows, m)
+                for run, row in zip(rows, g):
+                    drawn[run].append(row.copy())
+                return g
+
+            table, daughters = nearest(recorded, clusters, runs, v_max, outer, n, rd, max_k, own)
+            d_k = np.sqrt(table[:, -1])
+            for run in range(runs):
+                v = np.cumsum(np.concatenate(drawn[run]))
+                radii = outer * (np.minimum(v, v_max) / v_max) ** (1.0 / n)
+                needed.append(int(((v <= v_max) & (radii - rd < d_k[run])).sum()))
+            return table, daughters
+
+        monkeypatch.setattr(simulator, "_nearest", recording)
+        for palm in (False, True):
+            radius = quantile_radius(CurveKind.NND if palm else CurveKind.CONTACT, max_k, p)
+            cfg = SimConfig(p, radius, 1, 0, max_k)
+            needed.clear()
+            for b in range(blocks):
+                simulator._sample_block(cfg, _substream(0, int(palm), b), palm)
+            se = np.std(needed, ddof=1) / math.sqrt(len(needed))
+            assert abs(np.mean(needed) - _mean_parents(p, radius, max_k, palm)) <= 4.0 * se
 
     def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
         # At fig1 with max_k = 4 a stationary run keeps about a fifth of the
@@ -553,22 +567,25 @@ class TestBlockPath:
         ],
     )
     def test_runs_draw_few_parents_in_few_rounds(self, p, radius, max_k):
-        # Every drawn parent costs a volume gap and a daughter count.  At
-        # fig1 with max_k = 4 a stationary run keeps about 3.5 of the 15.7
-        # parents of its window and must draw at most 6; every block draws
-        # in at most 4 rounds.  The windows are those of validate.
+        # Every drawn parent costs a volume gap; only those within the reach
+        # at the start of their round cost a daughter count and daughters,
+        # within 5 % of the mean of the parents a run needs.  At fig1 with
+        # max_k = 4 a stationary run needs 2.2 of the 15.7 parents of its
+        # window (the count-based reach drew 5.7).  Rounds of 1, 1, 2, 4, ...
+        # parents: a block ends within two rounds of its longest run.
+        # The windows are those of validate.
         cfg = SimConfig(p, radius, 1, 0, max_k)
         for palm in (False, True):
             runs = cfg.runs_per_block(palm)
             parents = []
             for b in range(10):
                 rng = CountingRng(_substream(0, int(palm), b))
-                simulator._sample_block(cfg, rng, palm)
-                assert rng.rounds <= 4
+                _, counts = simulator._sample_block(cfg, rng, palm)
+                longest = counts.max() / p.mbar
+                assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
                 # Under Palm, one count per run is the own cluster's.
                 parents.append(rng.daughter_counts / runs - palm)
-            if p.mbar == 5.0 and not palm:
-                assert np.mean(parents) <= 6.0
+            assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k, palm)
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params, monkeypatch):
         cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
@@ -581,12 +598,14 @@ class TestBlockPath:
             assert outputs[0] == outputs[1] == outputs[2]
 
     def test_more_samples_extend_the_same_rows(self, fig1_params):
+        # Within one block, across one block end and across two.
         for palm in (False, True):
+            block = SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm)
+            sizes = (block // 4, block + block // 3, 2 * block + block // 2)
             rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3), palm=palm)
-                    for samples in (300, 1200, 2500)]
-            assert 300 < SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm) < 1200
-            assert np.array_equal(rows[2][:1200], rows[1])
-            assert np.array_equal(rows[2][:300], rows[0])
+                    for samples in sizes]
+            assert np.array_equal(rows[2][: sizes[1]], rows[1])
+            assert np.array_equal(rows[2][: sizes[0]], rows[0])
 
     def test_runs_with_fewer_than_max_k_points_are_inf_padded(self):
         # no parents: stationary runs are empty, and Palm runs hold only the
@@ -598,29 +617,40 @@ class TestBlockPath:
         assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
 
     def test_block_size_follows_expected_points(self, fig1_params):
-        # A run draws the parents out to rho + 2 rd, where the parents within
-        # rho hold max_k = 1 daughters on average, one parent more, and the
-        # daughters of the parents it keeps.
+        # A run draws a volume gap, a count and mbar daughters for each
+        # parent with r - rd < D_k in its window and for its Palm own
+        # cluster, and one volume gap more.  The mean of those parents,
+        # E[c min(D_k + rd, R + rd)^n], against a Stieltjes sum over the CDF
+        # of D_k on a fine grid.
         cfg = SimConfig(fig1_params, 450.0, 10, 1, 1)
         lambda_p, mbar = fig1_params.lambda_p, fig1_params.mbar
-        rho = math.sqrt(1.0 / (lambda_p * mbar * math.pi))
-        mean = 1.0 + lambda_p * math.pi * (rho + 100.0) ** 2 * (1.0 + mbar)
-        assert cfg.runs_per_block() == int(2**14 // mean)
-        assert cfg.runs_per_block(palm=True) == int(2**14 // (mean + mbar))
+        grid = np.linspace(0.0, 450.0, 4001)
+        middle = 0.5 * (grid[1:] + grid[:-1])
+        for palm, kind in ((False, CurveKind.CONTACT), (True, CurveKind.NND)):
+            cdf = cdf_table(kind, grid, [1], fig1_params)[0]
+            parents = lambda_p * math.pi * (np.sum((middle + 50.0) ** 2 * np.diff(cdf))
+                                            + 500.0**2 * (1.0 - cdf[-1]))
+            assert _mean_parents(fig1_params, 450.0, 1, palm) == pytest.approx(parents, rel=1e-5)
+            mean = 1.0 + (_mean_parents(fig1_params, 450.0, 1, palm) + palm) * (1.0 + mbar)
+            assert cfg.mean_points[palm] == mean
+            assert cfg.runs_per_block(palm) == int(simulator._BLOCK_POINTS // mean)
         assert SimConfig(fig1_params, 450.0, 10**6, 1, 1).runs_per_block() == cfg.runs_per_block()
-        # the window edge R + rd = 150 caps rho + 2 rd
-        small = SimConfig(fig1_params, 100.0, 10, 1, 40)
+        # A run short of max_k = 100 points draws every parent of its window,
+        # out to R + rd = 150.
+        small = SimConfig(fig1_params, 100.0, 10, 1, 100)
         mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar)
-        assert small.runs_per_block() == int(2**14 // mean)
+        assert small.mean_points[0] == pytest.approx(mean, rel=1e-12)
+        assert small.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
         sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
-        assert sparse.runs_per_block() == 2**14
+        assert sparse.runs_per_block() == simulator._BLOCK_POINTS
         # with mbar < 1 the ~5.4e5 parents per run are the larger draw
         thin = SimConfig(McpParams(1.0, 1e-5, 50.0, 3), 0.5, 10, 1, 1)
         assert thin.runs_per_block() == 1
 
     def test_budget_caps(self, fig1_params):
-        # A run draws the parents out to the window edge R + rd = 51 (rho +
-        # 2 rd = 100 lies past it) and their daughters: ~8.2e9 points.
+        # Every parent within rd of the origin draws its daughters: here
+        # ~7.9e6 parents of ~1e3 daughters, 7.9e9 points per run, refused
+        # before any CDF is formed.
         crowded = McpParams(1e3, 1e3, 50.0, 2)
         with pytest.raises(ValueError, match="points on average"):
             SimConfig(crowded, 1.0, 100, 1, 1)
@@ -628,15 +658,19 @@ class TestBlockPath:
         # window: a wide fig1 window draws as much as the 450 one.
         wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4) for radius in (1e5, 450.0))
         for palm in (False, True):
-            assert wide.runs_per_block(palm) == tail.runs_per_block(palm)
-        # Each run keeps the parent that brings it to max_k with all its
-        # ~mbar daughters, however few it needs: ~1e6 points per Palm run
-        # here, although its window holds only ~13 parents.
+            assert wide.mean_points[palm] == pytest.approx(tail.mean_points[palm], rel=1e-4)
+        # A Palm run draws its own cluster's ~mbar siblings, however few
+        # parents its window holds (~13 here).
         with pytest.raises(ValueError, match="points on average"):
-            SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1)
-        # At a tenth of that mbar a run fits, alone in its block.
-        few = SimConfig(McpParams(1e-6, 5e4, 1.0, 2), 2000.0, 1, 1, 1)
+            SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1)
+        # At a quarter of that mbar a run fits, alone in its block.
+        few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1)
         assert few.runs_per_block(False) == few.runs_per_block(True) == 1
+        # At n = 20 a stationary run draws ~5.5e4 points, where the
+        # count-based reach would have drawn ~3.2e7.
+        high = McpParams(1e-3, 5.0, 1.0, 20)
+        points = SimConfig(high, quantile_radius(CurveKind.CONTACT, 4, high), 1, 1, 4).mean_points
+        assert 4e4 < points[0] < 7e4
         # A window of more than 1e150 parents on average (here 4.2e153) is
         # refused: parent radii would lose precision.
         with pytest.raises(ValueError, match="parents on average"):
@@ -645,3 +679,6 @@ class TestBlockPath:
             SimConfig(fig1_params, 450.0, 10**11, 1, 4)
         with pytest.raises(ValueError, match="points on average"):
             validate_against_analytic(crowded, [1], samples=100, seed=1)
+        # The CDF that prices a run is not finite here.
+        with pytest.raises(ValueError, match="not finite"):
+            SimConfig(McpParams(1e-3, 5.0, 1.0, 400), 10.0, 1, 1, 4)
