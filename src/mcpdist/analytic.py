@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, gammaln, xlogy
 
+from ._special import gammainc, gammainccinv, lgam, log_factorials
 from .geometry import ball_volume, intersection_volume, unit_ball_volume
 
 __all__ = [
@@ -223,12 +223,13 @@ class _Kernel:
         # Rounding can leave a cap sum a hair below zero.
         t = np.concatenate([lambda_d, lambda_d]) * np.maximum(lens, 0.0)
         self.t, self.palm_t, self.palm_w = t[:rows], t[rows:], w[rows:]
-        clusters = lambda_p * ball_volume(r + rd, n)
-        big = ~np.isfinite(clusters)
-        if big.any():
-            # The volume alone can overflow where a tiny lambda_p brings the
-            # count back into range; form lambda_p v_n (r + rd)^n in logs.
-            with np.errstate(over="ignore"):
+        # The product overflows for a huge lambda_p, and the volume alone
+        # where a tiny lambda_p brings the count back into range; those rows
+        # form lambda_p v_n (r + rd)^n in logs instead.
+        with np.errstate(over="ignore"):
+            clusters = lambda_p * ball_volume(r + rd, n)
+            big = ~np.isfinite(clusters)
+            if big.any():
                 clusters[big] = np.exp(np.log(lambda_p[big]) + math.log(unit_ball_volume(n))
                                        + n * np.log((r + rd)[big]))
         if not np.isfinite(clusters).all():
@@ -275,15 +276,30 @@ def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
     zero too: the result stops there, and the orders it omits are zero.
     """
     t, w = t[:, np.newaxis, :], w[:, np.newaxis, :]
+    with np.errstate(divide="ignore"):
+        log_t = np.log(t)
     blocks = [np.zeros((t.shape[0], 0))]
     # With one block there is nothing to stop early.
     t_max = t.max() if hi - lo > _ORDER_BLOCK else math.inf
     for start in range(lo, hi, _ORDER_BLOCK):
-        k = np.arange(start, min(start + _ORDER_BLOCK, hi), dtype=float)[:, np.newaxis]
-        blocks.append((np.exp(xlogy(k, t) - t - gammaln(k + 1.0)) * w).sum(axis=-1))
+        k = np.arange(start, min(start + _ORDER_BLOCK, hi))
+        with np.errstate(invalid="ignore"):
+            power = k[:, np.newaxis] * log_t
+        if start == 0:
+            power[:, 0] = 0.0  # t^0 = 1, also at t = 0
+        log_factorial = _log_factorials(k)[:, np.newaxis]
+        blocks.append((np.exp(power - t - log_factorial) * w).sum(axis=-1))
         if start > t_max and not blocks[-1].any():
             break
     return blocks[-1] if len(blocks) == 2 else np.concatenate(blocks, axis=1)
+
+
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """log k! for a rising run of orders k; only single-order calls go past the PMF cap."""
+    table = log_factorials(_PMF_HARD_CAP + 1)
+    if k[-1] < table.size:
+        return table[k]
+    return np.array([lgam(j + 1.0) for j in k])
 
 
 def _padded(orders: np.ndarray, width: int) -> np.ndarray:
@@ -416,7 +432,10 @@ def _count_pmf(kernel: _Kernel, m_max: int | None) -> np.ndarray:
     if not live.all():
         crowded = ~live
         mean = lam[crowded]
-        live[crowded] = top - mean + xlogy(top, mean) - xlogy(top, top) >= _LOG_DOUBLE_MIN
+        bound = top - mean
+        if top:
+            bound = bound + top * np.log(mean) - top * math.log(top)
+        live[crowded] = bound >= _LOG_DOUBLE_MIN
         if not live.any():
             return np.zeros((lam.size, top + 1))
     t, w = kernel.t, kernel.w
@@ -513,7 +532,7 @@ def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
     except OverflowError:
         mu = math.inf
     # P[Poisson(mu) >= k] via the regularized lower incomplete gamma.
-    return float(gammainc(k, mu))
+    return gammainc(k, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +656,7 @@ def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
     """Doubling search for the radius where the CDF reaches 1 - 1e-4."""
     _check_order(k)
     # Start from the matching Poisson quantile and double/halve from there.
-    r = _count_radius(float(gammainccinv(k, _CURVE_TAIL)), p)
+    r = _count_radius(gammainccinv(k, _CURVE_TAIL), p)
     if math.isinf(r):
         raise ValueError(f"the intensity lambda_p mbar v_n underflows, so the {kind.value} "
                          f"CDF has no finite 1 - {_CURVE_TAIL} quantile; pass an explicit grid end")

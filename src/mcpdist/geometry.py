@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc
+
+from ._special import betainc_half
 
 __all__ = ["unit_ball_volume", "ball_volume", "intersection_volume"]
 
@@ -99,7 +100,7 @@ def _cap_volume(radius: float | np.ndarray, height: np.ndarray, n: int) -> np.nd
     if n == 3:
         return math.pi * h * h * (3.0 * radius - h) / 3.0
     z = h * (2.0 * radius - h) / (radius * radius)
-    half = 0.5 * ball_volume(radius, n) * betainc((n + 1) / 2, 0.5, np.minimum(z, 1.0))
+    half = 0.5 * ball_volume(radius, n) * betainc_half((n + 1) / 2, np.minimum(z, 1.0))
     return np.where(h <= radius, half, ball_volume(radius, n) - half)
 
 

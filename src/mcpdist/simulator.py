@@ -25,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainccinv
 
+from ._special import gammainccinv
 from .analytic import (_U, CurveKind, DistributionCurve, McpParams, _check_orders, _count_radius,
                        _gl_weights, cdf_table, distribution_curves, quantile_radius)
 from .geometry import unit_ball_volume
@@ -106,7 +106,7 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: boo
     below _MEAN_TAIL.
     """
     kind = CurveKind.NND if palm else CurveKind.CONTACT
-    end = min(observation_radius, _count_radius(float(gammainccinv(max_k, _MEAN_TAIL)), p))
+    end = min(observation_radius, _count_radius(gammainccinv(max_k, _MEAN_TAIL), p))
     while end < observation_radius and cdf_table(kind, [end], [max_k], p)[0, 0] < 1.0 - _MEAN_TAIL:
         end = min(2.0 * end, observation_radius)
     r = end * _U

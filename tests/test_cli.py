@@ -320,6 +320,28 @@ class TestSubprocessInterface:
         assert text.startswith("# command=cdf")
         assert text.endswith("\n")
 
+    def test_commands_load_no_scipy(self, tmp_path):
+        # The package's only runtime dependency is numpy.
+        script = f"""
+import sys
+from mcpdist.cli import main
+fig1 = {FIG1_ARGS!r}
+out = {str(tmp_path / "out.csv")!r}
+codes = [
+    main(["cdf", "--kind", "nnd", "--k", "1,2", "--grid-points", "16", *fig1, "-o", out]),
+    main(["cdf", "--kind", "cd", "--k", "2", "--n", "5", "--lambda-p", "0.02", "--mbar", "3",
+          "--rd", "2", "--grid-points", "8", "-o", out]),
+    main(["pmf", "--r", "60", "--palm", *fig1, "-o", out]),
+    main(["sweep", "--metric", "connectivity", "--lambda-p", "0.03", "--mbar", "2", "--R", "5",
+          "--rd-points", "4", "-o", out]),
+    main(["validate", "--k-max", "2", "--samples", "500", "--seed", "5", *fig1, "-o", out]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
 
 class TestDumpSamples:
     def test_dump_reuses_the_validated_distances(self, capsys, tmp_path):
@@ -402,6 +424,16 @@ class TestFailFast:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]])
+    def test_overflowing_cluster_count_is_one_error_line(self, warnings):
+        # lambda_p v_n (r + rd)^n overflows as a product and in logs alike
+        argv = [sys.executable, *warnings, "-m", "mcpdist", "cdf", "--n", "1", "--lambda-p", "1e308",
+                "--mbar", "1e-300", "--rd", "1", "--kind", "cd", "--k", "1", "--grid-points", "2"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the expected number of clusters")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["cdf", "--kind", "nnd", "--k", "3"],
                                       ["validate", "--k-max", "2"]])

@@ -1,0 +1,99 @@
+"""The incomplete gamma and beta ports against scipy.special.
+
+The incomplete gamma functions must equal scipy's bit for bit at the
+orders 1..20 (the branches scipy takes there are the ones ported), stay
+within 1e-12 relative above them, and the log-factorial table must equal
+gammaln(k + 1) bit for bit.  The inverse only seeds quantile searches and
+the n-ball cap fraction is a continued fraction, so both are held to a
+relative tolerance; every cap fraction must also equal its one-element
+call bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import special
+
+from mcpdist import _special
+from mcpdist.analytic import _PMF_HARD_CAP
+
+
+def _branch_edges(k):
+    # Where the Cephes igam/igamc branches switch, and a neighbour either side.
+    edges = [0.5, 1.0, 1.1, float(k), 0.6 * k, 1.4 * k]
+    return [e for x in edges for e in (np.nextafter(x, 0.0), x, np.nextafter(x, math.inf))]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_incomplete_gamma_equals_scipy_bit_for_bit(k):
+    x = np.concatenate([np.linspace(1e-4, 40.0, 4001), np.geomspace(1e-4, 1.2, 400),
+                        _branch_edges(k), [0.0, math.inf]])
+    if k == 1:
+        # Only order 1 takes the Q series on (0.9, 1.1], where Cephes' expm1
+        # and libm's differ in the last bit at a few points.
+        x = np.concatenate([x, np.linspace(0.9, 1.1, 20_001)])
+    lower = np.array([_special.gammainc(k, v) for v in x])
+    upper = np.array([_special.gammaincc(k, v) for v in x])
+    np.testing.assert_array_equal(lower, special.gammainc(k, x))
+    np.testing.assert_array_equal(upper, special.gammaincc(k, x))
+
+
+@pytest.mark.parametrize("k", [21, 50, 150, 199, 200, 201, 500, 1000, 4096])
+def test_incomplete_gamma_near_scipy_at_high_orders(k):
+    # Around x = k scipy switches to Temme's asymptotic series, which is not ported.
+    x = k + math.sqrt(k) * np.linspace(-8.0, 8.0, 161)
+    x = np.concatenate([x[x > 0.0], _branch_edges(k)])
+    lower = np.array([_special.gammainc(k, v) for v in x])
+    upper = np.array([_special.gammaincc(k, v) for v in x])
+    for mine, ref in ((lower, special.gammainc(k, x)), (upper, special.gammaincc(k, x))):
+        normal = ref > 1e-300
+        np.testing.assert_allclose(mine[normal], ref[normal], rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(mine[~normal]) <= 1e-300)
+
+
+def test_log_factorial_table_equals_gammaln_up_to_the_order_cap():
+    k = np.arange(_PMF_HARD_CAP + 1)
+    np.testing.assert_array_equal(_special.log_factorials(k.size), special.gammaln(k + 1.0))
+
+
+@pytest.mark.parametrize("tail", [1e-4, 1e-15])
+@pytest.mark.parametrize("k", [*range(1, 21), 50, 100, 1000, _PMF_HARD_CAP])
+def test_inverse_near_scipy(k, tail):
+    assert _special.gammainccinv(k, tail) == pytest.approx(
+        special.gammainccinv(k, tail), rel=1e-14, abs=0.0)
+
+
+def test_ports_reject_what_they_do_not_cover():
+    with pytest.raises(ValueError):
+        _special.gammainc(2.5, 1.0)
+    with pytest.raises(ValueError):
+        _special.gammaincc(0, 1.0)
+    with pytest.raises(ValueError):
+        _special.gammainccinv(3, 1.0)
+    with pytest.raises(ValueError):
+        _special.lgam(2.5)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 20, 100, 300])
+def test_cap_fraction_near_scipy(n):
+    a = (n + 1) / 2
+    z = np.concatenate([np.linspace(0.0, 1.0, 2001), np.geomspace(1e-12, 1.0, 400),
+                        1.0 - np.geomspace(1e-12, 1.0, 400), [(a + 1.0) / (a + 2.5)]])
+    mine, ref = _special.betainc_half(a, z), special.betainc(a, 0.5, z)
+    # Below ~1e-280 the prefactor z^a underflows; such caps are nothing next to the ball.
+    normal = ref > 1e-280
+    np.testing.assert_allclose(mine[normal], ref[normal], rtol=1e-12, atol=0.0)
+    assert np.all(mine[~normal] <= 1e-280)
+
+
+def test_cap_fraction_entries_equal_their_one_element_calls():
+    # Each element stops at its own convergence, so no neighbour can move it.
+    z = np.random.default_rng(5).uniform(0.0, 1.0, 300)
+    z[::7] = np.nan
+    for n in (4, 5, 20):
+        table = _special.betainc_half((n + 1) / 2, z.reshape(30, 10))
+        single = [_special.betainc_half((n + 1) / 2, z[i : i + 1])[0] for i in range(z.size)]
+        np.testing.assert_array_equal(table.ravel(), single)
+        assert np.isnan(table.ravel()[::7]).all()
+
