@@ -38,8 +38,8 @@ K_VALUES = (1, 2, 3, 4)
 
 def write_fig1(path: Path, kind: CurveKind, palm: bool, samples: int, seed: int) -> None:
     r_max = quantile_radius(kind, max(K_VALUES), FIG1)
-    cfg = SimConfig(FIG1, r_max, samples, seed, max(K_VALUES))
-    distances = simulate_kth_distances(cfg, palm=palm)
+    cfg = SimConfig(FIG1, r_max, samples, seed, max(K_VALUES), palm)
+    distances = simulate_kth_distances(cfg)
     with path.open("w", newline="") as fh:
         fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
                  f"n={FIG1.n} samples={samples} seed={seed}\n")

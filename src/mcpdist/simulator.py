@@ -5,15 +5,15 @@ distances from the origin to its max_k nearest points, and compares their
 empirical CDFs against the analytic curves.  Each run draws its parents
 in order of distance from the origin, in rounds, and stops at its own
 running kth distance: only parents within rd of it draw daughters, each
-about a parent on the first axis of its own frame.  The max_k nearest
-distances keep their law, but the draws depend on max_k, so the rows do
-too.  Runs are simulated in fixed blocks, each from its own SFC64
+drawn as its squared distance alone (see _daughter_distances).  The max_k
+nearest distances keep their law, but the draws depend on max_k, so the
+rows do too.  Runs are simulated in fixed blocks, each from its own SFC64
 substream keyed by (seed, stream, block).  SimConfig sizes the blocks,
 and checks the MAX_MEAN_POINTS cap, from the exact mean number of points
-a run draws, an integral against the paper's kth contact (or NND) CDF
-that depends only on the parameters, the window and max_k: results are
-identical for any worker count, and a larger run budget extends the same
-rows.  A wide window costs only what a run draws in it.
+a run of its kind draws, an integral against the paper's kth contact (or
+NND) CDF that depends only on the parameters, the window and max_k:
+results are identical for any worker count, and a larger run budget
+extends the same rows.  A wide window costs only what a run draws in it.
 """
 
 from __future__ import annotations
@@ -117,15 +117,16 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: boo
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: parameters, window, and run budget."""
+    """One simulation campaign: parameters, window, run budget, and Palm or stationary runs."""
 
     params: McpParams
     observation_radius: float
     samples: int
     seed: int
     max_k: int
-    # The mean points one run draws, stationary and Palm.
-    mean_points: tuple[float, float] = field(init=False, repr=False, compare=False)
+    palm: bool = False
+    # The mean points one run draws.
+    mean_points: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # SeedSequence takes any nonnegative integer; anything else would
@@ -157,22 +158,21 @@ class SimConfig:
         # and for the Palm own cluster.  The parents within rd always draw:
         # a floor that needs no CDF.
         def points(parents):
-            return tuple(1.0 + (parents[palm] + palm) * (1.0 + p.mbar) for palm in (0, 1))
+            return 1.0 + (parents + self.palm) * (1.0 + p.mbar)
 
-        means = points([float(_parents_within(p, p.rd))] * 2)
-        if max(means) <= MAX_MEAN_POINTS:
-            means = points([_mean_parents(p, self.observation_radius, self.max_k, palm)
-                            for palm in (False, True)])
-        if max(means) > MAX_MEAN_POINTS:
+        mean = points(float(_parents_within(p, p.rd)))
+        if mean <= MAX_MEAN_POINTS:
+            mean = points(_mean_parents(p, self.observation_radius, self.max_k, self.palm))
+        if mean > MAX_MEAN_POINTS:
             raise ValueError(
-                f"one run would draw {max(means):.3g} points on average (its parents, their "
+                f"one run would draw {mean:.3g} points on average (its parents, their "
                 f"daughters and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
             )
-        object.__setattr__(self, "mean_points", means)
+        object.__setattr__(self, "mean_points", mean)
 
-    def runs_per_block(self, palm: bool = False) -> int:
+    def runs_per_block(self) -> int:
         """Runs simulated together: about _BLOCK_POINTS drawn points per block."""
-        return int(max(1.0, _BLOCK_POINTS // self.mean_points[palm]))
+        return int(max(1.0, _BLOCK_POINTS // self.mean_points))
 
 
 def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -180,33 +180,28 @@ def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _uniform_ball(n: int, radius: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n) uniform draws in the n-ball: Gaussian directions, U^(1/n) lengths."""
-    g = rng.standard_normal((size, n))
-    lengths = radius * rng.random(size) ** (1.0 / n)
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    g *= np.divide(lengths, norms, out=np.zeros(size), where=norms > 0.0)[:, np.newaxis]
-    return g
+def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.ndarray):
+    """Squared distances of counts[i] points uniform in the rd-ball about radii[i] e_1.
 
-
-def _daughter_points(rng, n: int, rd: float, radii: np.ndarray, daughters: np.ndarray):
-    """daughters[i] points uniform in the rd-ball about radii[i] e_1, parent by parent.
-
-    A rotation taking a parent's direction to e_1 keeps its offsets' joint
-    law, so the distances sqrt((rho + o_1)^2 + sum_{i>=2} o_i^2) keep theirs.
+    An offset is L g / |g|, L = rd U^(1/n), g standard normal in n
+    dimensions; the distance needs only g's first coordinate Z and
+    S = chi^2_(n-1), drawn as 2 Gamma((n - 1) // 2) plus W^2 for one more
+    normal W when n is even.  With q^2 = Z^2 + S it is formed elementwise
+    as (rho + L Z / q)^2 + L^2 S / q^2, not as rho^2 + 2 rho L Z / q + L^2,
+    which cancels near the origin; q = 0 leaves it at rho.
     """
-    points = _uniform_ball(n, rd, rng, int(daughters.sum()))
-    points[:, 0] += np.repeat(radii, daughters)
-    return points
-
-
-def _squared_norms(points: np.ndarray) -> np.ndarray:
-    # Coordinates are summed in a fixed order, so a point's distance does
-    # not depend on what else is drawn with it.
-    d2 = np.zeros(points.shape[0])
-    for column in points.T:
-        d2 += column * column
-    return d2
+    size = int(counts.sum())
+    length = rd * rng.random(size) ** (1.0 / n)
+    z = rng.standard_normal(size)
+    shape = (n - 1) // 2
+    rest = 2.0 * rng.standard_gamma(shape, size) if shape else np.zeros(size)
+    if n % 2 == 0:
+        w = rng.standard_normal(size)
+        rest += w * w
+    q = np.sqrt(z * z + rest)
+    scale = np.divide(length, q, out=np.zeros(size), where=q > 0.0)
+    first = np.repeat(radii, counts) + scale * z
+    return first * first + scale * scale * rest
 
 
 def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: float,
@@ -263,8 +258,8 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     return table, drawn
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool, out=None):
-    """Draw cfg.runs_per_block(palm) independent runs (see _nearest).
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, out=None):
+    """Draw cfg.runs_per_block() independent runs of cfg's kind (see _nearest).
 
     Stationary: parents form a Poisson process in the ball of radius
     observation_radius + rd, since any parent farther out cannot place a
@@ -273,19 +268,16 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool, out=None
     typical point (excluded): its center sits at -u for u uniform in the
     cluster ball, with Poisson(mbar) siblings uniform around it.
 
-    Returns (points, counts): the daughters drawn, (N, n) in draw order and
-    each in its parent's frame (only distances are meaningful), and the
-    number drawn for each run.  With out given, the sorted distances to the
-    max_k nearest points of its first len(out) runs go there, inf-padded.
+    Returns the number of daughters drawn for each run.  With out given,
+    the sorted distances to the max_k nearest points of its first len(out)
+    runs go there, inf-padded.
     """
-    p, runs = cfg.params, cfg.runs_per_block(palm)
-    own = p.rd * rng.random(runs) ** (1.0 / p.n) if palm else None
-    points = []
+    p, runs = cfg.params, cfg.runs_per_block()
+    own = p.rd * rng.random(runs) ** (1.0 / p.n) if cfg.palm else None
 
     def clusters(radii):
         counts = rng.poisson(p.mbar, size=radii.size)
-        points.append(_daughter_points(rng, p.n, p.rd, radii, counts))
-        return _squared_norms(points[-1]), counts
+        return _daughter_distances(rng, p.n, p.rd, radii, counts), counts
 
     window = cfg.observation_radius + p.rd
     table, counts = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
@@ -293,7 +285,7 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, palm: bool, out=None
                              cfg.max_k, own)
     if out is not None:
         np.sqrt(np.sort(table[: len(out)], axis=1), out=out)
-    return np.concatenate(points) if points else np.empty((0, p.n)), counts
+    return counts
 
 
 def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -335,29 +327,27 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, requested)
 
 
-def simulate_kth_distances(
-    cfg: SimConfig, palm: bool = False, workers: int | None = None
-) -> np.ndarray:
-    """(samples, max_k) matrix of kth distances over independent runs.
+def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.ndarray:
+    """(samples, max_k) matrix of kth distances over independent runs of cfg's kind.
 
-    Runs are simulated in blocks of cfg.runs_per_block(palm), sized by
-    the points a run draws; block b draws from substream (seed, stream, b),
+    Runs are simulated in blocks of cfg.runs_per_block(), sized by the
+    points a run draws; block b draws from substream (seed, stream, b),
     and its last rows are dropped when samples ends inside it.  Each run
     draws only the parents that can hold one of its max_k nearest points
     (see _nearest), so row i depends only on
-    (params, window, seed, max_k, i): output is bit-identical for any
-    worker count and for repeated calls, a larger samples extends the same
-    rows, and a different max_k draws different rows of the same law.
+    (params, window, seed, max_k, palm, i): output is bit-identical for
+    any worker count and for repeated calls, a larger samples extends the
+    same rows, and a different max_k draws different rows of the same law.
     With workers None the thread count is MCPDIST_THREADS (default 1);
     when set, MCPDIST_THREADS also caps an explicit workers.
     """
-    stream = _PALM_STREAM if palm else _STATIONARY_STREAM
-    block_runs = cfg.runs_per_block(palm)
+    stream = _PALM_STREAM if cfg.palm else _STATIONARY_STREAM
+    block_runs = cfg.runs_per_block()
     out = np.empty((cfg.samples, cfg.max_k))
 
     def block(b: int) -> None:
         lo = b * block_runs
-        _sample_block(cfg, _substream(cfg.seed, stream, b), palm,
+        _sample_block(cfg, _substream(cfg.seed, stream, b),
                       out[lo : min(lo + block_runs, cfg.samples)])
 
     n_blocks = -(-cfg.samples // block_runs)
@@ -479,24 +469,24 @@ def validate_against_analytic(
     Raises CensoringError if more than 1% of runs end beyond the
     observation window.  The orders are checked (a range by its last
     order), then both windows (r_max, or each kind's CDF tail radius) and
-    both SimConfigs, before any sampling.  The simulations run on
-    MCPDIST_THREADS worker threads (default 1).
+    the stationary and Palm SimConfigs, each with its own point cap,
+    before any sampling.  The simulations run on MCPDIST_THREADS worker
+    threads (default 1).
     """
     _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
     k_max = k_values[-1]
     configs = {
         kind: SimConfig(p, r_max if r_max is not None else quantile_radius(kind, k_max, p),
-                        samples, seed, k_max)
+                        samples, seed, k_max, palm=kind is CurveKind.NND)
         for kind in (CurveKind.CONTACT, CurveKind.NND)
     }
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
     for kind, cfg in configs.items():
-        palm = kind is CurveKind.NND
         radius = cfg.observation_radius
-        distances = simulate_kth_distances(cfg, palm=palm)
-        if not palm:
+        distances = simulate_kth_distances(cfg)
+        if not cfg.palm:
             stationary = distances
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
@@ -504,7 +494,7 @@ def validate_against_analytic(
         for curve in distribution_curves(kind, k_values, p, r_max=end):
             ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
-            rows.append(ValidationRow("nnd" if palm else "cd", curve.k, ks, threshold,
+            rows.append(ValidationRow("nnd" if cfg.palm else "cd", curve.k, ks, threshold,
                                       ecdf.censored_fraction()))
     return ValidationReport(rows, stationary, configs[CurveKind.CONTACT].observation_radius)
 

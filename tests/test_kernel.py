@@ -5,6 +5,7 @@ tanh-sinh rule, split at the containment breakpoint |r - rd|, so it
 shares nothing with the kernel but the lens formula itself.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ def reference(r, p):
     n, rd, ld = p.n, p.rd, p.lambda_d
     v_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
+    # The 16 integrals below evaluate the lens on the same mpmath nodes.
+    @functools.cache
     def t(x):
         return ld * intersection_volume(r, rd, float(x), n)
 

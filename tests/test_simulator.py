@@ -36,11 +36,11 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
-def counts_within(cfg, palm, r):
+def counts_within(cfg, r):
     """N(r) = #{k : R_k <= r, R_k finite}, the points within r of the origin
     in each of cfg.samples runs of simulate_kth_distances.  Exact below
     cfg.max_k; a run that reaches cfg.max_k holds at least that many."""
-    d = simulate_kth_distances(cfg, palm=palm)
+    d = simulate_kth_distances(cfg)
     return (np.isfinite(d) & (d <= r)).sum(axis=1)
 
 
@@ -67,28 +67,8 @@ class CountingRng:
         return getattr(self.rng, name)
 
 
-class TestUniformBall:
-    def test_support_and_shape(self):
-        rng = rng_for(1)
-        pts = simulator._uniform_ball(3, 2.5, rng, 50_000)
-        assert pts.shape == (50_000, 3)
-        assert np.all(np.linalg.norm(pts, axis=1) <= 2.5)
-
-    def test_symmetry_on_the_line(self):
-        rng = rng_for(2)
-        pts = simulator._uniform_ball(1, 1.0, rng, 100_000)
-        assert abs(float(pts.mean())) <= 0.01
-
-    def test_radial_quantile(self):
-        # mass inside half the radius is the volume ratio (1/2)^n
-        rng = rng_for(3)
-        pts = simulator._uniform_ball(2, 1.0, rng, 100_000)
-        frac = float(np.mean(np.linalg.norm(pts, axis=1) <= 0.5))
-        assert frac == pytest.approx(0.25, abs=0.005)
-
-
 class TestDaughterPoints:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
     @pytest.mark.parametrize("rho_over_rd", [0.0, 0.5, 1.0, 3.0])
     def test_distances_follow_the_lens_law(self, n, rho_over_rd):
         # One parent at rho e_1 with N daughters: P[distance <= d] is the
@@ -97,8 +77,8 @@ class TestDaughterPoints:
         rd, size = 2.0, 1_000_000
         rho = rho_over_rd * rd
         rng = _substream(7, n, int(4 * rho_over_rd))
-        points = simulator._daughter_points(rng, n, rd, np.array([rho]), np.array([size]))
-        d = np.sort(np.sqrt(np.einsum("ij,ij->i", points, points)))
+        d2 = simulator._daughter_distances(rng, n, rd, np.array([rho]), np.array([size]))
+        d = np.sort(np.sqrt(d2))
         cdf = intersection_volume(d, rd, rho, n) / ball_volume(rd, n)
         steps = np.arange(1, size + 1) / size
         ks = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / size))))
@@ -116,7 +96,7 @@ class TestMcpSampler:
         cfg = SimConfig(fig1_params, 100.0, 10_000, 42, 100)
         window = 100.0 + 50.0
         expect = fig1_params.lambda_p * math.pi * window**2 * fig1_params.mbar
-        totals = counts_within(cfg, False, math.inf)
+        totals = counts_within(cfg, math.inf)
         assert totals.max() < cfg.max_k
         se = totals.std(ddof=1) / math.sqrt(cfg.samples)
         assert totals.mean() == pytest.approx(expect, abs=3 * se)
@@ -145,7 +125,7 @@ class TestMcpSampler:
         r = 60.0
         runs = 100_000
         cfg = SimConfig(fig1_params, r, runs, 2026, 41)
-        counts = counts_within(cfg, False, r)
+        counts = counts_within(cfg, r)
         pmf = count_pmf(r, fig1_params, m_max=40)
         assert pmf.truncation_mass < 1e-6
         freq = np.bincount(counts, minlength=41)[:41] / runs
@@ -159,13 +139,13 @@ class TestMcpSampler:
 
 class TestPalmSampler:
     def test_reduced_palm_leaves_nothing_behind(self):
-        cfg = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 200, 3, 1)
-        assert np.isinf(simulate_kth_distances(cfg, palm=True)).all()
+        cfg = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 200, 3, 1, palm=True)
+        assert np.isinf(simulate_kth_distances(cfg)).all()
 
     def test_sibling_count_mean(self):
         p = McpParams(1e-300, 5.0, 1.0, 2)
-        cfg = SimConfig(p, 10.0, 100_000, 11, 30)
-        totals = counts_within(cfg, True, math.inf)
+        cfg = SimConfig(p, 10.0, 100_000, 11, 30, palm=True)
+        totals = counts_within(cfg, math.inf)
         assert totals.max() < cfg.max_k
         se = math.sqrt(5.0 / cfg.samples)
         assert totals.mean() == pytest.approx(5.0, abs=3 * se)
@@ -174,8 +154,8 @@ class TestPalmSampler:
         # the j = 0 intra-cluster weight is the no-sibling-within-r law
         p = McpParams(1e-300, fig1_params.mbar, fig1_params.rd, 2)
         r = 40.0
-        cfg = SimConfig(p, r, 50_000, 13, 1)
-        misses = int((counts_within(cfg, True, r) == 0).sum())
+        cfg = SimConfig(p, r, 50_000, 13, 1, palm=True)
+        misses = int((counts_within(cfg, r) == 0).sum())
         q0 = q_weight(r, 0, fig1_params)
         se = math.sqrt(q0 * (1 - q0) / cfg.samples)
         assert misses / cfg.samples == pytest.approx(q0, abs=3 * se)
@@ -183,8 +163,8 @@ class TestPalmSampler:
     def test_palm_count_histogram_matches_pmf(self, fig1_params):
         r = 60.0
         runs = 100_000
-        cfg = SimConfig(fig1_params, r, runs, 515, 46)
-        counts = counts_within(cfg, True, r)
+        cfg = SimConfig(fig1_params, r, runs, 515, 46, palm=True)
+        counts = counts_within(cfg, r)
         pmf = palm_count_pmf(r, fig1_params, m_max=45)
         assert pmf.truncation_mass < 1e-6
         freq = np.bincount(counts, minlength=46)[:46] / runs
@@ -324,10 +304,18 @@ class TestValidationHarness:
             assert row.passed, row
 
 
+def squared_norms(points):
+    # Coordinates summed in column order.
+    d2 = np.zeros(points.shape[0])
+    for column in points.T:
+        d2 += column * column
+    return d2
+
+
 def kth_distances(sample, max_k):
     """Distances from the origin to the max_k closest points of one run,
     inf-padded, through the merge the simulator uses."""
-    d2 = simulator._squared_norms(np.asarray(sample, dtype=float))
+    d2 = squared_norms(np.asarray(sample, dtype=float))
     table = simulator._select_block(d2, np.array([d2.size]), np.full((1, max_k), np.inf))
     return np.sqrt(np.sort(table[0]))
 
@@ -371,13 +359,10 @@ class TestBlockPath:
             points[-1] = points[0]
         starts = np.cumsum(counts) - counts
         expected = np.full((counts.size, max_k), np.inf)
+        d2 = squared_norms(points)
         for row, (s, c) in zip(expected, zip(starts, counts)):
-            d2 = np.zeros(c)
-            for column in points[s : s + c].T:
-                d2 += column * column
-            nearest = np.sqrt(np.sort(d2))[:max_k]
+            nearest = np.sqrt(np.sort(d2[s : s + c]))[:max_k]
             row[: nearest.size] = nearest
-        d2 = simulator._squared_norms(points)
         first = np.arange(d2.size) - np.repeat(starts, counts) < np.repeat(counts // 2, counts)
         for cells in (simulator._TABLE_CELLS, 1):
             with patch.object(simulator, "_TABLE_CELLS", cells):
@@ -433,18 +418,17 @@ class TestBlockPath:
             return gaps
 
         def clusters(radii):
-            counts, points = np.zeros(radii.size, dtype=np.int64), [np.zeros((0, n))]
+            counts, d2 = np.zeros(radii.size, dtype=np.int64), [np.zeros(0)]
             for i, radius in enumerate(radii):
                 rng = rng_for([seed, *np.array([radius]).view(np.uint32)])
                 counts[i] = rng.integers(0, 5)
                 if radial:
-                    line = np.zeros((counts[i], n))
-                    line[:, 0] = radius + rd * np.where(np.arange(counts[i]) % 2, 1.0, -1.0)
-                    points.append(line)
+                    line = radius + rd * np.where(np.arange(counts[i]) % 2, 1.0, -1.0)
+                    d2.append(line * line)
                 else:
-                    points.append(simulator._daughter_points(rng, n, rd, radii[i : i + 1],
-                                                             counts[i : i + 1]))
-            return simulator._squared_norms(np.concatenate(points)), counts
+                    d2.append(simulator._daughter_distances(rng, n, rd, radii[i : i + 1],
+                                                            counts[i : i + 1]))
+            return np.concatenate(d2), counts
 
         drawn = np.zeros(runs, dtype=np.int64)
         outer = window ** (1.0 / n)
@@ -476,19 +460,19 @@ class TestBlockPath:
         # daughters' offsets, or under Palm to a run's own cluster.  The
         # count-based reach drew about 5.7 counts per stationary run at
         # fig1, where 3.5 parents drew daughters.
-        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
-        offsets, daughter_points = [], simulator._daughter_points
+        offsets, daughter_distances = [], simulator._daughter_distances
 
         def recorded(rng, n, rd, radii, daughters):
             offsets.append(radii.size)
-            return daughter_points(rng, n, rd, radii, daughters)
+            return daughter_distances(rng, n, rd, radii, daughters)
 
-        monkeypatch.setattr(simulator, "_daughter_points", recorded)
+        monkeypatch.setattr(simulator, "_daughter_distances", recorded)
         for palm in (False, True):
+            cfg = SimConfig(fig1_params, 450.0, 1, 3, 4, palm)
             offsets.clear()
-            runs = cfg.runs_per_block(palm)
+            runs = cfg.runs_per_block()
             rng = CountingRng(_substream(3, int(palm), 0))
-            simulator._sample_block(cfg, rng, palm)
+            simulator._sample_block(cfg, rng)
             own = runs if palm else 0  # the own clusters draw first
             assert offsets[0] == runs or not palm
             parents = sum(offsets) - own
@@ -530,10 +514,10 @@ class TestBlockPath:
         monkeypatch.setattr(simulator, "_nearest", recording)
         for palm in (False, True):
             radius = quantile_radius(CurveKind.NND if palm else CurveKind.CONTACT, max_k, p)
-            cfg = SimConfig(p, radius, 1, 0, max_k)
+            cfg = SimConfig(p, radius, 1, 0, max_k, palm)
             needed.clear()
             for b in range(blocks):
-                simulator._sample_block(cfg, _substream(0, int(palm), b), palm)
+                simulator._sample_block(cfg, _substream(0, int(palm), b))
             se = np.std(needed, ddof=1) / math.sqrt(len(needed))
             assert abs(np.mean(needed) - _mean_parents(p, radius, max_k, palm)) <= 4.0 * se
 
@@ -544,19 +528,22 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
         assert window_mean == pytest.approx(78.5, rel=1e-3)
-        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0), False)
+        kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0))
         assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
 
     def test_blocks_draw_normals_only_for_daughters(self, fig1_params):
-        # Parents sit on the first axis, so a block's only normals are the
-        # n per point of its daughters' offsets, the Palm own cluster's
-        # among them: no parent draws a direction.
-        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
-        for palm in (False, True):
-            rng = CountingRng(_substream(3, int(palm), 0))
-            points, counts = simulator._sample_block(cfg, rng, palm)
-            assert rng.normals == fig1_params.n * counts.sum() == points.size
+        # Parents sit on the first axis, so a block's only normals are its
+        # daughters' first offset coordinates, the Palm own cluster's among
+        # them, and one more each when n is even: no parent draws a
+        # direction.  fig1 (n = 2) and n = 3.
+        for p, radius in ((fig1_params, 450.0), (McpParams(0.02, 3.0, 2.0, 3), 7.97)):
+            for palm in (False, True):
+                cfg = SimConfig(p, radius, 1, 3, 4, palm)
+                rng = CountingRng(_substream(3, int(palm), 0))
+                counts = simulator._sample_block(cfg, rng)
+                assert counts.sum() > 0
+                assert rng.normals == (2 if p.n % 2 == 0 else 1) * counts.sum()
 
     @pytest.mark.parametrize(
         "p, radius, max_k",
@@ -574,13 +561,13 @@ class TestBlockPath:
         # window (the count-based reach drew 5.7).  Rounds of 1, 1, 2, 4, ...
         # parents: a block ends within two rounds of its longest run.
         # The windows are those of validate.
-        cfg = SimConfig(p, radius, 1, 0, max_k)
         for palm in (False, True):
-            runs = cfg.runs_per_block(palm)
+            cfg = SimConfig(p, radius, 1, 0, max_k, palm)
+            runs = cfg.runs_per_block()
             parents = []
             for b in range(10):
                 rng = CountingRng(_substream(0, int(palm), b))
-                _, counts = simulator._sample_block(cfg, rng, palm)
+                counts = simulator._sample_block(cfg, rng)
                 longest = counts.max() / p.mbar
                 assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
                 # Under Palm, one count per run is the own cluster's.
@@ -588,21 +575,21 @@ class TestBlockPath:
             assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k, palm)
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params, monkeypatch):
-        cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
         for palm in (False, True):
-            assert cfg.samples % cfg.runs_per_block(palm) != 0
+            cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4, palm)
+            assert cfg.samples % cfg.runs_per_block() != 0
             outputs = []
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv("MCPDIST_THREADS", threads)
-                outputs.append(simulate_kth_distances(cfg, palm=palm).tobytes())
+                outputs.append(simulate_kth_distances(cfg).tobytes())
             assert outputs[0] == outputs[1] == outputs[2]
 
     def test_more_samples_extend_the_same_rows(self, fig1_params):
         # Within one block, across one block end and across two.
         for palm in (False, True):
-            block = SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block(palm)
+            block = SimConfig(fig1_params, 450.0, 1, 8, 3, palm).runs_per_block()
             sizes = (block // 4, block + block // 3, 2 * block + block // 2)
-            rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3), palm=palm)
+            rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3, palm))
                     for samples in sizes]
             assert np.array_equal(rows[2][: sizes[1]], rows[1])
             assert np.array_equal(rows[2][: sizes[0]], rows[0])
@@ -612,7 +599,8 @@ class TestBlockPath:
         # typical point's Poisson(5) siblings, all within 2 rd of it
         cfg = SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 50, 1, 3)
         assert np.isinf(simulate_kth_distances(cfg)).all()
-        d = simulate_kth_distances(cfg, palm=True)
+        d = simulate_kth_distances(SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 50, 1, 3,
+                                             palm=True))
         assert np.all(np.isinf(d) | (d <= 2.0))
         assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
 
@@ -622,24 +610,25 @@ class TestBlockPath:
         # cluster, and one volume gap more.  The mean of those parents,
         # E[c min(D_k + rd, R + rd)^n], against a Stieltjes sum over the CDF
         # of D_k on a fine grid.
-        cfg = SimConfig(fig1_params, 450.0, 10, 1, 1)
         lambda_p, mbar = fig1_params.lambda_p, fig1_params.mbar
         grid = np.linspace(0.0, 450.0, 4001)
         middle = 0.5 * (grid[1:] + grid[:-1])
         for palm, kind in ((False, CurveKind.CONTACT), (True, CurveKind.NND)):
+            cfg = SimConfig(fig1_params, 450.0, 10, 1, 1, palm)
             cdf = cdf_table(kind, grid, [1], fig1_params)[0]
             parents = lambda_p * math.pi * (np.sum((middle + 50.0) ** 2 * np.diff(cdf))
                                             + 500.0**2 * (1.0 - cdf[-1]))
             assert _mean_parents(fig1_params, 450.0, 1, palm) == pytest.approx(parents, rel=1e-5)
             mean = 1.0 + (_mean_parents(fig1_params, 450.0, 1, palm) + palm) * (1.0 + mbar)
-            assert cfg.mean_points[palm] == mean
-            assert cfg.runs_per_block(palm) == int(simulator._BLOCK_POINTS // mean)
-        assert SimConfig(fig1_params, 450.0, 10**6, 1, 1).runs_per_block() == cfg.runs_per_block()
+            assert cfg.mean_points == mean
+            assert cfg.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
+            more = SimConfig(fig1_params, 450.0, 10**6, 1, 1, palm)
+            assert more.runs_per_block() == cfg.runs_per_block()
         # A run short of max_k = 100 points draws every parent of its window,
         # out to R + rd = 150.
         small = SimConfig(fig1_params, 100.0, 10, 1, 100)
         mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar)
-        assert small.mean_points[0] == pytest.approx(mean, rel=1e-12)
+        assert small.mean_points == pytest.approx(mean, rel=1e-12)
         assert small.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
         sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
         assert sparse.runs_per_block() == simulator._BLOCK_POINTS
@@ -656,21 +645,23 @@ class TestBlockPath:
             SimConfig(crowded, 1.0, 100, 1, 1)
         # The cap counts the points a run draws, not the ~3.8e6 of its
         # window: a wide fig1 window draws as much as the 450 one.
-        wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4) for radius in (1e5, 450.0))
         for palm in (False, True):
-            assert wide.mean_points[palm] == pytest.approx(tail.mean_points[palm], rel=1e-4)
+            wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4, palm)
+                          for radius in (1e5, 450.0))
+            assert wide.mean_points == pytest.approx(tail.mean_points, rel=1e-4)
         # A Palm run draws its own cluster's ~mbar siblings, however few
         # parents its window holds (~13 here).
         with pytest.raises(ValueError, match="points on average"):
-            SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1)
+            SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1, palm=True)
         # At a quarter of that mbar a run fits, alone in its block.
-        few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1)
-        assert few.runs_per_block(False) == few.runs_per_block(True) == 1
+        for palm in (False, True):
+            few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1, palm)
+            assert few.runs_per_block() == 1
         # At n = 20 a stationary run draws ~5.5e4 points, where the
         # count-based reach would have drawn ~3.2e7.
         high = McpParams(1e-3, 5.0, 1.0, 20)
         points = SimConfig(high, quantile_radius(CurveKind.CONTACT, 4, high), 1, 1, 4).mean_points
-        assert 4e4 < points[0] < 7e4
+        assert 4e4 < points < 7e4
         # A window of more than 1e150 parents on average (here 4.2e153) is
         # refused: parent radii would lose precision.
         with pytest.raises(ValueError, match="parents on average"):
