@@ -1,19 +1,20 @@
 """Monte Carlo oracle: cluster-process sampling and empirical-CDF tooling.
 
-Draws, for each run of a stationary or Palm-conditioned realization, the
-distances from the origin to its max_k nearest points, and compares their
-empirical CDFs against the analytic curves.  Each run draws its parents
-in order of distance from the origin, in rounds, and stops at its own
-running kth distance: only parents within rd of it draw daughters, each
-drawn as its squared distance alone (see _daughter_distances).  The max_k
-nearest distances keep their law, but the draws depend on max_k, so the
-rows do too.  Runs are simulated in fixed blocks, each from its own SFC64
-substream keyed by (seed, stream, block).  SimConfig sizes the blocks,
-and checks the MAX_MEAN_POINTS cap, from the exact mean number of points
-a run of its kind draws, an integral against the paper's kth contact (or
-NND) CDF that depends only on the parameters, the window and max_k:
-results are identical for any worker count, and a larger run budget
-extends the same rows.  A wide window costs only what a run draws in it.
+Draws, for each stationary run, the distances from the origin to its
+max_k nearest points, and compares their empirical CDFs against the
+analytic curves.  Each run draws its parents in order of distance from
+the origin, in rounds, and stops at its own running kth distance: only
+parents within rd of it draw daughters, each drawn as its squared
+distance alone (see _daughter_distances).  The max_k nearest distances
+keep their law, but the draws depend on max_k, so the rows do too.  A
+Palm run is its stationary run plus the typical point's own cluster (the
+Palm law of a Poisson cluster process).  Runs are simulated in fixed
+blocks, each from its own SFC64 substream keyed by (seed, block).
+SimConfig sizes the blocks, and checks the MAX_MEAN_POINTS cap, from the
+exact mean number of points a run draws, an integral against the paper's
+kth contact CDF that depends only on the parameters, the window and
+max_k: results are identical for any worker count, and a larger run
+budget extends the same rows.  A wide window costs only what a run draws.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +75,6 @@ _KEEP_MARGIN = 1e-6
 
 _MEAN_TAIL = 1e-15  # the mean parents per run integrate 1 - F down to this
 
-_STATIONARY_STREAM = 0
-_PALM_STREAM = 1
-
 
 class CensoringError(RuntimeError):
     """Too many runs were censored for the empirical CDF to be trusted."""
@@ -91,13 +88,13 @@ def _parents_within(p: McpParams, radius):
     return np.exp(np.minimum(log_parents, 709.0))
 
 
-def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: bool) -> float:
-    """Mean number of parents (the Palm own cluster aside) that draw daughters in a run.
+def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
+    """Mean number of parents that draw daughters in a run (a Palm run draws the same).
 
     A parent at distance r <= R + rd draws them when r - rd < D_k, the
     run's kth distance, an event its own daughters cannot move, so by
     Campbell's theorem the mean is E[c min(D_k + rd, R + rd)^n], c =
-    lambda_p v_n, with F the paper's kth contact (Palm: NND) CDF of D_k:
+    lambda_p v_n, with F the paper's kth contact CDF of D_k:
 
         c rd^n + integral_0^R n c (r + rd)^(n-1) (1 - F(r)) dr,
 
@@ -105,7 +102,7 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: boo
     first doubling, from the Poisson radius of that tail, where 1 - F falls
     below _MEAN_TAIL.
     """
-    kind = CurveKind.NND if palm else CurveKind.CONTACT
+    kind = CurveKind.CONTACT
     end = min(observation_radius, _count_radius(gammainccinv(max_k, _MEAN_TAIL), p))
     while end < observation_radius and cdf_table(kind, [end], [max_k], p)[0, 0] < 1.0 - _MEAN_TAIL:
         end = min(2.0 * end, observation_radius)
@@ -117,7 +114,7 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int, palm: boo
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: parameters, window, run budget, and Palm or stationary runs."""
+    """One simulation campaign: parameters, window, run budget, and with palm Palm runs."""
 
     params: McpParams
     observation_radius: float
@@ -154,29 +151,32 @@ class SimConfig:
             raise ValueError(f"samples x max_k = {self.samples * self.max_k} exceeds the cap "
                              f"of {MAX_DISTANCES} distances")
         # A run draws one volume gap past its last parent that draws
-        # daughters, and a gap, a count and mbar daughters for each of them
-        # and for the Palm own cluster.  The parents within rd always draw:
-        # a floor that needs no CDF.
+        # daughters, and a gap, a count and mbar daughters for each of them.
+        # The parents within rd always draw: a floor that needs no CDF.  A
+        # Palm run then draws its own cluster, a radius and mbar siblings.
+        # The cap holds each part alone: a block never holds both at once.
         def points(parents):
-            return 1.0 + (parents + self.palm) * (1.0 + p.mbar)
+            return 1.0 + parents * (1.0 + p.mbar)
 
         mean = points(float(_parents_within(p, p.rd)))
         if mean <= MAX_MEAN_POINTS:
-            mean = points(_mean_parents(p, self.observation_radius, self.max_k, self.palm))
-        if mean > MAX_MEAN_POINTS:
+            mean = points(_mean_parents(p, self.observation_radius, self.max_k))
+        own = (1.0 + p.mbar) * self.palm
+        if max(mean, own) > MAX_MEAN_POINTS:
             raise ValueError(
-                f"one run would draw {mean:.3g} points on average (its parents, their "
-                f"daughters and Palm siblings), above the cap of {MAX_MEAN_POINTS}"
+                f"one run would draw {max(mean, own):.3g} points on average (its parents and "
+                f"their daughters, or its Palm siblings), above the cap of {MAX_MEAN_POINTS}"
             )
-        object.__setattr__(self, "mean_points", mean)
+        object.__setattr__(self, "mean_points", mean + own)
 
     def runs_per_block(self) -> int:
         """Runs simulated together: about _BLOCK_POINTS drawn points per block."""
         return int(max(1.0, _BLOCK_POINTS // self.mean_points))
 
 
-def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
+def _substream(seed: int, block: int) -> np.random.Generator:
+    # The key's fixed leading 0 keeps the stationary rows of earlier releases.
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, block))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -205,7 +205,7 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
 
 
 def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: float,
-             max_k: int, own=None):
+             max_k: int):
     """Squared distances to each run's max_k nearest points, drawing parents outward.
 
     Ranked by distance, the parents of a Poisson process sit at volumes
@@ -213,7 +213,7 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     gaps(rows, m) gives the (len(rows), m) volume gaps of the next m
     parents of each run in rows; the window ends at v_max, radius outer.
     clusters(radii) gives the daughters' squared distances, parent by
-    parent, and their counts; own is None or the Palm own clusters' radii.
+    parent, and their counts.
 
     A run's reach is d_k, the kth of its running max_k smallest distances
     (inf while it has fewer): a parent with r - rd > d_k, and every parent
@@ -235,8 +235,6 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
         got = per_run > 0  # only these rows can change
         table[rows[got]] = _select_block(d2, per_run[got], table[rows[got]])
 
-    if own is not None:
-        merge(np.arange(runs), np.arange(runs), own)
     last = np.zeros(runs)  # volume of each run's last drawn parent
     # A window too small for double precision holds no parent.
     scale = max(v_max, np.finfo(float).tiny)
@@ -258,34 +256,34 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     return table, drawn
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, out=None):
-    """Draw cfg.runs_per_block() independent runs of cfg's kind (see _nearest).
+def _sample_block(cfg: SimConfig, rng: np.random.Generator):
+    """Draw cfg.runs_per_block() independent stationary runs (see _nearest), then their Palm runs.
 
-    Stationary: parents form a Poisson process in the ball of radius
-    observation_radius + rd, since any parent farther out cannot place a
-    daughter inside the observation window; parents are not points of the
-    process.  Palm first draws each run's own cluster, which holds the
-    typical point (excluded): its center sits at -u for u uniform in the
-    cluster ball, with Poisson(mbar) siblings uniform around it.
+    Parents form a Poisson process in the ball of radius observation_radius
+    + rd, since any parent farther out cannot place a daughter inside the
+    observation window; parents are not points of the process.  Palm adds
+    one cluster holding the typical point (excluded): its center sits at -u
+    for u uniform in the cluster ball, with Poisson(mbar) siblings around
+    it.  A Palm run's kth distance is at most its stationary run's, so its
+    max_k nearest are the max_k smallest of that run's and its siblings.
 
-    Returns the number of daughters drawn for each run.  With out given,
-    the sorted distances to the max_k nearest points of its first len(out)
-    runs go there, inf-padded.
+    Returns the (runs, max_k) squared-distance tables as _nearest's, the
+    stationary one and under cfg.palm the Palm one, and the daughters,
+    siblings included, each run drew.
     """
     p, runs = cfg.params, cfg.runs_per_block()
-    own = p.rd * rng.random(runs) ** (1.0 / p.n) if cfg.palm else None
 
     def clusters(radii):
         counts = rng.poisson(p.mbar, size=radii.size)
         return _daughter_distances(rng, p.n, p.rd, radii, counts), counts
 
     window = cfg.observation_radius + p.rd
-    table, counts = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
-                             runs, float(_parents_within(p, window)), window, p.n, p.rd,
-                             cfg.max_k, own)
-    if out is not None:
-        np.sqrt(np.sort(table[: len(out)], axis=1), out=out)
-    return counts
+    table, drawn = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
+                            runs, float(_parents_within(p, window)), window, p.n, p.rd, cfg.max_k)
+    if not cfg.palm:
+        return [table], drawn
+    d2, siblings = clusters(p.rd * rng.random(runs) ** (1.0 / p.n))
+    return [table, _select_block(d2, siblings, table)], drawn + siblings
 
 
 def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -327,28 +325,16 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, requested)
 
 
-def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.ndarray:
-    """(samples, max_k) matrix of kth distances over independent runs of cfg's kind.
-
-    Runs are simulated in blocks of cfg.runs_per_block(), sized by the
-    points a run draws; block b draws from substream (seed, stream, b),
-    and its last rows are dropped when samples ends inside it.  Each run
-    draws only the parents that can hold one of its max_k nearest points
-    (see _nearest), so row i depends only on
-    (params, window, seed, max_k, palm, i): output is bit-identical for
-    any worker count and for repeated calls, a larger samples extends the
-    same rows, and a different max_k draws different rows of the same law.
-    With workers None the thread count is MCPDIST_THREADS (default 1);
-    when set, MCPDIST_THREADS also caps an explicit workers.
-    """
-    stream = _PALM_STREAM if cfg.palm else _STATIONARY_STREAM
+def _simulate(cfg: SimConfig, workers: int | None = None) -> list[np.ndarray]:
+    """Stationary, then under cfg.palm Palm, kth distances (see simulate_kth_distances)."""
     block_runs = cfg.runs_per_block()
-    out = np.empty((cfg.samples, cfg.max_k))
+    outs = [np.empty((cfg.samples, cfg.max_k)) for _ in range(1 + cfg.palm)]
 
     def block(b: int) -> None:
-        lo = b * block_runs
-        _sample_block(cfg, _substream(cfg.seed, stream, b),
-                      out[lo : min(lo + block_runs, cfg.samples)])
+        tables, _ = _sample_block(cfg, _substream(cfg.seed, b))
+        for out, table in zip(outs, tables):
+            part = out[b * block_runs : (b + 1) * block_runs]
+            np.sqrt(np.sort(table[: len(part)], axis=1), out=part)
 
     n_blocks = -(-cfg.samples // block_runs)
     # More threads than cores or blocks would only wait.
@@ -357,9 +343,27 @@ def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.nda
         for b in range(n_blocks):
             block(b)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, range(n_blocks)))
-    return out
+    return outs
+
+
+def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.ndarray:
+    """(samples, max_k) matrix of kth distances over independent runs of cfg's kind.
+
+    Block b, of cfg.runs_per_block() runs, draws from substream (seed, b),
+    and its last rows are dropped when samples ends inside it.  A run draws
+    only the parents that can hold one of its max_k nearest points (see
+    _nearest), and a Palm run adds its own cluster (see _sample_block), so
+    row i depends only on (params, window, seed, max_k, palm, i): output is
+    bit-identical for any worker count and for repeated calls, a larger
+    samples extends the same rows, and a different max_k draws different
+    rows of the same law.  With workers None the thread count is
+    MCPDIST_THREADS (default 1); when set, it also caps an explicit workers.
+    """
+    return _simulate(cfg, workers)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,36 +471,30 @@ def validate_against_analytic(
     curves span its sampled distances, on a grid from 0 to the largest
     in-window one.  The report also holds the stationary kth distances.
     Raises CensoringError if more than 1% of runs end beyond the
-    observation window.  The orders are checked (a range by its last
-    order), then both windows (r_max, or each kind's CDF tail radius) and
-    the stationary and Palm SimConfigs, each with its own point cap,
-    before any sampling.  The simulations run on MCPDIST_THREADS worker
-    threads (default 1).
+    observation window.  The orders, the window (r_max, or the kth contact
+    CDF's tail radius) and the point cap are checked before any sampling.
+    One simulation on MCPDIST_THREADS threads (default 1) yields both kinds.
     """
     _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
     k_max = k_values[-1]
-    configs = {
-        kind: SimConfig(p, r_max if r_max is not None else quantile_radius(kind, k_max, p),
-                        samples, seed, k_max, palm=kind is CurveKind.NND)
-        for kind in (CurveKind.CONTACT, CurveKind.NND)
-    }
+    # A Palm run's kth distance never exceeds its stationary run's, so the
+    # contact CDF's tail radius is the larger and covers both kinds.
+    radius = r_max if r_max is not None else quantile_radius(CurveKind.CONTACT, k_max, p)
+    cfg = SimConfig(p, radius, samples, seed, k_max, palm=True)
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
-    for kind, cfg in configs.items():
-        radius = cfg.observation_radius
-        distances = simulate_kth_distances(cfg)
-        if not cfg.palm:
-            stationary = distances
+    stationary, palm = _simulate(cfg)
+    for name, kind, distances in (("cd", CurveKind.CONTACT, stationary),
+                                  ("nnd", CurveKind.NND, palm)):
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
         end = float(np.max(distances, where=distances <= radius, initial=0.0))
         for curve in distribution_curves(kind, k_values, p, r_max=end):
             ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
-            rows.append(ValidationRow("nnd" if cfg.palm else "cd", curve.k, ks, threshold,
-                                      ecdf.censored_fraction()))
-    return ValidationReport(rows, stationary, configs[CurveKind.CONTACT].observation_radius)
+            rows.append(ValidationRow(name, curve.k, ks, threshold, ecdf.censored_fraction()))
+    return ValidationReport(rows, stationary, radius)
 
 
 def write_raw_samples(stream, distances: np.ndarray, observation_radius: float) -> None:

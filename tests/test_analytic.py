@@ -17,6 +17,7 @@ from mcpdist import (
     ppp_cdf_contact,
     unit_ball_volume,
 )
+from mcpdist import analytic
 from mcpdist.analytic import log_pgf_count
 
 from oracles import (
@@ -53,6 +54,14 @@ class TestParams:
             McpParams(lambda_p=1.0, mbar=1.0, rd=math.inf, n=2)
         with pytest.raises(ValueError):
             McpParams(lambda_p=1.0, mbar=1.0, rd=1.0, n=0)
+
+
+def test_written_out_rule_is_numpys_leggauss():
+    # analytic holds the 64-node Gauss-Legendre rule as literals; they
+    # must be numpy's leggauss(64) bit for bit.
+    nodes, weights = np.polynomial.legendre.leggauss(analytic._NODES)
+    assert analytic._gl_nodes.tobytes() == nodes.tobytes()
+    assert analytic._gl_weights.tobytes() == weights.tobytes()
 
 
 class TestHCoefficients:

@@ -21,7 +21,7 @@ from mcpdist import (
     cdf_nnd,
     ppp_cdf_contact,
     quantile_radius,
-    simulate_kth_distances,
+    simulator,
 )
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main
@@ -321,7 +321,9 @@ class TestSubprocessInterface:
         assert text.endswith("\n")
 
     def test_commands_load_no_scipy(self, tmp_path):
-        # The package's only runtime dependency is numpy.
+        # The package's only runtime dependency is numpy.  On one thread
+        # the commands load neither concurrent.futures (with logging,
+        # traceback and queue) nor numpy.polynomial.
         script = f"""
 import sys
 from mcpdist.cli import main
@@ -337,10 +339,12 @@ codes = [
     main(["validate", "--k-max", "2", "--samples", "500", "--seed", "5", *fig1, "-o", out]),
 ]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in ("concurrent.futures", "numpy.polynomial") if m in sys.modules))
 """
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "MCPDIST_THREADS": "1"})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
+        assert proc.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0] []", "[]"]
 
 
 class TestDumpSamples:
@@ -353,7 +357,8 @@ class TestDumpSamples:
         assert code == 0
         p = McpParams(2e-5, 5.0, 50.0, 2)
         radius = quantile_radius(CurveKind.CONTACT, 3, p)
-        expected = simulate_kth_distances(SimConfig(p, radius, 700, 6, 3))
+        # The stationary half of validate's one simulation.
+        expected = simulator._simulate(SimConfig(p, radius, 700, 6, 3, palm=True))[0]
         dumped = np.full((700, 3), np.inf)
         for line in dump.read_text().splitlines()[1:]:
             run, k, distance, censored = line.split(",")

@@ -76,7 +76,8 @@ class TestDaughterPoints:
         # volume over the ball volume.  Exact two-sided KS against it.
         rd, size = 2.0, 1_000_000
         rho = rho_over_rd * rd
-        rng = _substream(7, n, int(4 * rho_over_rd))
+        key = np.random.SeedSequence(entropy=7, spawn_key=(n, int(4 * rho_over_rd)))
+        rng = np.random.Generator(np.random.SFC64(key))
         d2 = simulator._daughter_distances(rng, n, rd, np.array([rho]), np.array([size]))
         d = np.sort(np.sqrt(d2))
         cdf = intersection_volume(d, rd, rho, n) / ball_volume(rd, n)
@@ -430,11 +431,20 @@ class TestBlockPath:
                                                             counts[i : i + 1]))
             return np.concatenate(d2), counts
 
+        def nearest(d2):
+            expected = np.full(max_k, np.inf)
+            values = np.sqrt(np.sort(d2))[:max_k]
+            expected[: values.size] = values
+            return expected
+
         drawn = np.zeros(runs, dtype=np.int64)
         outer = window ** (1.0 / n)
-        table, _ = simulator._nearest(gaps_of(drawn), clusters, runs, window, outer, n, rd, max_k,
-                                      None if own is None else np.array(own))
+        table, _ = simulator._nearest(gaps_of(drawn), clusters, runs, window, outer, n, rd, max_k)
         rows = np.sqrt(np.sort(table, axis=1))
+        if own is not None:
+            # The Palm runs: each run's own cluster merged in after its rounds.
+            d2, counts = clusters(np.array(own))
+            palm_rows = np.sqrt(np.sort(simulator._select_block(d2, counts, table), axis=1))
 
         # Rounds of 1, 1, 2, 4, ... parents end after 1, 2, 4, 8, ... of them.
         ends = 2 ** np.arange(12)
@@ -442,22 +452,64 @@ class TestBlockPath:
         for run in range(runs):
             v = np.cumsum(gaps_of(oracle_drawn)(np.array([run]), 64)[0])
             radii = outer * (np.minimum(v, window) / window) ** (1.0 / n)
-            inside = radii[v <= window]
-            d2, _ = clusters(inside if own is None else np.concatenate(([own[run]], inside)))
-            expected = np.full(max_k, np.inf)
-            nearest = np.sqrt(np.sort(d2))[:max_k]
-            expected[: nearest.size] = nearest
+            d2, _ = clusters(radii[v <= window])
+            expected = nearest(d2)
             assert rows[run].tobytes() == expected.tobytes()
+            if own is not None:
+                own_d2, _ = clusters(np.array([own[run]]))
+                palm = nearest(np.concatenate((d2, own_d2)))
+                assert palm_rows[run].tobytes() == palm.tobytes()
             # A run stops in the round of its first parent past the window
             # or past the reach of its kth distance, or in the next round.
             past = (v > window) | (radii - rd > expected[-1] * (1.0 + _KEEP_MARGIN))
             first_end = ends[ends > np.argmax(past)][0]
             assert drawn[run] in (first_end, 2 * first_end)
 
+    @given(
+        case=st.sampled_from([
+            (McpParams(2e-5, 5.0, 50.0, 2), 450.0),  # fig1
+            (McpParams(1e-3, 50.0, 5.0, 2), 96.7),  # dense clusters
+            (McpParams(0.1, 2.0, 1.0, 1), 20.0),
+            (McpParams(0.02, 3.0, 2.0, 3), 7.97),
+        ]),
+        max_k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_palm_runs_are_stationary_runs_plus_their_own_cluster(self, case, max_k, seed):
+        # The Palm law of a Poisson cluster process is the stationary one
+        # plus one independent cluster, the typical point's: each Palm row
+        # is, element by element, at most its stationary row, and equals the
+        # max_k smallest of that row and the run's siblings, drawn last.
+        p, radius = case
+        cfg = SimConfig(p, radius, 1, seed, max_k, palm=True)
+        calls, daughter_distances = [], simulator._daughter_distances
+
+        def recorded(rng, n, rd, radii, counts):
+            d2 = daughter_distances(rng, n, rd, radii, counts)
+            calls.append((counts, d2))
+            return d2
+
+        with patch.object(simulator, "_daughter_distances", recorded):
+            (stationary, palm), _ = simulator._sample_block(cfg, _substream(seed, 0))
+        counts, siblings = calls[-1]
+        assert counts.size == cfg.runs_per_block()
+        stationary, palm = np.sort(stationary, axis=1), np.sort(palm, axis=1)
+        assert (palm <= stationary).all()
+        starts = np.cumsum(counts) - counts
+        for run, (start, count) in enumerate(zip(starts, counts)):
+            expected = np.sort(np.concatenate((stationary[run], siblings[start : start + count])))
+            assert palm[run].tobytes() == expected[:max_k].tobytes()
+        # The same holds for the distances simulated over more than one block.
+        more = SimConfig(p, radius, cfg.runs_per_block() + 7, seed, max_k, palm=True)
+        stationary, palm = simulator._simulate(more)
+        assert (palm <= stationary).all()
+
     def test_blocks_draw_counts_only_for_parents_that_draw_daughters(self, fig1_params,
                                                                      monkeypatch):
         # Every Poisson count drawn belongs to a parent that also draws its
-        # daughters' offsets, or under Palm to a run's own cluster.  The
+        # daughters' offsets, or under Palm to a run's own cluster, drawn
+        # once the rounds are done.  The
         # count-based reach drew about 5.7 counts per stationary run at
         # fig1, where 3.5 parents drew daughters.
         offsets, daughter_distances = [], simulator._daughter_distances
@@ -471,10 +523,10 @@ class TestBlockPath:
             cfg = SimConfig(fig1_params, 450.0, 1, 3, 4, palm)
             offsets.clear()
             runs = cfg.runs_per_block()
-            rng = CountingRng(_substream(3, int(palm), 0))
+            rng = CountingRng(_substream(3, 0))
             simulator._sample_block(cfg, rng)
-            own = runs if palm else 0  # the own clusters draw first
-            assert offsets[0] == runs or not palm
+            own = runs if palm else 0  # the own clusters draw last
+            assert offsets[-1] == runs or not palm
             parents = sum(offsets) - own
             assert rng.daughter_counts == parents + own
             assert parents < 2.5 * runs
@@ -489,12 +541,12 @@ class TestBlockPath:
     )
     def test_mean_parents_match_the_sampled_reach(self, p, max_k, blocks, monkeypatch):
         # SimConfig prices a run by the mean number of parents in its window
-        # with r - rd < D_k, its kth distance (NND under Palm, the own cluster
-        # not counted).  The blocks' recorded volume gaps give each run's
-        # parents, and its rows D_k.  Validate's windows.
+        # with r - rd < D_k, its kth contact distance; a Palm run draws the
+        # same parents.  The blocks' recorded volume gaps give each run's
+        # parents, and its rows D_k.  Validate's window.
         nearest, needed = simulator._nearest, []
 
-        def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k, own=None):
+        def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k):
             drawn = [[] for _ in range(runs)]
 
             def recorded(rows, m):
@@ -503,7 +555,7 @@ class TestBlockPath:
                     drawn[run].append(row.copy())
                 return g
 
-            table, daughters = nearest(recorded, clusters, runs, v_max, outer, n, rd, max_k, own)
+            table, daughters = nearest(recorded, clusters, runs, v_max, outer, n, rd, max_k)
             d_k = np.sqrt(table[:, -1])
             for run in range(runs):
                 v = np.cumsum(np.concatenate(drawn[run]))
@@ -512,14 +564,12 @@ class TestBlockPath:
             return table, daughters
 
         monkeypatch.setattr(simulator, "_nearest", recording)
-        for palm in (False, True):
-            radius = quantile_radius(CurveKind.NND if palm else CurveKind.CONTACT, max_k, p)
-            cfg = SimConfig(p, radius, 1, 0, max_k, palm)
-            needed.clear()
-            for b in range(blocks):
-                simulator._sample_block(cfg, _substream(0, int(palm), b))
-            se = np.std(needed, ddof=1) / math.sqrt(len(needed))
-            assert abs(np.mean(needed) - _mean_parents(p, radius, max_k, palm)) <= 4.0 * se
+        radius = quantile_radius(CurveKind.CONTACT, max_k, p)
+        cfg = SimConfig(p, radius, 1, 0, max_k)
+        for b in range(blocks):
+            simulator._sample_block(cfg, _substream(0, b))
+        se = np.std(needed, ddof=1) / math.sqrt(len(needed))
+        assert abs(np.mean(needed) - _mean_parents(p, radius, max_k)) <= 4.0 * se
 
     def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
         # At fig1 with max_k = 4 a stationary run keeps about a fifth of the
@@ -528,7 +578,7 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
         assert window_mean == pytest.approx(78.5, rel=1e-3)
-        kept_counts = simulator._sample_block(cfg, _substream(3, 0, 0))
+        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0))
         assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
 
@@ -540,8 +590,8 @@ class TestBlockPath:
         for p, radius in ((fig1_params, 450.0), (McpParams(0.02, 3.0, 2.0, 3), 7.97)):
             for palm in (False, True):
                 cfg = SimConfig(p, radius, 1, 3, 4, palm)
-                rng = CountingRng(_substream(3, int(palm), 0))
-                counts = simulator._sample_block(cfg, rng)
+                rng = CountingRng(_substream(3, 0))
+                _, counts = simulator._sample_block(cfg, rng)
                 assert counts.sum() > 0
                 assert rng.normals == (2 if p.n % 2 == 0 else 1) * counts.sum()
 
@@ -556,7 +606,8 @@ class TestBlockPath:
     def test_runs_draw_few_parents_in_few_rounds(self, p, radius, max_k):
         # Every drawn parent costs a volume gap; only those within the reach
         # at the start of their round cost a daughter count and daughters,
-        # within 5 % of the mean of the parents a run needs.  At fig1 with
+        # within 5 % of the mean of the parents a run needs (a Palm run
+        # draws the same ones, then its own cluster).  At fig1 with
         # max_k = 4 a stationary run needs 2.2 of the 15.7 parents of its
         # window (the count-based reach drew 5.7).  Rounds of 1, 1, 2, 4, ...
         # parents: a block ends within two rounds of its longest run.
@@ -566,13 +617,13 @@ class TestBlockPath:
             runs = cfg.runs_per_block()
             parents = []
             for b in range(10):
-                rng = CountingRng(_substream(0, int(palm), b))
-                counts = simulator._sample_block(cfg, rng)
+                rng = CountingRng(_substream(0, b))
+                _, counts = simulator._sample_block(cfg, rng)
                 longest = counts.max() / p.mbar
                 assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
                 # Under Palm, one count per run is the own cluster's.
                 parents.append(rng.daughter_counts / runs - palm)
-            assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k, palm)
+            assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k)
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params, monkeypatch):
         for palm in (False, True):
@@ -606,20 +657,20 @@ class TestBlockPath:
 
     def test_block_size_follows_expected_points(self, fig1_params):
         # A run draws a volume gap, a count and mbar daughters for each
-        # parent with r - rd < D_k in its window and for its Palm own
-        # cluster, and one volume gap more.  The mean of those parents,
-        # E[c min(D_k + rd, R + rd)^n], against a Stieltjes sum over the CDF
-        # of D_k on a fine grid.
+        # parent with r - rd < D_k in its window, and one volume gap more;
+        # a Palm run then draws its own cluster, a radius and mbar siblings.
+        # The mean of those parents, E[c min(D_k + rd, R + rd)^n], against a
+        # Stieltjes sum over the contact CDF of D_k on a fine grid.
         lambda_p, mbar = fig1_params.lambda_p, fig1_params.mbar
         grid = np.linspace(0.0, 450.0, 4001)
         middle = 0.5 * (grid[1:] + grid[:-1])
-        for palm, kind in ((False, CurveKind.CONTACT), (True, CurveKind.NND)):
+        cdf = cdf_table(CurveKind.CONTACT, grid, [1], fig1_params)[0]
+        parents = lambda_p * math.pi * (np.sum((middle + 50.0) ** 2 * np.diff(cdf))
+                                        + 500.0**2 * (1.0 - cdf[-1]))
+        assert _mean_parents(fig1_params, 450.0, 1) == pytest.approx(parents, rel=1e-5)
+        for palm in (False, True):
             cfg = SimConfig(fig1_params, 450.0, 10, 1, 1, palm)
-            cdf = cdf_table(kind, grid, [1], fig1_params)[0]
-            parents = lambda_p * math.pi * (np.sum((middle + 50.0) ** 2 * np.diff(cdf))
-                                            + 500.0**2 * (1.0 - cdf[-1]))
-            assert _mean_parents(fig1_params, 450.0, 1, palm) == pytest.approx(parents, rel=1e-5)
-            mean = 1.0 + (_mean_parents(fig1_params, 450.0, 1, palm) + palm) * (1.0 + mbar)
+            mean = 1.0 + _mean_parents(fig1_params, 450.0, 1) * (1.0 + mbar) + palm * (1.0 + mbar)
             assert cfg.mean_points == mean
             assert cfg.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
             more = SimConfig(fig1_params, 450.0, 10**6, 1, 1, palm)
@@ -653,10 +704,13 @@ class TestBlockPath:
         # parents its window holds (~13 here).
         with pytest.raises(ValueError, match="points on average"):
             SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1, palm=True)
-        # At a quarter of that mbar a run fits, alone in its block.
+        # At a quarter of that mbar a run fits, alone in its block.  A Palm
+        # run draws its own cluster after its rounds, so the cap holds each
+        # part alone, though together they pass it.
         for palm in (False, True):
             few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1, palm)
             assert few.runs_per_block() == 1
+            assert (few.mean_points > simulator.MAX_MEAN_POINTS) == palm
         # At n = 20 a stationary run draws ~5.5e4 points, where the
         # count-based reach would have drawn ~3.2e7.
         high = McpParams(1e-3, 5.0, 1.0, 20)
