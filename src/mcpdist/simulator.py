@@ -114,7 +114,7 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: parameters, window, run budget, and with palm Palm runs."""
+    """One simulation campaign: parameters, window, run budget, and Palm runs or not."""
 
     params: McpParams
     observation_radius: float

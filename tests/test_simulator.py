@@ -509,9 +509,8 @@ class TestBlockPath:
                                                                      monkeypatch):
         # Every Poisson count drawn belongs to a parent that also draws its
         # daughters' offsets, or under Palm to a run's own cluster, drawn
-        # once the rounds are done.  The
-        # count-based reach drew about 5.7 counts per stationary run at
-        # fig1, where 3.5 parents drew daughters.
+        # once the rounds are done.  The count-based reach drew about 5.7
+        # counts per stationary run at fig1, where 3.5 parents drew daughters.
         offsets, daughter_distances = [], simulator._daughter_distances
 
         def recorded(rng, n, rd, radii, daughters):
