@@ -9,11 +9,11 @@ Usage (from the repository root):
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`, started from the root of the checkout it measures, so every
 side runs its own program and its own benchmark code.  Alone, the script
-runs each workload --pairs times on this checkout.  With --parent (another
-checkout, such as a `git clone` of the parent commit) it runs --pairs
-pairs per workload, parent and this checkout at one seed per pair, and
-alternates which side runs first, so the machine's drift falls on both
-sides alike.
+runs each workload of BENCHMARK.json --pairs times on this checkout, run i
+at seed i.  With --parent (another checkout, such as a `git clone` of the
+parent commit) it runs --pairs pairs per workload, parent and this
+checkout at the same seed i in pair i, and alternates which side runs
+first, so the machine's drift falls on both sides alike.
 
 The summary (stdout, or --out) gives per workload and end-to-end metric
 each side's median, quartiles and every run's value, and with --parent
@@ -74,8 +74,6 @@ def main(argv=None):
     parser.add_argument("--parent", help="checkout to compare against, run in alternating pairs")
     parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
     parser.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
     parser.add_argument("--out", help="write the summary here instead of stdout")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -83,16 +81,14 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
     sides = {"change": ROOT}
     if args.parent:
         sides["parent"] = os.path.abspath(args.parent)
-    seeds = list(range(args.seed, args.seed + args.pairs))
+    seeds = list(range(1, args.pairs + 1))
     summary = {"commits": {side: _commit(path) for side, path in sides.items()},
                "seconds": seconds, "pairs": args.pairs, "seeds": seeds, "workloads": {}}
     all_correct = True
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         results = {side: [] for side in sides}
         for i, seed in enumerate(seeds):
             order = list(sides) if i % 2 else list(sides)[::-1]

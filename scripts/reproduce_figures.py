@@ -9,24 +9,19 @@ Writes four files into the output directory:
   fig3.csv       cache-hit probability vs cluster radius (with PPP rows)
 
 The fig1 files carry both the analytic curve and a Monte Carlo ECDF
-column so the overlay can be plotted directly.  The sweeps are written by
-the `mcpdist sweep` command.
+column so the overlay can be plotted directly; one simulation gives both,
+its stationary runs fig1_cd.csv and their Palm runs fig1_nnd.csv.  The
+sweeps are written by the `mcpdist sweep` command.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-from mcpdist import (
-    EmpiricalCdf,
-    McpParams,
-    SimConfig,
-    distribution_curves,
-    quantile_radius,
-    simulate_kth_distances,
-)
+from mcpdist import EmpiricalCdf, McpParams, SimConfig, distribution_curves, quantile_radius
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main as cli_main
+from mcpdist.simulator import _simulate
 
 FIG1 = McpParams(lambda_p=2e-5, mbar=5.0, rd=50.0, n=2)
 FIG2_LAMBDAS = (3e-2, 1.3e-2, 0.4e-2)
@@ -36,19 +31,27 @@ MBAR = 2.0
 K_VALUES = (1, 2, 3, 4)
 
 
-def write_fig1(path: Path, kind: CurveKind, palm: bool, samples: int, seed: int) -> None:
-    r_max = quantile_radius(kind, max(K_VALUES), FIG1)
-    cfg = SimConfig(FIG1, r_max, samples, seed, max(K_VALUES), palm)
-    distances = simulate_kth_distances(cfg)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
-                 f"n={FIG1.n} samples={samples} seed={seed}\n")
-        fh.write("r,k,cdf_analytic,cdf_empirical\n")
-        for curve in distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256):
-            ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], r_max)
-            empirical = ecdf.evaluate(curve.radii)
-            for r, a, e in zip(curve.radii, curve.values, empirical):
-                fh.write(f"{float(r)!r},{curve.k},{float(a)!r},{float(e)!r}\n")
+def write_fig1(out: Path, samples: int, seed: int) -> None:
+    """fig1_cd.csv and fig1_nnd.csv from one simulation: Palm runs and their stationary runs.
+
+    The window is the contact CDF's tail radius, the larger of the two
+    kinds'; each file's curves, and its ECDFs' censoring, end at its own.
+    """
+    k_max = max(K_VALUES)
+    window = quantile_radius(CurveKind.CONTACT, k_max, FIG1)
+    simulated = _simulate(SimConfig(FIG1, window, samples, seed, k_max, palm=True))
+    for name, kind, distances in zip(("fig1_cd.csv", "fig1_nnd.csv"),
+                                     (CurveKind.CONTACT, CurveKind.NND), simulated):
+        r_max = quantile_radius(kind, k_max, FIG1)
+        with (out / name).open("w", newline="") as fh:
+            fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
+                     f"n={FIG1.n} samples={samples} seed={seed}\n")
+            fh.write("r,k,cdf_analytic,cdf_empirical\n")
+            for curve in distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256):
+                ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], r_max)
+                empirical = ecdf.evaluate(curve.radii)
+                for r, a, e in zip(curve.radii, curve.values, empirical):
+                    fh.write(f"{float(r)!r},{curve.k},{float(a)!r},{float(e)!r}\n")
 
 
 def write_sweep(path: Path, metric: str, lambdas, rd_points: int) -> None:
@@ -70,20 +73,18 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rd-points", type=int, default=25)
     args = parser.parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
 
     jobs = [
-        ("fig1_cd.csv", lambda p: write_fig1(p, CurveKind.CONTACT, False, args.samples, args.seed)),
-        ("fig1_nnd.csv", lambda p: write_fig1(p, CurveKind.NND, True, args.samples, args.seed)),
-        ("fig2.csv", lambda p: write_sweep(p, "connectivity", FIG2_LAMBDAS, args.rd_points)),
-        ("fig3.csv", lambda p: write_sweep(p, "cache", FIG3_LAMBDAS, args.rd_points)),
+        ("fig1_cd.csv, fig1_nnd.csv", write_fig1, (out, args.samples, args.seed)),
+        ("fig2.csv", write_sweep, (out / "fig2.csv", "connectivity", FIG2_LAMBDAS, args.rd_points)),
+        ("fig3.csv", write_sweep, (out / "fig3.csv", "cache", FIG3_LAMBDAS, args.rd_points)),
     ]
-    for name, job in jobs:
-        target = args.out / name
+    for names, job, job_args in jobs:
         start = time.time()
-        job(target)
-        print(f"wrote {target} ({time.time() - start:.1f}s)")
-
+        job(*job_args)
+        print(f"wrote {names} in {out} ({time.time() - start:.1f}s)")
 
 if __name__ == "__main__":
     main()

@@ -170,7 +170,7 @@ class SimConfig:
         object.__setattr__(self, "mean_points", mean + own)
 
     def runs_per_block(self) -> int:
-        """Runs simulated together: about _BLOCK_POINTS drawn points per block."""
+        """Runs simulated together: about _BLOCK_POINTS drawn points, Palm siblings included."""
         return int(max(1.0, _BLOCK_POINTS // self.mean_points))
 
 

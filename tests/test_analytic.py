@@ -56,12 +56,20 @@ class TestParams:
             McpParams(lambda_p=1.0, mbar=1.0, rd=1.0, n=0)
 
 
-def test_written_out_rule_is_numpys_leggauss():
-    # analytic holds the 64-node Gauss-Legendre rule as literals; they
-    # must be numpy's leggauss(64) bit for bit.
+def test_written_out_rule_is_gauss_legendre():
+    # analytic holds the 64-node Gauss-Legendre rule as literals: sorted and
+    # symmetric, exact for every monomial of degree < 128 on [-1, 1], and
+    # numpy's leggauss(64) to within a few ulps (its last bits may vary
+    # with the LAPACK build).
+    x, w = analytic._gl_nodes, analytic._gl_weights
+    assert x.size == analytic._NODES and np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    degrees = np.arange(128)
+    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1.0), 0.0)
+    np.testing.assert_allclose(w @ x[:, np.newaxis] ** degrees, exact, rtol=0.0, atol=5e-15)
     nodes, weights = np.polynomial.legendre.leggauss(analytic._NODES)
-    assert analytic._gl_nodes.tobytes() == nodes.tobytes()
-    assert analytic._gl_weights.tobytes() == weights.tobytes()
+    np.testing.assert_allclose(x, nodes, rtol=4e-16, atol=1e-17)
+    np.testing.assert_allclose(w, weights, rtol=4e-16, atol=1e-17)
 
 
 class TestHCoefficients:
