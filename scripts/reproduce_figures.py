@@ -9,19 +9,20 @@ Writes four files into the output directory:
   fig3.csv       cache-hit probability vs cluster radius (with PPP rows)
 
 The fig1 files carry both the analytic curve and a Monte Carlo ECDF
-column so the overlay can be plotted directly; one simulation gives both,
-its stationary runs fig1_cd.csv and their Palm runs fig1_nnd.csv.  The
-sweeps are written by the `mcpdist sweep` command.
+column so the overlay can be plotted directly; both come from the runs of
+one `validate_against_analytic` call, their stationary distances
+fig1_cd.csv and their Palm ones fig1_nnd.csv.  The sweeps are written by
+the `mcpdist sweep` command.
 """
 
 import argparse
 import time
 from pathlib import Path
 
-from mcpdist import EmpiricalCdf, McpParams, SimConfig, distribution_curves, quantile_radius
+from mcpdist import (EmpiricalCdf, McpParams, distribution_curves, quantile_radius,
+                     validate_against_analytic)
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main as cli_main
-from mcpdist.simulator import _simulate
 
 FIG1 = McpParams(lambda_p=2e-5, mbar=5.0, rd=50.0, n=2)
 FIG2_LAMBDAS = (3e-2, 1.3e-2, 0.4e-2)
@@ -32,17 +33,16 @@ K_VALUES = (1, 2, 3, 4)
 
 
 def write_fig1(out: Path, samples: int, seed: int) -> None:
-    """fig1_cd.csv and fig1_nnd.csv from one simulation: Palm runs and their stationary runs.
+    """fig1_cd.csv and fig1_nnd.csv from the stationary and Palm kth distances of fig1's validation.
 
-    The window is the contact CDF's tail radius, the larger of the two
+    Its window is the contact CDF's tail radius, the larger of the two
     kinds'; each file's curves, and its ECDFs' censoring, end at its own.
     """
-    k_max = max(K_VALUES)
-    window = quantile_radius(CurveKind.CONTACT, k_max, FIG1)
-    simulated = _simulate(SimConfig(FIG1, window, samples, seed, k_max, palm=True))
+    report = validate_against_analytic(FIG1, K_VALUES, samples, seed)
     for name, kind, distances in zip(("fig1_cd.csv", "fig1_nnd.csv"),
-                                     (CurveKind.CONTACT, CurveKind.NND), simulated):
-        r_max = quantile_radius(kind, k_max, FIG1)
+                                     (CurveKind.CONTACT, CurveKind.NND),
+                                     report.distances.swapaxes(0, 1)):
+        r_max = quantile_radius(kind, max(K_VALUES), FIG1)
         with (out / name).open("w", newline="") as fh:
             fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
                      f"n={FIG1.n} samples={samples} seed={seed}\n")

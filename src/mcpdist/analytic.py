@@ -23,6 +23,7 @@ the table entry.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -218,11 +219,12 @@ class _Kernel:
     its lambda_p, lambda_d and rd enter as columns.  The stationary pair
     integrates over the window [0, r + rd] with weights
     lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
-    cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  The
-    lens is evaluated once for both, in one call over every row, and each
-    PGF quantity is a weighted sum over the nodes of a row.  Those sums are
-    numpy sums along contiguous rows, never matrix products, so a row's
-    value does not depend on the other rows.
+    cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  Each
+    pair's lens is evaluated in one call over every row, the Palm one only
+    when a Palm quantity is first asked for, and each PGF quantity is a
+    weighted sum over the nodes of a row.  Those sums are numpy sums along
+    contiguous rows, never matrix products, so a row's value does not
+    depend on the other rows.
     """
 
     def __init__(self, radii, p: McpParams | Sequence[McpParams]):
@@ -234,18 +236,9 @@ class _Kernel:
         n = params[0].n
         columns = np.array([[q.lambda_p, q.lambda_d, q.rd] for q in params])
         lambda_p, lambda_d, rd = np.hsplit(columns, 3)
-        inner = np.abs(r - rd)
-        # Stationary rows over [0, r + rd], then Palm rows over [0, rd]: one
-        # rule and one lens call for both.
-        x, w = _radial_rule(
-            np.concatenate([inner, np.minimum(inner, rd)]),
-            np.concatenate([r + rd, rd]),
-            n,
-        )
-        lens = intersection_volume(np.concatenate([r, r]), np.concatenate([rd, rd]), x, n)
-        # Rounding can leave a cap sum a hair below zero.
-        t = np.concatenate([lambda_d, lambda_d]) * np.maximum(lens, 0.0)
-        self.t, self.palm_t, self.palm_w = t[:rows], t[rows:], w[rows:]
+        self._lens_args = r, lambda_d, rd, n
+        x, w = _radial_rule(np.abs(r - rd), r + rd, n)
+        self.t = self._lens(x)
         # The product overflows for a huge lambda_p, and the volume alone
         # where a tiny lambda_p brings the count back into range; those rows
         # form lambda_p v_n (r + rd)^n in logs instead.
@@ -261,7 +254,20 @@ class _Kernel:
                 f"the expected number of clusters within r + rd = {window!r} of the origin "
                 "exceeds the double range"
             )
-        self.w = clusters * w[:rows]
+        self.w = clusters * w
+
+    def _lens(self, x: np.ndarray) -> np.ndarray:
+        """lambda_d A(r, rd, x) per row at its nodes x."""
+        r, lambda_d, rd, n = self._lens_args
+        # Rounding can leave a cap sum a hair below zero.
+        return lambda_d * np.maximum(intersection_volume(r, rd, x, n), 0.0)
+
+    @functools.cached_property
+    def _palm(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Palm pair (t, w) over [0, rd], built on first use."""
+        r, _, rd, n = self._lens_args
+        x, w = _radial_rule(np.minimum(np.abs(r - rd), rd), rd, n)
+        return self._lens(x), w
 
     def log_pgf(self, s: float) -> np.ndarray:
         """g(s) per row, as an expm1 sum free of cancellation against the window mass."""
@@ -269,7 +275,8 @@ class _Kernel:
 
     def palm_factor(self, s: float) -> np.ndarray:
         """E[s^(own-cluster count)] per row: the Palm PGF divided by the stationary one."""
-        return (np.exp((s - 1.0) * self.palm_t) * self.palm_w).sum(axis=-1)
+        t, w = self._palm
+        return (np.exp((s - 1.0) * t) * w).sum(axis=-1)
 
     def h(self, lo: int, hi: int) -> np.ndarray:
         """h_k for k = lo..hi-1, one row per radius."""
@@ -277,7 +284,7 @@ class _Kernel:
 
     def q(self, lo: int, hi: int) -> np.ndarray:
         """q_j for j = lo..hi-1, one row per radius."""
-        return _padded(_poisson_sums(self.palm_t, self.palm_w, lo, hi), hi - lo)
+        return _padded(_poisson_sums(*self._palm, lo, hi), hi - lo)
 
 
 def _row_params(p: McpParams | Sequence[McpParams], rows: int) -> np.ndarray:
@@ -318,10 +325,13 @@ def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
-    """log k! for a rising run of orders k; only single-order calls go past the PMF cap."""
-    table = log_factorials(_PMF_HARD_CAP + 1)
-    if k[-1] < table.size:
-        return table[k]
+    """log k! for a rising run of orders k; only single-order calls go past the PMF cap.
+
+    The table is the shortest power-of-two prefix that covers k, so low
+    orders do not pay for the whole table.
+    """
+    if k[-1] <= _PMF_HARD_CAP:
+        return log_factorials(min(1 << int(k[-1]).bit_length(), _PMF_HARD_CAP + 1))[k]
     return np.array([lgam(j + 1.0) for j in k])
 
 

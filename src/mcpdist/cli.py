@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -88,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+# Built once per process: parsing leaves the parser as it was, and each
+# call's values live in the namespace it returns.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcpdist",
@@ -270,8 +274,8 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
         ("grid_max", float(curves[0].radii[-1])), ("grid_points", args.grid_points),
     ])
     _emit(args.output, head + "r,k,cdf\n", (
-        f"{float(r)!r},{curve.k},{float(value)!r}\n"
-        for curve in curves for r, value in zip(curve.radii, curve.values)
+        f"{r!r},{curve.k},{value!r}\n"
+        for curve in curves for r, value in zip(curve.radii.tolist(), curve.values.tolist())
     ))
     return 0
 
@@ -286,7 +290,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
         ("m_max", pmf.probs.size - 1), ("truncation_mass", float(pmf.truncation_mass)),
     ])
     _emit(args.output, head + "m,probability\n",
-          (f"{m},{float(prob)!r}\n" for m, prob in enumerate(pmf.probs)))
+          (f"{m},{prob!r}\n" for m, prob in enumerate(pmf.probs.tolist())))
     return 0
 
 
@@ -308,7 +312,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
           f"result={'pass' if row.passed else 'fail'}\n" for row in report),
         f"overall={'pass' if all_passed else 'fail'}\n",
     ], dump=None if args.dump_samples is None else (args.dump_samples, lambda stream: (
-        write_raw_samples(stream, report.stationary, report.observation_radius))))
+        write_raw_samples(stream, report.distances[:, 0], report.observation_radius))))
     return 0 if all_passed else 1
 
 
@@ -334,8 +338,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_table_size(
         len(lambda_ps) * len(rd_grid) * len(k_values), "lambda-p values x rd points x k values"
     )
+    # Each lambda_p and rd is formatted once; the PPP rows have rd = inf.
     panels = [
-        (lam, sweep(SweepSpec(
+        (repr(float(lam)), sweep(SweepSpec(
             base=McpParams(lambda_p=lam, mbar=args.mbar, rd=rd_grid[0], n=n),
             rd_grid=rd_grid,
             connect_range=args.R,
@@ -350,9 +355,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("rd", [float(r) for r in rd_grid]), ("hold", args.hold),
         ("ppp_reference", int(not args.no_ppp_reference)),
     ])
+    rd_text = {float(rd): repr(float(rd)) for rd in rd_grid} | {math.inf: "inf"}
     _emit(args.output, head + "lambda_p,rd,k,value\n", (
-        f"{float(lam)!r},{'inf' if math.isinf(row.rd) else repr(row.rd)},{row.k},{row.value!r}\n"
-        for lam, rows in panels for row in rows
+        f"{lam},{rd_text[row.rd]},{row.k},{row.value!r}\n" for lam, rows in panels for row in rows
     ))
     return 0
 

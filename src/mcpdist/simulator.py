@@ -1,20 +1,21 @@
 """Monte Carlo oracle: cluster-process sampling and empirical-CDF tooling.
 
-Draws, for each stationary run, the distances from the origin to its
-max_k nearest points, and compares their empirical CDFs against the
-analytic curves.  Each run draws its parents in order of distance from
-the origin, in rounds, and stops at its own running kth distance: only
-parents within rd of it draw daughters, each drawn as its squared
-distance alone (see _daughter_distances).  The max_k nearest distances
-keep their law, but the draws depend on max_k, so the rows do too.  A
-Palm run is its stationary run plus the typical point's own cluster (the
-Palm law of a Poisson cluster process).  Runs are simulated in fixed
-blocks, each from its own SFC64 substream keyed by (seed, block).
-SimConfig sizes the blocks, and checks the MAX_MEAN_POINTS cap, from the
-exact mean number of points a run draws, an integral against the paper's
-kth contact CDF that depends only on the parameters, the window and
-max_k: results are identical for any worker count, and a larger run
-budget extends the same rows.  A wide window costs only what a run draws.
+Draws, for each run, the distances from the origin to its max_k nearest
+points, once stationary and once under Palm, and compares their
+empirical CDFs against the analytic curves.  Each run draws its parents
+in order of distance from the origin, in rounds, and stops at its own
+running kth distance: only parents within rd of it draw daughters, each
+drawn as its squared distance alone (see _daughter_distances).  The
+max_k nearest distances keep their law, but the draws depend on max_k,
+so the rows do too.  The run's Palm distances add the typical point's
+own cluster to those points (the Palm law of a Poisson cluster
+process).  Runs are simulated in fixed blocks, each from its own SFC64
+substream keyed by (seed, block).  SimConfig sizes the blocks, and
+checks the MAX_MEAN_POINTS cap, from the exact mean number of points a
+run draws, an integral against the paper's kth contact CDF that depends
+only on the parameters, the window and max_k: results are identical for
+any worker count, and a larger run budget extends the same rows.  A wide
+window costs only what a run draws.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ KS_THRESHOLD_FACTOR = 1.5 * 1.36
 MAX_CENSORED_FRACTION = 0.01
 
 # Fail-fast caps, checked before any sampling: the mean number of points
-# one run draws, and the entries of the (samples, max_k) matrix.
+# one run draws, and the entries of each kind's (samples, max_k) matrix.
 MAX_MEAN_POINTS = 1_000_000
 MAX_DISTANCES = 50_000_000
 
@@ -89,7 +90,7 @@ def _parents_within(p: McpParams, radius):
 
 
 def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
-    """Mean number of parents that draw daughters in a run (a Palm run draws the same).
+    """Mean number of parents that draw daughters in a run, its own cluster's not included.
 
     A parent at distance r <= R + rd draws them when r - rd < D_k, the
     run's kth distance, an event its own daughters cannot move, so by
@@ -114,15 +115,14 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: parameters, window, run budget, and Palm runs or not."""
+    """One simulation campaign: parameters, window, run budget, seed and max_k."""
 
     params: McpParams
     observation_radius: float
     samples: int
     seed: int
     max_k: int
-    palm: bool = False
-    # The mean points one run draws.
+    # The mean points one run draws, its own cluster included.
     mean_points: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,15 +153,15 @@ class SimConfig:
         # A run draws one volume gap past its last parent that draws
         # daughters, and a gap, a count and mbar daughters for each of them.
         # The parents within rd always draw: a floor that needs no CDF.  A
-        # Palm run then draws its own cluster, a radius and mbar siblings.
-        # The cap holds each part alone: a block never holds both at once.
+        # run then draws its own cluster, a radius and mbar siblings.  The
+        # cap holds each part alone: a block never holds both at once.
         def points(parents):
             return 1.0 + parents * (1.0 + p.mbar)
 
         mean = points(float(_parents_within(p, p.rd)))
         if mean <= MAX_MEAN_POINTS:
             mean = points(_mean_parents(p, self.observation_radius, self.max_k))
-        own = (1.0 + p.mbar) * self.palm
+        own = 1.0 + p.mbar
         if max(mean, own) > MAX_MEAN_POINTS:
             raise ValueError(
                 f"one run would draw {max(mean, own):.3g} points on average (its parents and "
@@ -170,12 +170,12 @@ class SimConfig:
         object.__setattr__(self, "mean_points", mean + own)
 
     def runs_per_block(self) -> int:
-        """Runs simulated together: about _BLOCK_POINTS drawn points, Palm siblings included."""
+        """Runs simulated together: about _BLOCK_POINTS drawn points, own clusters included."""
         return int(max(1.0, _BLOCK_POINTS // self.mean_points))
 
 
 def _substream(seed: int, block: int) -> np.random.Generator:
-    # The key's fixed leading 0 keeps the stationary rows of earlier releases.
+    # The key's fixed leading 0 keeps the rows of earlier releases' Palm configs.
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, block))
     return np.random.Generator(np.random.SFC64(ss))
 
@@ -257,7 +257,7 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
 
 
 def _sample_block(cfg: SimConfig, rng: np.random.Generator):
-    """Draw cfg.runs_per_block() independent stationary runs (see _nearest), then their Palm runs.
+    """Draw cfg.runs_per_block() independent runs (see _nearest), then their own clusters.
 
     Parents form a Poisson process in the ball of radius observation_radius
     + rd, since any parent farther out cannot place a daughter inside the
@@ -267,8 +267,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator):
     it.  A Palm run's kth distance is at most its stationary run's, so its
     max_k nearest are the max_k smallest of that run's and its siblings.
 
-    Returns the (runs, max_k) squared-distance tables as _nearest's, the
-    stationary one and under cfg.palm the Palm one, and the daughters,
+    Returns the (runs, 2, max_k) squared distances, the stationary table
+    as _nearest's at [:, 0] and the Palm one at [:, 1], and the daughters,
     siblings included, each run drew.
     """
     p, runs = cfg.params, cfg.runs_per_block()
@@ -280,10 +280,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator):
     window = cfg.observation_radius + p.rd
     table, drawn = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
                             runs, float(_parents_within(p, window)), window, p.n, p.rd, cfg.max_k)
-    if not cfg.palm:
-        return [table], drawn
     d2, siblings = clusters(p.rd * rng.random(runs) ** (1.0 / p.n))
-    return [table, _select_block(d2, siblings, table)], drawn + siblings
+    return np.stack((table, _select_block(d2, siblings, table)), axis=1), drawn + siblings
 
 
 def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -325,16 +323,28 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, requested)
 
 
-def _simulate(cfg: SimConfig, workers: int | None = None) -> list[np.ndarray]:
-    """Stationary, then under cfg.palm Palm, kth distances (see simulate_kth_distances)."""
+def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.ndarray:
+    """(samples, 2, max_k) kth distances of independent runs: [:, 0] stationary, [:, 1] Palm.
+
+    Row i holds run i's contact distances, then the nearest-neighbour ones
+    of the typical point its own cluster adds (see _sample_block), each
+    ascending and inf-padded.  Block b, of cfg.runs_per_block() runs, draws
+    from substream (seed, b), and its last rows are dropped when samples
+    ends inside it.  A run draws only the parents that can hold one of its
+    max_k nearest points (see _nearest), so row i depends only on (params,
+    window, seed, max_k, i): output is bit-identical for any worker count
+    and for repeated calls, a larger samples extends the same rows, and a
+    different max_k draws different rows of the same law.  With workers
+    None the thread count is MCPDIST_THREADS (default 1); when set, it also
+    caps an explicit workers.
+    """
     block_runs = cfg.runs_per_block()
-    outs = [np.empty((cfg.samples, cfg.max_k)) for _ in range(1 + cfg.palm)]
+    out = np.empty((cfg.samples, 2, cfg.max_k))
 
     def block(b: int) -> None:
         tables, _ = _sample_block(cfg, _substream(cfg.seed, b))
-        for out, table in zip(outs, tables):
-            part = out[b * block_runs : (b + 1) * block_runs]
-            np.sqrt(np.sort(table[: len(part)], axis=1), out=part)
+        part = out[b * block_runs : (b + 1) * block_runs]
+        np.sqrt(np.sort(tables[: len(part)], axis=-1), out=part)
 
     n_blocks = -(-cfg.samples // block_runs)
     # More threads than cores or blocks would only wait.
@@ -347,23 +357,7 @@ def _simulate(cfg: SimConfig, workers: int | None = None) -> list[np.ndarray]:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, range(n_blocks)))
-    return outs
-
-
-def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.ndarray:
-    """(samples, max_k) matrix of kth distances over independent runs of cfg's kind.
-
-    Block b, of cfg.runs_per_block() runs, draws from substream (seed, b),
-    and its last rows are dropped when samples ends inside it.  A run draws
-    only the parents that can hold one of its max_k nearest points (see
-    _nearest), and a Palm run adds its own cluster (see _sample_block), so
-    row i depends only on (params, window, seed, max_k, palm, i): output is
-    bit-identical for any worker count and for repeated calls, a larger
-    samples extends the same rows, and a different max_k draws different
-    rows of the same law.  With workers None the thread count is
-    MCPDIST_THREADS (default 1); when set, it also caps an explicit workers.
-    """
-    return _simulate(cfg, workers)[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +443,13 @@ class ValidationRow:
 
 
 class ValidationReport(list):
-    """A validation run's ValidationRows, one per (kind, k), with the stationary
-    (samples, max_k) kth distances they came from and their window radius."""
+    """A validation run's ValidationRows, one per (kind, k), with the (samples,
+    2, max_k) kth distances they came from (see simulate_kth_distances) and
+    their window radius."""
 
-    def __init__(self, rows, stationary: np.ndarray, observation_radius: float):
+    def __init__(self, rows, distances: np.ndarray, observation_radius: float):
         super().__init__(rows)
-        self.stationary, self.observation_radius = stationary, observation_radius
+        self.distances, self.observation_radius = distances, observation_radius
 
 
 def validate_against_analytic(
@@ -469,7 +464,7 @@ def validate_against_analytic(
     Returns one row per (kind, k) with the KS distance and its DKW-based
     threshold, which assumes an exact reference: each kind's reference
     curves span its sampled distances, on a grid from 0 to the largest
-    in-window one.  The report also holds the stationary kth distances.
+    in-window one.  The report also holds the simulated kth distances.
     Raises CensoringError if more than 1% of runs end beyond the
     observation window.  The orders, the window (r_max, or the kth contact
     CDF's tail radius) and the point cap are checked before any sampling.
@@ -478,15 +473,15 @@ def validate_against_analytic(
     _check_orders(k_values)
     k_values = sorted(set(int(k) for k in k_values))
     k_max = k_values[-1]
-    # A Palm run's kth distance never exceeds its stationary run's, so the
+    # A run's Palm kth distance never exceeds its stationary one, so the
     # contact CDF's tail radius is the larger and covers both kinds.
     radius = r_max if r_max is not None else quantile_radius(CurveKind.CONTACT, k_max, p)
-    cfg = SimConfig(p, radius, samples, seed, k_max, palm=True)
+    cfg = SimConfig(p, radius, samples, seed, k_max)
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
-    stationary, palm = _simulate(cfg)
-    for name, kind, distances in (("cd", CurveKind.CONTACT, stationary),
-                                  ("nnd", CurveKind.NND, palm)):
+    simulated = simulate_kth_distances(cfg)
+    for name, kind, distances in zip(("cd", "nnd"), (CurveKind.CONTACT, CurveKind.NND),
+                                     simulated.swapaxes(0, 1)):
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
         end = float(np.max(distances, where=distances <= radius, initial=0.0))
@@ -494,7 +489,7 @@ def validate_against_analytic(
             ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
             ks = ks_distance(ecdf, curve)
             rows.append(ValidationRow(name, curve.k, ks, threshold, ecdf.censored_fraction()))
-    return ValidationReport(rows, stationary, radius)
+    return ValidationReport(rows, simulated, radius)
 
 
 def write_raw_samples(stream, distances: np.ndarray, observation_radius: float) -> None:

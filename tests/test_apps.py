@@ -65,7 +65,7 @@ class TestPointMetrics:
         # frequency of >= k points within R over stationary runs
         p = McpParams(3e-2, MBAR, 3.0, 2)
         cfg = SimConfig(p, R, 50_000, 6, 4)
-        d = simulate_kth_distances(cfg)
+        d = simulate_kth_distances(cfg)[:, 0]
         for k in (1, 2, 4):
             emp = float(np.mean(d[:, k - 1] <= R))
             ana = connectivity_probability(R, k, p)
@@ -74,8 +74,8 @@ class TestPointMetrics:
 
     def test_cache_hit_matches_palm_simulator(self):
         p = McpParams(2e-2, MBAR, 2.0, 2)
-        cfg = SimConfig(p, R, 50_000, 8, 4, palm=True)
-        d = simulate_kth_distances(cfg)
+        cfg = SimConfig(p, R, 50_000, 8, 4)
+        d = simulate_kth_distances(cfg)[:, 1]
         for k in (1, 2, 4):
             emp = float(np.mean(d[:, k - 1] <= R))
             ana = cache_hit_probability(R, k, p)
@@ -143,10 +143,10 @@ class TestSweep:
         spread = cache_hit_probability(R, 2, McpParams(lam, MBAR, R, 2))
         assert tight > spread
         # simulator confirms the same ordering
-        cfg_t = SimConfig(McpParams(lam, MBAR, R / 100.0, 2), R, 20_000, 3, 2, palm=True)
-        cfg_s = SimConfig(McpParams(lam, MBAR, R, 2), R, 20_000, 3, 2, palm=True)
-        emp_t = float(np.mean(simulate_kth_distances(cfg_t)[:, 1] <= R))
-        emp_s = float(np.mean(simulate_kth_distances(cfg_s)[:, 1] <= R))
+        cfg_t = SimConfig(McpParams(lam, MBAR, R / 100.0, 2), R, 20_000, 3, 2)
+        cfg_s = SimConfig(McpParams(lam, MBAR, R, 2), R, 20_000, 3, 2)
+        emp_t = float(np.mean(simulate_kth_distances(cfg_t)[:, 1, 1] <= R))
+        emp_s = float(np.mean(simulate_kth_distances(cfg_s)[:, 1, 1] <= R))
         assert emp_t > emp_s
 
     def test_spec_validation(self):

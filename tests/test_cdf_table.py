@@ -230,3 +230,35 @@ def test_table_orders_are_checked(fig1_params, ks, message):
     for kind in POINTWISE:
         with pytest.raises(ValueError, match=message):
             analytic.cdf_table(kind, [10.0, 20.0], ks, fig1_params)
+
+
+def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
+    # Contact tables read only the stationary pair; the Palm pair's lens is
+    # one more call, made on first use, whose rows are the ones a
+    # one-radius kernel gives.
+    calls, lens = [], analytic.intersection_volume
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return lens(*args)
+
+    monkeypatch.setattr(analytic, "intersection_volume", counted)
+    radii = np.linspace(0.0, 300.0, 7)
+    analytic.cdf_table(CurveKind.CONTACT, radii, [1, 3], fig1_params)
+    assert len(calls) == 1
+    kernel = analytic._Kernel(radii, fig1_params)
+    q = kernel.q(0, 4)
+    factor = kernel.palm_factor(0.5)
+    assert len(calls) == 3 and calls[1] == calls[2]
+    for i, r in enumerate(radii):
+        single = analytic._Kernel([r], fig1_params)
+        assert q[i].tobytes() == single.q(0, 4)[0].tobytes()
+        assert factor[i] == single.palm_factor(0.5)[0]
+
+
+@pytest.mark.parametrize("k", [[0], [0, 1, 2], [63], [64], list(range(60, 130)), [4095],
+                               [4096], [4097, 4098]])
+def test_log_factorial_prefixes_match_each_entry(k):
+    # Orders read the shortest power-of-two table prefix that covers them.
+    expected = np.array([analytic.lgam(j + 1.0) for j in k])
+    assert analytic._log_factorials(np.array(k)).tobytes() == expected.tobytes()

@@ -358,7 +358,7 @@ class TestDumpSamples:
         p = McpParams(2e-5, 5.0, 50.0, 2)
         radius = quantile_radius(CurveKind.CONTACT, 3, p)
         # The stationary half of validate's one simulation.
-        expected = simulator._simulate(SimConfig(p, radius, 700, 6, 3, palm=True))[0]
+        expected = simulator.simulate_kth_distances(SimConfig(p, radius, 700, 6, 3))[:, 0]
         dumped = np.full((700, 3), np.inf)
         for line in dump.read_text().splitlines()[1:]:
             run, k, distance, censored = line.split(",")

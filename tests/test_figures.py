@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mcpdist import McpParams, SweepMetric, SweepSpec, distribution_curves, quantile_radius, sweep
+from mcpdist import (EmpiricalCdf, McpParams, SweepMetric, SweepSpec, distribution_curves,
+                     quantile_radius, sweep, validate_against_analytic)
 from mcpdist.analytic import CurveKind
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
@@ -33,15 +34,21 @@ def test_figure_files_hold_the_library_values(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fig1_cd.csv", "fig1_nnd.csv", "fig2.csv", "fig3.csv"]
 
-    for name, kind in (("fig1_cd.csv", CurveKind.CONTACT), ("fig1_nnd.csv", CurveKind.NND)):
+    # The empirical columns are the ECDFs of fig1's validation at the
+    # script's default seed: its stationary and its Palm kth distances.
+    simulated = validate_against_analytic(FIG1, K_VALUES, 2000, 1).distances
+    for index, (name, kind) in enumerate((("fig1_cd.csv", CurveKind.CONTACT),
+                                          ("fig1_nnd.csv", CurveKind.NND))):
         header, rows = _csv(tmp_path / name)
         assert header == "r,k,cdf_analytic,cdf_empirical"
         r_max = quantile_radius(kind, max(K_VALUES), FIG1)
         curves = distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256)
-        assert [(float(r), int(k), float(a)) for r, k, a, _ in rows] == [
-            (float(r), curve.k, float(v))
-            for curve in curves for r, v in zip(curve.radii, curve.values)
-        ]
+        expected = []
+        for curve in curves:
+            ecdf = EmpiricalCdf.from_distances(simulated[:, index, curve.k - 1], r_max)
+            expected += zip(curve.radii.tolist(), [curve.k] * curve.radii.size,
+                            curve.values.tolist(), ecdf.evaluate(curve.radii).tolist())
+        assert [(float(r), int(k), float(a), float(e)) for r, k, a, e in rows] == expected
 
     rd_grid = tuple(np.geomspace(R / 100.0, 10.0 * R, 5))
     for name, metric, lambdas in (

@@ -36,11 +36,15 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
-def counts_within(cfg, r):
+STATIONARY, PALM = 0, 1  # the kinds along axis 1 of simulate_kth_distances
+
+
+def counts_within(cfg, r, kind=STATIONARY):
     """N(r) = #{k : R_k <= r, R_k finite}, the points within r of the origin
-    in each of cfg.samples runs of simulate_kth_distances.  Exact below
-    cfg.max_k; a run that reaches cfg.max_k holds at least that many."""
-    d = simulate_kth_distances(cfg)
+    in each of cfg.samples runs of simulate_kth_distances, of the given
+    kind.  Exact below cfg.max_k; a run that reaches cfg.max_k holds at
+    least that many."""
+    d = simulate_kth_distances(cfg)[:, kind]
     return (np.isfinite(d) & (d <= r)).sum(axis=1)
 
 
@@ -89,7 +93,7 @@ class TestDaughterPoints:
 class TestMcpSampler:
     def test_vanishing_parent_intensity(self):
         cfg = SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 1, 0, 1)
-        assert np.isinf(simulate_kth_distances(cfg)).all()
+        assert np.isinf(simulate_kth_distances(cfg)[:, STATIONARY]).all()
 
     def test_expected_total_points(self, fig1_params):
         # A run short of max_k points keeps every parent of its window, so
@@ -103,11 +107,12 @@ class TestMcpSampler:
         assert totals.mean() == pytest.approx(expect, abs=3 * se)
 
     def test_points_stay_inside_support_ball(self, fig1_params):
-        # daughters can reach at most observation_radius + 2 rd from origin
+        # daughters can reach at most observation_radius + 2 rd from origin,
+        # and the typical point's siblings 2 rd
         cfg = SimConfig(fig1_params, 100.0, 200, 14, 100)
         limit = 100.0 + 2.0 * fig1_params.rd
         d = simulate_kth_distances(cfg)
-        assert np.isinf(d[:, -1]).all()
+        assert np.isinf(d[..., -1]).all()
         assert float(d[np.isfinite(d)].max()) <= limit + 1e-9
 
     def test_void_probability_matches_pgf(self, fig1_params):
@@ -115,7 +120,7 @@ class TestMcpSampler:
         r = 60.0
         cfg = SimConfig(fig1_params, r, 20_000, 7, 1)
         d = simulate_kth_distances(cfg)
-        empirical = float(np.mean(d[:, 0] > r))
+        empirical = float(np.mean(d[:, STATIONARY, 0] > r))
         p0 = pgf_count(0.0, r, fig1_params)
         se = math.sqrt(p0 * (1 - p0) / cfg.samples)
         assert empirical == pytest.approx(p0, abs=3 * se)
@@ -140,13 +145,13 @@ class TestMcpSampler:
 
 class TestPalmSampler:
     def test_reduced_palm_leaves_nothing_behind(self):
-        cfg = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 200, 3, 1, palm=True)
-        assert np.isinf(simulate_kth_distances(cfg)).all()
+        cfg = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 200, 3, 1)
+        assert np.isinf(simulate_kth_distances(cfg)[:, PALM]).all()
 
     def test_sibling_count_mean(self):
         p = McpParams(1e-300, 5.0, 1.0, 2)
-        cfg = SimConfig(p, 10.0, 100_000, 11, 30, palm=True)
-        totals = counts_within(cfg, math.inf)
+        cfg = SimConfig(p, 10.0, 100_000, 11, 30)
+        totals = counts_within(cfg, math.inf, PALM)
         assert totals.max() < cfg.max_k
         se = math.sqrt(5.0 / cfg.samples)
         assert totals.mean() == pytest.approx(5.0, abs=3 * se)
@@ -155,8 +160,8 @@ class TestPalmSampler:
         # the j = 0 intra-cluster weight is the no-sibling-within-r law
         p = McpParams(1e-300, fig1_params.mbar, fig1_params.rd, 2)
         r = 40.0
-        cfg = SimConfig(p, r, 50_000, 13, 1, palm=True)
-        misses = int((counts_within(cfg, r) == 0).sum())
+        cfg = SimConfig(p, r, 50_000, 13, 1)
+        misses = int((counts_within(cfg, r, PALM) == 0).sum())
         q0 = q_weight(r, 0, fig1_params)
         se = math.sqrt(q0 * (1 - q0) / cfg.samples)
         assert misses / cfg.samples == pytest.approx(q0, abs=3 * se)
@@ -164,8 +169,8 @@ class TestPalmSampler:
     def test_palm_count_histogram_matches_pmf(self, fig1_params):
         r = 60.0
         runs = 100_000
-        cfg = SimConfig(fig1_params, r, runs, 515, 46, palm=True)
-        counts = counts_within(cfg, r)
+        cfg = SimConfig(fig1_params, r, runs, 515, 46)
+        counts = counts_within(cfg, r, PALM)
         pmf = palm_count_pmf(r, fig1_params, m_max=45)
         assert pmf.truncation_mass < 1e-6
         freq = np.bincount(counts, minlength=46)[:46] / runs
@@ -212,8 +217,8 @@ class TestHarness:
         d_large = simulate_kth_distances(large)
         grid = np.linspace(1.0, r_obs, 60)
         for k in (1, 2):
-            e_small = EmpiricalCdf.from_distances(d_small[:, k - 1], r_obs)
-            e_large = EmpiricalCdf.from_distances(d_large[:, k - 1], 2 * r_obs)
+            e_small = EmpiricalCdf.from_distances(d_small[:, STATIONARY, k - 1], r_obs)
+            e_large = EmpiricalCdf.from_distances(d_large[:, STATIONARY, k - 1], 2 * r_obs)
             gap = np.max(np.abs(e_small.evaluate(grid) - e_large.evaluate(grid)))
             assert gap <= 4.0 / math.sqrt(small.samples)
 
@@ -303,6 +308,29 @@ class TestValidationHarness:
         assert len(rows) == 2 * len(k_values)
         for row in rows:
             assert row.passed, row
+
+    def test_one_simulation_serves_both_kinds(self, fig1_params, monkeypatch):
+        # Both kinds' rows come from one simulate_kth_distances call, whose
+        # output the report keeps bit for bit.
+        calls, simulate = [], simulator.simulate_kth_distances
+
+        def recording(cfg, workers=None):
+            out = simulate(cfg, workers)
+            calls.append((cfg, out.copy()))
+            return out
+
+        monkeypatch.setattr(simulator, "simulate_kth_distances", recording)
+        report = validate_against_analytic(fig1_params, [3, 1], samples=2000, seed=4)
+        assert len(calls) == 1
+        cfg, out = calls[0]
+        assert (cfg.samples, cfg.seed, cfg.max_k) == (2000, 4, 3)
+        assert cfg.observation_radius == report.observation_radius
+        assert out.shape == (2000, 2, 3)
+        assert report.distances.tobytes() == out.tobytes()
+        for row in report:
+            kind = STATIONARY if row.kind == "cd" else PALM
+            ecdf = EmpiricalCdf.from_distances(out[:, kind, row.k - 1], cfg.observation_radius)
+            assert row.censored_fraction == ecdf.censored_fraction()
 
 
 def squared_norms(points):
@@ -482,7 +510,7 @@ class TestBlockPath:
         # is, element by element, at most its stationary row, and equals the
         # max_k smallest of that row and the run's siblings, drawn last.
         p, radius = case
-        cfg = SimConfig(p, radius, 1, seed, max_k, palm=True)
+        cfg = SimConfig(p, radius, 1, seed, max_k)
         calls, daughter_distances = [], simulator._daughter_distances
 
         def recorded(rng, n, rd, radii, counts):
@@ -491,26 +519,27 @@ class TestBlockPath:
             return d2
 
         with patch.object(simulator, "_daughter_distances", recorded):
-            (stationary, palm), _ = simulator._sample_block(cfg, _substream(seed, 0))
+            tables, _ = simulator._sample_block(cfg, _substream(seed, 0))
         counts, siblings = calls[-1]
         assert counts.size == cfg.runs_per_block()
-        stationary, palm = np.sort(stationary, axis=1), np.sort(palm, axis=1)
+        assert tables.shape == (counts.size, 2, max_k)
+        stationary, palm = np.sort(tables, axis=-1).swapaxes(0, 1)
         assert (palm <= stationary).all()
         starts = np.cumsum(counts) - counts
         for run, (start, count) in enumerate(zip(starts, counts)):
             expected = np.sort(np.concatenate((stationary[run], siblings[start : start + count])))
             assert palm[run].tobytes() == expected[:max_k].tobytes()
         # The same holds for the distances simulated over more than one block.
-        more = SimConfig(p, radius, cfg.runs_per_block() + 7, seed, max_k, palm=True)
-        stationary, palm = simulator._simulate(more)
-        assert (palm <= stationary).all()
+        more = SimConfig(p, radius, cfg.runs_per_block() + 7, seed, max_k)
+        distances = simulate_kth_distances(more)
+        assert (distances[:, PALM] <= distances[:, STATIONARY]).all()
 
     def test_blocks_draw_counts_only_for_parents_that_draw_daughters(self, fig1_params,
                                                                      monkeypatch):
         # Every Poisson count drawn belongs to a parent that also draws its
-        # daughters' offsets, or under Palm to a run's own cluster, drawn
-        # once the rounds are done.  The count-based reach drew about 5.7
-        # counts per stationary run at fig1, where 3.5 parents drew daughters.
+        # daughters' offsets, or to a run's own cluster, drawn once the
+        # rounds are done.  The count-based reach drew about 5.7 counts per
+        # run at fig1, where 3.5 parents drew daughters.
         offsets, daughter_distances = [], simulator._daughter_distances
 
         def recorded(rng, n, rd, radii, daughters):
@@ -518,17 +547,14 @@ class TestBlockPath:
             return daughter_distances(rng, n, rd, radii, daughters)
 
         monkeypatch.setattr(simulator, "_daughter_distances", recorded)
-        for palm in (False, True):
-            cfg = SimConfig(fig1_params, 450.0, 1, 3, 4, palm)
-            offsets.clear()
-            runs = cfg.runs_per_block()
-            rng = CountingRng(_substream(3, 0))
-            simulator._sample_block(cfg, rng)
-            own = runs if palm else 0  # the own clusters draw last
-            assert offsets[-1] == runs or not palm
-            parents = sum(offsets) - own
-            assert rng.daughter_counts == parents + own
-            assert parents < 2.5 * runs
+        cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
+        runs = cfg.runs_per_block()
+        rng = CountingRng(_substream(3, 0))
+        simulator._sample_block(cfg, rng)
+        assert offsets[-1] == runs  # the own clusters draw last
+        parents = sum(offsets) - runs
+        assert rng.daughter_counts == parents + runs
+        assert parents < 2.5 * runs
 
     @pytest.mark.parametrize(
         "p, max_k, blocks",
@@ -540,9 +566,9 @@ class TestBlockPath:
     )
     def test_mean_parents_match_the_sampled_reach(self, p, max_k, blocks, monkeypatch):
         # SimConfig prices a run by the mean number of parents in its window
-        # with r - rd < D_k, its kth contact distance; a Palm run draws the
-        # same parents.  The blocks' recorded volume gaps give each run's
-        # parents, and its rows D_k.  Validate's window.
+        # with r - rd < D_k, its kth contact distance; its own cluster adds
+        # none.  The blocks' recorded volume gaps give each run's parents,
+        # and its rows D_k.  Validate's window.
         nearest, needed = simulator._nearest, []
 
         def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k):
@@ -571,9 +597,9 @@ class TestBlockPath:
         assert abs(np.mean(needed) - _mean_parents(p, radius, max_k)) <= 4.0 * se
 
     def test_blocks_draw_only_the_kept_daughters(self, fig1_params):
-        # At fig1 with max_k = 4 a stationary run keeps about a fifth of the
-        # daughters of its window, whose Campbell mean is lambda_p mbar
-        # pi (R + rd)^2 = 78.5, and still at least 4.
+        # At fig1 with max_k = 4 a run keeps about a fifth of the daughters
+        # of its window, whose Campbell mean is lambda_p mbar pi (R + rd)^2
+        # = 78.5, and still at least 4; its own cluster adds ~mbar = 5.
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
         assert window_mean == pytest.approx(78.5, rel=1e-3)
@@ -583,16 +609,15 @@ class TestBlockPath:
 
     def test_blocks_draw_normals_only_for_daughters(self, fig1_params):
         # Parents sit on the first axis, so a block's only normals are its
-        # daughters' first offset coordinates, the Palm own cluster's among
-        # them, and one more each when n is even: no parent draws a
-        # direction.  fig1 (n = 2) and n = 3.
+        # daughters' first offset coordinates, the own clusters' among them,
+        # and one more each when n is even: no parent draws a direction.
+        # fig1 (n = 2) and n = 3.
         for p, radius in ((fig1_params, 450.0), (McpParams(0.02, 3.0, 2.0, 3), 7.97)):
-            for palm in (False, True):
-                cfg = SimConfig(p, radius, 1, 3, 4, palm)
-                rng = CountingRng(_substream(3, 0))
-                _, counts = simulator._sample_block(cfg, rng)
-                assert counts.sum() > 0
-                assert rng.normals == (2 if p.n % 2 == 0 else 1) * counts.sum()
+            cfg = SimConfig(p, radius, 1, 3, 4)
+            rng = CountingRng(_substream(3, 0))
+            _, counts = simulator._sample_block(cfg, rng)
+            assert counts.sum() > 0
+            assert rng.normals == (2 if p.n % 2 == 0 else 1) * counts.sum()
 
     @pytest.mark.parametrize(
         "p, radius, max_k",
@@ -605,59 +630,54 @@ class TestBlockPath:
     def test_runs_draw_few_parents_in_few_rounds(self, p, radius, max_k):
         # Every drawn parent costs a volume gap; only those within the reach
         # at the start of their round cost a daughter count and daughters,
-        # within 5 % of the mean of the parents a run needs (a Palm run
-        # draws the same ones, then its own cluster).  At fig1 with
-        # max_k = 4 a stationary run needs 2.2 of the 15.7 parents of its
-        # window (the count-based reach drew 5.7).  Rounds of 1, 1, 2, 4, ...
-        # parents: a block ends within two rounds of its longest run.
-        # The windows are those of validate.
-        for palm in (False, True):
-            cfg = SimConfig(p, radius, 1, 0, max_k, palm)
-            runs = cfg.runs_per_block()
-            parents = []
-            for b in range(10):
-                rng = CountingRng(_substream(0, b))
-                _, counts = simulator._sample_block(cfg, rng)
-                longest = counts.max() / p.mbar
-                assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
-                # Under Palm, one count per run is the own cluster's.
-                parents.append(rng.daughter_counts / runs - palm)
-            assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k)
+        # within 5 % of the mean of the parents a run needs (then it draws
+        # its own cluster).  At fig1 with max_k = 4 a run needs 2.2 of the
+        # 15.7 parents of its window (the count-based reach drew 5.7).
+        # Rounds of 1, 1, 2, 4, ... parents: a block ends within two rounds
+        # of its longest run.  The windows are those of validate.
+        cfg = SimConfig(p, radius, 1, 0, max_k)
+        runs = cfg.runs_per_block()
+        parents = []
+        for b in range(10):
+            rng = CountingRng(_substream(0, b))
+            _, counts = simulator._sample_block(cfg, rng)
+            longest = counts.max() / p.mbar
+            assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
+            # One count per run is the own cluster's.
+            parents.append(rng.daughter_counts / runs - 1)
+        assert np.mean(parents) <= 1.05 * _mean_parents(p, radius, max_k)
 
     def test_partial_last_block_is_worker_invariant(self, fig1_params, monkeypatch):
-        for palm in (False, True):
-            cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4, palm)
-            assert cfg.samples % cfg.runs_per_block() != 0
-            outputs = []
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("MCPDIST_THREADS", threads)
-                outputs.append(simulate_kth_distances(cfg).tobytes())
-            assert outputs[0] == outputs[1] == outputs[2]
+        cfg = SimConfig(fig1_params, 450.0, 1000, 5, 4)
+        assert cfg.samples % cfg.runs_per_block() != 0
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MCPDIST_THREADS", threads)
+            outputs.append(simulate_kth_distances(cfg).tobytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_more_samples_extend_the_same_rows(self, fig1_params):
         # Within one block, across one block end and across two.
-        for palm in (False, True):
-            block = SimConfig(fig1_params, 450.0, 1, 8, 3, palm).runs_per_block()
-            sizes = (block // 4, block + block // 3, 2 * block + block // 2)
-            rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3, palm))
-                    for samples in sizes]
-            assert np.array_equal(rows[2][: sizes[1]], rows[1])
-            assert np.array_equal(rows[2][: sizes[0]], rows[0])
+        block = SimConfig(fig1_params, 450.0, 1, 8, 3).runs_per_block()
+        sizes = (block // 4, block + block // 3, 2 * block + block // 2)
+        rows = [simulate_kth_distances(SimConfig(fig1_params, 450.0, samples, 8, 3))
+                for samples in sizes]
+        assert np.array_equal(rows[2][: sizes[1]], rows[1])
+        assert np.array_equal(rows[2][: sizes[0]], rows[0])
 
     def test_runs_with_fewer_than_max_k_points_are_inf_padded(self):
         # no parents: stationary runs are empty, and Palm runs hold only the
         # typical point's Poisson(5) siblings, all within 2 rd of it
         cfg = SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 50, 1, 3)
-        assert np.isinf(simulate_kth_distances(cfg)).all()
-        d = simulate_kth_distances(SimConfig(McpParams(1e-300, 5.0, 1.0, 2), 10.0, 50, 1, 3,
-                                             palm=True))
+        stationary, d = simulate_kth_distances(cfg).swapaxes(0, 1)
+        assert np.isinf(stationary).all()
         assert np.all(np.isinf(d) | (d <= 2.0))
         assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
 
     def test_block_size_follows_expected_points(self, fig1_params):
         # A run draws a volume gap, a count and mbar daughters for each
         # parent with r - rd < D_k in its window, and one volume gap more;
-        # a Palm run then draws its own cluster, a radius and mbar siblings.
+        # it then draws its own cluster, a radius and mbar siblings.
         # The mean of those parents, E[c min(D_k + rd, R + rd)^n], against a
         # Stieltjes sum over the contact CDF of D_k on a fine grid.
         lambda_p, mbar = fig1_params.lambda_p, fig1_params.mbar
@@ -667,21 +687,23 @@ class TestBlockPath:
         parents = lambda_p * math.pi * (np.sum((middle + 50.0) ** 2 * np.diff(cdf))
                                         + 500.0**2 * (1.0 - cdf[-1]))
         assert _mean_parents(fig1_params, 450.0, 1) == pytest.approx(parents, rel=1e-5)
-        for palm in (False, True):
-            cfg = SimConfig(fig1_params, 450.0, 10, 1, 1, palm)
-            mean = 1.0 + _mean_parents(fig1_params, 450.0, 1) * (1.0 + mbar) + palm * (1.0 + mbar)
-            assert cfg.mean_points == mean
-            assert cfg.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
-            more = SimConfig(fig1_params, 450.0, 10**6, 1, 1, palm)
-            assert more.runs_per_block() == cfg.runs_per_block()
+        cfg = SimConfig(fig1_params, 450.0, 10, 1, 1)
+        mean = 1.0 + _mean_parents(fig1_params, 450.0, 1) * (1.0 + mbar) + (1.0 + mbar)
+        assert cfg.mean_points == mean
+        assert cfg.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
+        more = SimConfig(fig1_params, 450.0, 10**6, 1, 1)
+        assert more.runs_per_block() == cfg.runs_per_block()
         # A run short of max_k = 100 points draws every parent of its window,
         # out to R + rd = 150.
         small = SimConfig(fig1_params, 100.0, 10, 1, 100)
-        mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar)
+        mean = 1.0 + lambda_p * math.pi * 150.0**2 * (1.0 + mbar) + (1.0 + mbar)
         assert small.mean_points == pytest.approx(mean, rel=1e-12)
         assert small.runs_per_block() == int(simulator._BLOCK_POINTS // mean)
+        # Without parents a run draws one volume gap and its own cluster's
+        # radius: two points.
         sparse = SimConfig(McpParams(1e-300, 1e-8, 1.0, 2), 10.0, 10, 1, 1)
-        assert sparse.runs_per_block() == simulator._BLOCK_POINTS
+        assert sparse.mean_points == pytest.approx(2.0, rel=1e-7)
+        assert sparse.runs_per_block() == int(simulator._BLOCK_POINTS // sparse.mean_points)
         # with mbar < 1 the ~5.4e5 parents per run are the larger draw
         thin = SimConfig(McpParams(1.0, 1e-5, 50.0, 3), 0.5, 10, 1, 1)
         assert thin.runs_per_block() == 1
@@ -695,21 +717,18 @@ class TestBlockPath:
             SimConfig(crowded, 1.0, 100, 1, 1)
         # The cap counts the points a run draws, not the ~3.8e6 of its
         # window: a wide fig1 window draws as much as the 450 one.
-        for palm in (False, True):
-            wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4, palm)
-                          for radius in (1e5, 450.0))
-            assert wide.mean_points == pytest.approx(tail.mean_points, rel=1e-4)
-        # A Palm run draws its own cluster's ~mbar siblings, however few
-        # parents its window holds (~13 here).
+        wide, tail = (SimConfig(fig1_params, radius, 100, 1, 4) for radius in (1e5, 450.0))
+        assert wide.mean_points == pytest.approx(tail.mean_points, rel=1e-4)
+        # A run draws its own cluster's ~mbar siblings, however few parents
+        # its window holds (~13 here).
         with pytest.raises(ValueError, match="points on average"):
-            SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1, palm=True)
-        # At a quarter of that mbar a run fits, alone in its block.  A Palm
-        # run draws its own cluster after its rounds, so the cap holds each
-        # part alone, though together they pass it.
-        for palm in (False, True):
-            few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1, palm)
-            assert few.runs_per_block() == 1
-            assert (few.mean_points > simulator.MAX_MEAN_POINTS) == palm
+            SimConfig(McpParams(1e-6, 2e6, 1.0, 2), 2000.0, 1, 1, 1)
+        # At a quarter of that mbar a run fits, alone in its block.  A run
+        # draws its own cluster after its rounds, so the cap holds each part
+        # alone, though together they pass it.
+        few = SimConfig(McpParams(1e-6, 5e5, 1.0, 2), 2000.0, 1, 1, 1)
+        assert few.runs_per_block() == 1
+        assert few.mean_points > simulator.MAX_MEAN_POINTS
         # At n = 20 a stationary run draws ~5.5e4 points, where the
         # count-based reach would have drawn ~3.2e7.
         high = McpParams(1e-3, 5.0, 1.0, 20)
