@@ -10,8 +10,8 @@ Writes four files into the output directory:
 
 The fig1 files carry both the analytic curve and a Monte Carlo ECDF
 column so the overlay can be plotted directly; both come from the runs of
-one `validate_against_analytic` call, their stationary distances
-fig1_cd.csv and their Palm ones fig1_nnd.csv.  The sweeps are written by
+one `simulate_kth_distances` call on `validate`'s window, their
+stationary distances fig1_cd.csv and their Palm ones fig1_nnd.csv.  The sweeps are written by
 the `mcpdist sweep` command.
 """
 
@@ -19,8 +19,8 @@ import argparse
 import time
 from pathlib import Path
 
-from mcpdist import (EmpiricalCdf, McpParams, distribution_curves, quantile_radius,
-                     validate_against_analytic)
+from mcpdist import (EmpiricalCdf, McpParams, SimConfig, distribution_curves, quantile_radius,
+                     simulate_kth_distances)
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main as cli_main
 
@@ -33,15 +33,18 @@ K_VALUES = (1, 2, 3, 4)
 
 
 def write_fig1(out: Path, samples: int, seed: int) -> None:
-    """fig1_cd.csv and fig1_nnd.csv from the stationary and Palm kth distances of fig1's validation.
+    """fig1_cd.csv and fig1_nnd.csv from the stationary and Palm kth distances of fig1's runs.
 
-    Its window is the contact CDF's tail radius, the larger of the two
-    kinds'; each file's curves, and its ECDFs' censoring, end at its own.
+    The runs are those `validate` draws: its window is the contact CDF's
+    tail radius, the larger of the two kinds'; each file's curves, and its
+    ECDFs' censoring, end at its own.  Only the runs are needed, so the
+    script skips validate's KS rows.
     """
-    report = validate_against_analytic(FIG1, K_VALUES, samples, seed)
+    k_max = max(K_VALUES)
+    cfg = SimConfig(FIG1, quantile_radius(CurveKind.CONTACT, k_max, FIG1), samples, seed, k_max)
     for name, kind, distances in zip(("fig1_cd.csv", "fig1_nnd.csv"),
                                      (CurveKind.CONTACT, CurveKind.NND),
-                                     report.distances.swapaxes(0, 1)):
+                                     simulate_kth_distances(cfg).swapaxes(0, 1)):
         r_max = quantile_radius(kind, max(K_VALUES), FIG1)
         with (out / name).open("w", newline="") as fh:
             fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "

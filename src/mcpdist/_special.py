@@ -95,12 +95,23 @@ def lgam(x: float) -> float:
     return q
 
 
-@functools.cache
+_log_factorial_table = np.empty(0)
+
+
 def log_factorials(count: int) -> np.ndarray:
-    """log k! for k = 0..count-1, each lgam(k + 1) (read-only)."""
-    table = np.array([lgam(k + 1.0) for k in range(count)])
-    table.flags.writeable = False
-    return table
+    """log k! for k = 0..count-1, each lgam(k + 1) (read-only).
+
+    One table serves every count: a longer count extends it by the entries
+    it lacks, so no entry is computed twice and no more are computed than
+    the longest count asks for.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size < count:
+        table = np.concatenate([table, [lgam(k + 1.0) for k in range(table.size, count)]])
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[:count]
 
 
 def _expm1(x: float) -> float:

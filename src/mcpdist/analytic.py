@@ -327,11 +327,11 @@ def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _log_factorials(k: np.ndarray) -> np.ndarray:
     """log k! for a rising run of orders k; only single-order calls go past the PMF cap.
 
-    The table is the shortest power-of-two prefix that covers k, so low
-    orders do not pay for the whole table.
+    The table read is only as long as k needs, so low orders do not pay
+    for the whole table.
     """
     if k[-1] <= _PMF_HARD_CAP:
-        return log_factorials(min(1 << int(k[-1]).bit_length(), _PMF_HARD_CAP + 1))[k]
+        return log_factorials(int(k[-1]) + 1)[k]
     return np.array([lgam(j + 1.0) for j in k])
 
 

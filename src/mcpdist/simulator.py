@@ -52,6 +52,8 @@ MAX_CENSORED_FRACTION = 0.01
 
 # Fail-fast caps, checked before any sampling: the mean number of points
 # one run draws, and the entries of each kind's (samples, max_k) matrix.
+# The cap counts per kind: simulate_kth_distances returns both kinds, so its
+# array may hold twice MAX_DISTANCES entries (800 MB of float64).
 MAX_MEAN_POINTS = 1_000_000
 MAX_DISTANCES = 50_000_000
 
@@ -149,7 +151,7 @@ class SimConfig:
                              "average, where parent radii would lose precision")
         if self.samples * self.max_k > MAX_DISTANCES:
             raise ValueError(f"samples x max_k = {self.samples * self.max_k} exceeds the cap "
-                             f"of {MAX_DISTANCES} distances")
+                             f"of {MAX_DISTANCES} distances per kind")
         # A run draws one volume gap past its last parent that draws
         # daughters, and a gap, a count and mbar daughters for each of them.
         # The parents within rd always draw: a floor that needs no CDF.  A
@@ -336,7 +338,8 @@ def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.nda
     and for repeated calls, a larger samples extends the same rows, and a
     different max_k draws different rows of the same law.  With workers
     None the thread count is MCPDIST_THREADS (default 1); when set, it also
-    caps an explicit workers.
+    caps an explicit workers.  The array holds 2 x samples x max_k
+    doubles: SimConfig caps samples x max_k at MAX_DISTANCES per kind.
     """
     block_runs = cfg.runs_per_block()
     out = np.empty((cfg.samples, 2, cfg.max_k))

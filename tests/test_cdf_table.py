@@ -259,6 +259,6 @@ def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
 @pytest.mark.parametrize("k", [[0], [0, 1, 2], [63], [64], list(range(60, 130)), [4095],
                                [4096], [4097, 4098]])
 def test_log_factorial_prefixes_match_each_entry(k):
-    # Orders read the shortest power-of-two table prefix that covers them.
+    # Orders up to the cap read a table prefix; higher ones call lgam.
     expected = np.array([analytic.lgam(j + 1.0) for j in k])
     assert analytic._log_factorials(np.array(k)).tobytes() == expected.tobytes()

@@ -57,6 +57,25 @@ def test_log_factorial_table_equals_gammaln_up_to_the_order_cap():
     np.testing.assert_array_equal(_special.log_factorials(k.size), special.gammaln(k + 1.0))
 
 
+def test_log_factorial_table_computes_each_entry_once(monkeypatch):
+    # Growing counts extend one table: reaching the order cap in any steps
+    # costs one lgam call per entry, and shorter counts read its prefix.
+    calls, lgam = [], _special.lgam
+
+    def counted(x):
+        calls.append(x)
+        return lgam(x)
+
+    monkeypatch.setattr(_special, "lgam", counted)
+    monkeypatch.setattr(_special, "_log_factorial_table", np.empty(0))
+    full = _PMF_HARD_CAP + 1
+    for count in [64, 1, 128, 65, 2048, 4096, full, 100, full]:
+        table = _special.log_factorials(count)
+        assert table.shape == (count,) and not table.flags.writeable
+    assert sorted(calls) == [k + 1.0 for k in range(full)]
+    assert table.tobytes() == np.array([lgam(k + 1.0) for k in range(full)]).tobytes()
+
+
 @pytest.mark.parametrize("tail", [1e-4, 1e-15])
 @pytest.mark.parametrize("k", [*range(1, 21), 50, 100, 1000, _PMF_HARD_CAP])
 def test_inverse_near_scipy(k, tail):
