@@ -15,8 +15,7 @@ order 20, where x is within 30 % of a (or within 4.5 sqrt(a) above order
 200), scipy takes Temme's uniform asymptotic series instead; these
 branches are tested to within 1e-12 relative of it there.
 
-gammainccinv, used only to seed quantile searches, is bracketed Newton on
-Q.  The regularized incomplete beta I_z(a, 1/2) of the n-ball cap is the
+The regularized incomplete beta I_z(a, 1/2) of the n-ball cap is the
 modified-Lentz continued fraction of Press et al., Numerical Recipes
 (3rd ed., 2007) section 6.4, with its guard against zero denominators,
 run on arrays with every element stopped at its own convergence, so an
@@ -30,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["betainc_half", "gammainc", "gammaincc", "gammainccinv", "lgam", "log_factorials"]
+__all__ = ["betainc_half", "gammainc", "gammaincc", "lgam", "log_factorials"]
 
 _MACHEP = 1.11022302462515654042e-16  # 2^-53
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
@@ -269,37 +268,6 @@ def gammaincc(a: int, x: float) -> float:
     if x * 1.1 < a:
         return 1.0 - _igam_series(a, x)
     return _igamc_series_order_one(x)
-
-
-def gammainccinv(a: int, y: float) -> float:
-    """The x > 0 with Q(a, x) = y, 0 < y < 1: bracketed Newton on Q.
-
-    Q falls from 1 to 0; each Newton step x + (Q - y) x / (x^a e^-x / Gamma(a))
-    that leaves the bracket is replaced by its midpoint.  The result is
-    within a few ulps of scipy.special.gammainccinv.
-    """
-    a = _check_order(a)
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"gammainccinv needs 0 < y < 1, got {y!r}")
-    lo, hi = 0.0, a
-    while gammaincc(a, hi) > y:
-        lo, hi = hi, 2.0 * hi
-    x = hi
-    for _ in range(200):
-        gap = gammaincc(a, x) - y
-        if gap == 0.0:
-            return x
-        if gap > 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = _igam_fac(a, x) / x
-        step = x + gap / slope if slope > 0.0 else math.nan
-        nxt = step if lo < step < hi else 0.5 * (lo + hi)
-        if abs(nxt - x) <= 2.0 * _MACHEP * x:
-            return nxt
-        x = nxt
-    return x
 
 
 _BETA_EPS = np.finfo(float).eps

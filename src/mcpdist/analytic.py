@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._special import gammainc, gammainccinv, lgam, log_factorials
+from ._special import gammainc, lgam, log_factorials
 from .geometry import ball_volume, intersection_volume, unit_ball_volume
 
 __all__ = [
@@ -260,7 +260,14 @@ class _Kernel:
         """lambda_d A(r, rd, x) per row at its nodes x."""
         r, lambda_d, rd, n = self._lens_args
         # Rounding can leave a cap sum a hair below zero.
-        return lambda_d * np.maximum(intersection_volume(r, rd, x, n), 0.0)
+        with np.errstate(over="ignore"):
+            t = lambda_d * np.maximum(intersection_volume(r, rd, x, n), 0.0)
+        # At high n a cap's ball volume overflows, though the lens is at most the cluster's.
+        bad = ~np.isfinite(t).all(axis=1)
+        if bad.any():
+            raise ValueError(f"the lens volume at r={float(r[bad][0, 0])!r} in n={n} dimensions "
+                             "leaves the double range")
+        return t
 
     @functools.cached_property
     def _palm(self) -> tuple[np.ndarray, np.ndarray]:
@@ -686,10 +693,9 @@ def _row_cells(top: int) -> int:
 
 
 def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
-    """Doubling search for the radius where the CDF reaches 1 - 1e-4."""
+    """Smallest _count_radius(k, p) 2^j, j an integer, where the CDF reaches 1 - 1e-4."""
     _check_order(k)
-    # Start from the matching Poisson quantile and double/halve from there.
-    r = _count_radius(gammainccinv(k, _CURVE_TAIL), p)
+    r = _count_radius(k, p)
     if math.isinf(r):
         raise ValueError(f"the intensity lambda_p mbar v_n underflows, so the {kind.value} "
                          f"CDF has no finite 1 - {_CURVE_TAIL} quantile; pass an explicit grid end")
@@ -699,10 +705,8 @@ def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
             r *= 2.0
             if _cdf_eval(kind, r, k, p) >= target:
                 return r
-        raise ValueError(
-            f"the {kind.value} CDF for k={k} does not reach 1 - {_CURVE_TAIL} within 200 doublings "
-            f"of the radius (last tried r={r!r})"
-        )
+        raise ValueError(f"the {kind.value} CDF for k={k} does not reach 1 - {_CURVE_TAIL} within "
+                         f"200 doublings of the radius (last tried r={r!r})")
     for _ in range(200):
         if r <= 0.0 or _cdf_eval(kind, r / 2.0, k, p) < target:
             return r

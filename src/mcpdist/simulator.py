@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import gammainccinv
 from .analytic import (_U, CurveKind, DistributionCurve, McpParams, _check_orders, _count_radius,
                        _gl_weights, cdf_table, distribution_curves, quantile_radius)
 from .geometry import unit_ball_volume
@@ -102,11 +101,10 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
         c rd^n + integral_0^R n c (r + rd)^(n-1) (1 - F(r)) dr,
 
     by analytic's 64-node Gauss-Legendre rule on [0, end]: end is R or the
-    first doubling, from the Poisson radius of that tail, where 1 - F falls
-    below _MEAN_TAIL.
+    first _count_radius(max_k, p) 2^j, j >= 0, where 1 - F is below _MEAN_TAIL.
     """
     kind = CurveKind.CONTACT
-    end = min(observation_radius, _count_radius(gammainccinv(max_k, _MEAN_TAIL), p))
+    end = min(observation_radius, _count_radius(max_k, p))
     while end < observation_radius and cdf_table(kind, [end], [max_k], p)[0, 0] < 1.0 - _MEAN_TAIL:
         end = min(2.0 * end, observation_radius)
     r = end * _U

@@ -11,6 +11,7 @@ from mcpdist import (
     cdf_contact,
     cdf_nnd,
     count_pmf,
+    distribution_curves,
     h_coefficient,
     palm_count_pmf,
     pgf_count,
@@ -18,7 +19,7 @@ from mcpdist import (
     unit_ball_volume,
 )
 from mcpdist import analytic
-from mcpdist.analytic import log_pgf_count
+from mcpdist.analytic import CurveKind, log_pgf_count
 
 from oracles import (
     corollary_contact_cdf,
@@ -306,3 +307,39 @@ class TestPppCdf:
             for k in (1, 2, 5):
                 direct = 1.0 - sum(math.exp(-mu) * mu**m / math.factorial(m) for m in range(k))
                 assert ppp_cdf_contact(r, k, lam, n) == pytest.approx(direct, abs=1e-12)
+
+    def test_rejects_bad_intensity(self):
+        for intensity in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="intensity must be finite and positive"):
+                ppp_cdf_contact(1.0, 2, intensity, 2)
+
+    def test_overflowing_mean_count_is_certain(self):
+        # r^n overflows a Python float: the mean count is infinite, the CDF 1.
+        assert ppp_cdf_contact(1e200, 3, 1.0, 2) == 1.0
+
+
+class TestQuantileRadius:
+    """The auto grid end is the smallest Campbell-lattice point that reaches 1 - 1e-4.
+
+    The lattice is _count_radius(k, p) 2^j, from the radius whose ball
+    holds k points on average; `walk` is the way the search leaves it.
+    """
+
+    @pytest.mark.parametrize("kind", [CurveKind.CONTACT, CurveKind.NND])
+    @pytest.mark.parametrize("p, k, walks", [
+        (McpParams(2e-5, 5.0, 50.0, 2), 4, ("doubles", "doubles")),  # fig1
+        (McpParams(1e-6, 1e4, 1.0, 2), 1, ("doubles", "halves")),  # dense: j = 9 and -7
+        (McpParams(1e-3, 50.0, 5.0, 2), 8, ("doubles", "stays")),
+        (McpParams(0.02, 3.0, 2.0, 5), 4, ("doubles", "doubles")),
+        (McpParams(0.1, 2.0, 1.0, 1), 2, ("doubles", "doubles")),
+    ])
+    def test_auto_grid_ends_on_the_smallest_reaching_lattice_point(self, kind, p, k, walks):
+        seed = analytic._count_radius(k, p)
+        end = float(distribution_curves(kind, [k], p)[0].radii[-1])
+        assert end == analytic.quantile_radius(kind, k, p)
+        j = round(math.log2(end / seed))
+        assert end == seed * 2.0**j
+        walk = walks[kind is CurveKind.NND]
+        assert walk == ("halves" if j < 0 else "stays" if j == 0 else "doubles")
+        target = 1.0 - 1e-4
+        assert analytic._cdf_eval(kind, end, k, p) >= target > analytic._cdf_eval(kind, end / 2, k, p)

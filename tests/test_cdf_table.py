@@ -201,6 +201,18 @@ def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mb
             assert table[i, j] == cdf_nnd_small_rd_limit(r, k, p), (k, r)
 
 
+@pytest.mark.parametrize("radii, values, message", [
+    ([0.0, 1.0], [0.0], "matching 1-D arrays"),
+    ([], [], "matching 1-D arrays"),
+    ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
+    ([0.0, 1.0], [0.0, 1.5], "lie in \\[0, 1\\]"),
+    ([0.0, 1.0, 2.0], [0.0, 0.5, 0.4], "nondecreasing"),
+])
+def test_curve_rejects_what_is_not_a_sampled_cdf(fig1_params, radii, values, message):
+    with pytest.raises(ValueError, match=message):
+        DistributionCurve(radii, values, CurveKind.CONTACT, 1, fig1_params)
+
+
 class TestNonFinite:
     def test_curve_rejects_non_finite_values_and_radii(self, fig1_params):
         for radii, values in (([0.0, 1.0], [0.0, math.nan]), ([0.0, math.inf], [0.0, 1.0])):

@@ -396,9 +396,9 @@ class TestFailFast:
         assert code == 0 and err == "" and out.endswith("overall=pass\n")
 
     @pytest.mark.parametrize("argv, message", [
-        # the CDF that prices a run is not finite at n = 400
+        # the lens behind the CDF that prices a run leaves the double range at n = 400
         (["--n", "400", "--lambda-p", "1e-3", "--mbar", "5", "--rd", "1", "--r-max", "10"],
-         "CDF for k=2 at r="),
+         "leaves the double range"),
         # each Palm run draws its own cluster's ~1e300 siblings
         (["--lambda-p", "2e-5", "--mbar", "1e300", "--rd", "50", "--r-max", "10"],
          "points on average"),
@@ -439,6 +439,23 @@ class TestFailFast:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: the expected number of clusters")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cdf", "--kind", "cd", "--n", "200", "--k", "2", "--grid-max", "40", "--grid-points", "4"],
+        ["cdf", "--kind", "nnd", "--n", "400", "--k", "2", "--grid-max", "8"],
+        ["sweep", "--metric", "connectivity", "--n", "400", "--R", "7", "--k", "1"],
+    ], ids=["cdf-cd-n200", "cdf-nnd-n400", "sweep-n400"])
+    def test_high_dimensional_lens_is_one_error_line(self, argv):
+        # A cap's ball volume R^n v_n overflows at these n, although the lens
+        # is at most the cluster's: numpy's warnings must not reach stderr.
+        params = ["--lambda-p", "1e-3", "--mbar", "5", "--rd", "1"]
+        proc = subprocess.run([sys.executable, "-m", "mcpdist", *argv, *params],
+                              capture_output=True, text=True)
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+        else:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["cdf", "--kind", "nnd", "--k", "3"],
                                       ["validate", "--k-max", "2"]])

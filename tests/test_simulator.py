@@ -1,3 +1,4 @@
+import io
 import math
 from unittest.mock import patch
 
@@ -29,6 +30,7 @@ from mcpdist.simulator import (
     _mean_parents,
     _substream,
     validate_against_analytic,
+    write_raw_samples,
 )
 
 
@@ -208,6 +210,20 @@ class TestHarness:
                 SimConfig(fig1_params, 80.0, 10, bad, 1)
         assert SimConfig(fig1_params, 80.0, 10, np.int64(3), 1).seed == 3
 
+    def test_window_samples_and_orders_are_checked(self, fig1_params):
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="observation_radius must be finite and positive"):
+                SimConfig(fig1_params, radius, 10, 1, 1)
+        # Squared distances out to the window's reach must stay normal doubles.
+        tiny = McpParams(1.0, 1.0, 1e-152, 2)
+        for p, radius in ((tiny, 1e-152), (fig1_params, 1e151)):
+            with pytest.raises(ValueError, match="observation_radius \\+ 2 rd = .* lies outside"):
+                SimConfig(p, radius, 10, 1, 1)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            SimConfig(fig1_params, 80.0, 0, 1, 1)
+        with pytest.raises(ValueError, match="max_k must be at least 1"):
+            SimConfig(fig1_params, 80.0, 10, 1, 0)
+
     def test_window_sufficiency(self, fig1_params):
         # doubling the window must not move the ECDF beyond Monte Carlo noise
         r_obs = 120.0
@@ -230,6 +246,13 @@ class TestEmpiricalCdf:
         assert ecdf.total == 4
         assert ecdf.evaluate(2.0) == 0.5
         assert ecdf.censored_fraction() == 0.5
+
+
+def test_raw_samples_mark_censored_distances():
+    # Missing (inf) and beyond-window distances are censored rows with no distance.
+    out = io.StringIO()
+    write_raw_samples(out, np.array([[1.0, np.inf], [2.5, 3.0]]), 2.5)
+    assert out.getvalue() == "run,k,distance,censored\n0,1,1.0,0\n0,2,,1\n1,1,2.5,0\n1,2,,1\n"
 
 
 class TestKsDistance:
@@ -269,6 +292,11 @@ class TestKsDistance:
         ecdf = EmpiricalCdf.from_distances(np.array([1.0, 2.0, np.inf, np.inf]), 10.0)
         with pytest.raises(CensoringError):
             ks_distance(ecdf, curve)
+
+    def test_empty_ecdf_is_refused(self, fig1_params):
+        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, r_max=10.0)
+        with pytest.raises(ValueError, match="holds no runs"):
+            ks_distance(EmpiricalCdf.from_distances(np.array([]), 10.0), curve)
 
     def test_coverage_precondition(self, fig1_params):
         curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, r_max=5.0)
@@ -742,6 +770,6 @@ class TestBlockPath:
             SimConfig(fig1_params, 450.0, 10**11, 1, 4)
         with pytest.raises(ValueError, match="points on average"):
             validate_against_analytic(crowded, [1], samples=100, seed=1)
-        # The CDF that prices a run is not finite here.
-        with pytest.raises(ValueError, match="not finite"):
+        # The lens behind the CDF that prices a run leaves the double range here.
+        with pytest.raises(ValueError, match="lens volume at r=.* leaves the double range"):
             SimConfig(McpParams(1e-3, 5.0, 1.0, 400), 10.0, 1, 1, 4)
