@@ -322,7 +322,8 @@ class TestQuantileRadius:
     """The auto grid end is the smallest Campbell-lattice point that reaches 1 - 1e-4.
 
     The lattice is _count_radius(k, p) 2^j, from the radius whose ball
-    holds k points on average; `walk` is the way the search leaves it.
+    holds k points on average; `walks` says, for the contact and the NND
+    search, whether it doubles from there, halves or stays.
     """
 
     @pytest.mark.parametrize("kind", [CurveKind.CONTACT, CurveKind.NND])
