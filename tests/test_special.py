@@ -3,7 +3,8 @@
 The incomplete gamma functions must equal scipy's bit for bit at the
 orders 1..20 (the branches scipy takes there are the ones ported), stay
 within 1e-12 relative above them, and the log-factorial table must equal
-gammaln(k + 1) bit for bit.  The n-ball cap fraction is a continued
+gammaln(k + 1) bit for bit.  At scipy's own tail quantiles the upper
+function must give the tail back.  The n-ball cap fraction is a continued
 fraction, so it is held to a relative tolerance; every cap fraction must
 also equal its one-element call bit for bit.
 """
@@ -73,6 +74,17 @@ def test_log_factorial_table_computes_each_entry_once(monkeypatch):
         assert table.shape == (count,) and not table.flags.writeable
     assert sorted(calls) == [k + 1.0 for k in range(full)]
     assert table.tobytes() == np.array([lgam(k + 1.0) for k in range(full)]).tobytes()
+
+
+@pytest.mark.parametrize("tail", [1e-4, 1e-15])
+@pytest.mark.parametrize("k", [*range(1, 21), 50, 100, 1000, _PMF_HARD_CAP])
+def test_inverse_near_scipy(k, tail):
+    # Q at scipy's tail quantile gives the tail back: this reaches the far
+    # upper tails (x up to 78 at order 20) that the grids above stop short of.
+    x = special.gammainccinv(k, tail)
+    upper = _special.gammaincc(k, x)
+    assert upper == pytest.approx(special.gammaincc(k, x), rel=1e-14, abs=0.0)
+    assert upper == pytest.approx(tail, rel=1e-12, abs=0.0)
 
 
 def test_ports_reject_what_they_do_not_cover():
