@@ -1,7 +1,7 @@
 """kth contact and nearest-neighbor distance distributions of n-D Matern
 cluster processes, with a Monte Carlo validation harness."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analytic import (
     CurveKind,

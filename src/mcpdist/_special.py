@@ -19,7 +19,7 @@ The regularized incomplete beta I_z(a, 1/2) of the n-ball cap is the
 modified-Lentz continued fraction of Press et al., Numerical Recipes
 (3rd ed., 2007) section 6.4, with its guard against zero denominators,
 run on arrays with every element stopped at its own convergence, so an
-element's value does not depend on the others.
+element's value does not depend on the others; it is returned over z^a.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["betainc_half", "gammainc", "gammaincc", "lgam", "log_factorials"]
+__all__ = ["betainc_half_scaled", "gammainc", "gammaincc", "lgam", "log_factorials"]
 
 _MACHEP = 1.11022302462515654042e-16  # 2^-53
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
@@ -278,24 +278,25 @@ _BETA_MAXITER = 10_000
 _BETA_STRIDE = 4
 
 
-def betainc_half(a: float, z) -> np.ndarray:
-    """Regularized incomplete beta I_z(a, 1/2) for a = 1, 3/2, 2, ... and z in [0, 1].
+def betainc_half_scaled(a: float, z) -> np.ndarray:
+    """I_z(a, 1/2) / z^a for a = 1, 3/2, 2, ... and z in [0, 1]; 1 / (a B(a, 1/2)) at z = 0.
 
     Elementwise: I_z = z^a (1 - z)^(1/2) / (a B(a, 1/2)) times the
     Numerical Recipes continued fraction below its switch point
     z < (a + 1) / (a + 5/2), and 1 - I_(1-z)(1/2, a) above it, so the
-    fraction converges quickly.  A nan z gives nan.
+    fraction converges quickly; z^a is formed only above the switch point,
+    where it exceeds e^(-3/2).  A nan z gives nan.
     """
     shape = np.shape(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     b = 0.5
     flip = z >= (a + 1.0) / (a + b + 2.0)
     low = ~flip
-    value = z**a * np.sqrt(1.0 - z) / _beta_half(a)
+    value = np.sqrt(1.0 - z) / _beta_half(a)
     if low.any():
         value[low] *= _beta_fraction(a, b, z[low]) / a
     if flip.any():
-        value[flip] = 1.0 - value[flip] * _beta_fraction(b, a, 1.0 - z[flip]) / b
+        value[flip] = z[flip] ** -a - value[flip] * _beta_fraction(b, a, 1.0 - z[flip]) / b
     return value.reshape(shape)
 
 

@@ -12,7 +12,7 @@ The small-rd limit is the same NND sum with the Poisson(mbar) weights
 e^(-mbar) mbar^j / j! in place of q_j, each formed whole in log space.
 
 Everything runs on a vector of radii, one row per radius, and each row
-may carry its own parameters (rd, lambda_d, lambda_p; n is shared): the
+may carry its own parameters (lambda_p, mbar, rd; n is shared): the
 lens kernel is one radii x nodes matrix, g(0), h_k and q_j are sums along
 its rows, and one recurrence forms every row's PMF.  A CDF table for a
 whole radius grid, or a whole cluster-radius sweep, and all orders is one
@@ -23,16 +23,17 @@ the table entry.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._special import gammainc, lgam, log_factorials
-from .geometry import ball_volume, intersection_volume, unit_ball_volume
+from .geometry import ball_volume, lens_share, unit_ball_volume
 
 __all__ = [
     "CurveKind",
@@ -111,6 +112,12 @@ _LOG_DOUBLE_MIN = math.log(5e-324)
 _CURVE_TAIL = 1e-4
 _CURVE_POINTS = 512
 
+# The last n whose unit-ball volume v_n is a normal double (435; v_n falls from n = 5 on).
+_MAX_DIMENSION = bisect.bisect_left(range(1, 1001), True,
+                                    key=lambda n: unit_ball_volume(n) < np.finfo(float).tiny)
+# Lengths whose squares are normal doubles: rd, and a simulated run's reach.
+_LENGTH_RANGE = (1e-150, 1e150)
+
 
 @dataclass(frozen=True)
 class McpParams:
@@ -118,37 +125,24 @@ class McpParams:
 
     lambda_p: parent intensity (points per unit n-volume)
     mbar:     mean number of daughters per cluster
-    rd:       radius of the cluster ball
-    n:        spatial dimension
-    lambda_d: daughter intensity inside the cluster ball, mbar / (v_n rd^n)
-              (derived, not an argument)
+    rd:       radius of the cluster ball, in [1e-150, 1e150]
+    n:        spatial dimension, 1..435 (where v_n is a normal double)
     """
 
     lambda_p: float
     mbar: float
     rd: float
     n: int = 2
-    lambda_d: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Beyond n = 452 the unit-ball volume underflows double precision,
-        # so the cluster-volume check below rejects every rd; the bound only
-        # spares a huge n the O(n) volume recurrence.
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= 1000:
-            raise ValueError(f"dimension must be an integer in 1..1000, got {self.n!r}")
+        _check_dimension(self.n)
         for name in ("lambda_p", "mbar", "rd"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, float(value))
-        volume = ball_volume(self.rd, self.n)
-        lambda_d = self.mbar / volume if 0.0 < volume < math.inf else math.nan
-        if not 0.0 < lambda_d < math.inf:
-            raise ValueError(
-                f"rd={self.rd!r} in n={self.n} dimensions gives a cluster ball volume or "
-                "daughter intensity outside the range of double precision"
-            )
-        object.__setattr__(self, "lambda_d", lambda_d)
+        if not _LENGTH_RANGE[0] <= self.rd <= _LENGTH_RANGE[1]:
+            raise ValueError(f"rd must lie in [1e-150, 1e+150], got {self.rd!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +206,13 @@ def _radial_rule(inner: np.ndarray, outer: np.ndarray, n: int) -> tuple[np.ndarr
 
 
 class _Kernel:
-    """t = lambda_d A(r, rd, x) on fixed nodes, with quadrature weights.
+    """t = mbar A(r, rd, x) / (v_n rd^n) on fixed nodes, with quadrature weights.
 
-    One row per radius, each with its own parameters: p is one McpParams
-    for every row or a sequence of one per radius (see _row_params), and
-    its lambda_p, lambda_d and rd enter as columns.  The stationary pair
-    integrates over the window [0, r + rd] with weights
+    t, a cluster's mean daughter count in the probe ball, is mbar times the
+    lens's share of the cluster ball.  One row per radius, each with its own
+    parameters: p is one McpParams for every row or a sequence of one per
+    radius (see _row_params), and its lambda_p, mbar and rd enter as columns.
+    The stationary pair integrates over the window [0, r + rd] with weights
     lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
     cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  Each
     pair's lens is evaluated in one call over every row, the Palm one only
@@ -234,9 +229,9 @@ class _Kernel:
         rows = r.shape[0]
         params = _row_params(p, rows)
         n = params[0].n
-        columns = np.array([[q.lambda_p, q.lambda_d, q.rd] for q in params])
-        lambda_p, lambda_d, rd = np.hsplit(columns, 3)
-        self._lens_args = r, lambda_d, rd, n
+        columns = np.array([[q.lambda_p, q.mbar, q.rd] for q in params])
+        lambda_p, mbar, rd = np.hsplit(columns, 3)
+        self._lens_args = r, mbar, rd, n
         x, w = _radial_rule(np.abs(r - rd), r + rd, n)
         self.t = self._lens(x)
         # The product overflows for a huge lambda_p, and the volume alone
@@ -250,22 +245,19 @@ class _Kernel:
                                        + n * np.log((r + rd)[big]))
         if not np.isfinite(clusters).all():
             window = float((r + rd)[~np.isfinite(clusters)][0])
-            raise ValueError(
-                f"the expected number of clusters within r + rd = {window!r} of the origin "
-                "exceeds the double range"
-            )
+            raise ValueError(f"the expected number of clusters within r + rd = {window!r} of the "
+                             "origin exceeds the double range")
         self.w = clusters * w
 
     def _lens(self, x: np.ndarray) -> np.ndarray:
-        """lambda_d A(r, rd, x) per row at its nodes x."""
-        r, lambda_d, rd, n = self._lens_args
-        # Rounding can leave a cap sum a hair below zero.
-        with np.errstate(over="ignore"):
-            t = lambda_d * np.maximum(intersection_volume(r, rd, x, n), 0.0)
-        # At high n a cap's ball volume overflows, though the lens is at most the cluster's.
+        """mbar A(r, rd, x) / (v_n rd^n) per row at its nodes x."""
+        r, mbar, rd, n = self._lens_args
+        # Rounding can leave a cap sum a hair below zero; an r whose square
+        # overflows leaves it non-finite.
+        t = mbar * np.maximum(lens_share(r, rd, x, n), 0.0)
         bad = ~np.isfinite(t).all(axis=1)
         if bad.any():
-            raise ValueError(f"the lens volume at r={float(r[bad][0, 0])!r} in n={n} dimensions "
+            raise ValueError(f"the lens at r={float(r[bad][0, 0])!r} in n={n} dimensions "
                              "leaves the double range")
         return t
 
@@ -361,9 +353,9 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
 
     For k >= 1 this is (lambda_p n v_n / k!) * integral over x in
     [0, r + rd] of (lambda_d A)^k e^(-lambda_d A) x^(n-1), with A the lens
-    volume at center separation x.  k = 0 drops the power factor entirely,
-    giving the bare integral of e^(-lambda_d A) x^(n-1) times the same
-    prefactor.
+    volume at center separation x and lambda_d = mbar / (v_n rd^n) the
+    daughter intensity.  k = 0 drops the power factor entirely, giving the
+    bare integral of e^(-lambda_d A) x^(n-1) times the same prefactor.
     """
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k!r}")
@@ -439,10 +431,8 @@ def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
     # Campbell: the expected count lambda_p mbar v_n r^n must sit below the
     # order cap; compared as radii so that a huge r cannot overflow.
     if m_max is None and r >= _count_radius(_PMF_HARD_CAP, p):
-        raise ValueError(
-            f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
-            "beyond the adaptive PMF order cap; pass m_max"
-        )
+        raise ValueError(f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
+                         "beyond the adaptive PMF order cap; pass m_max")
 
 
 def _count_radius(count: float, p: McpParams) -> float:
@@ -561,8 +551,9 @@ def cdf_contact(r: float, k: int, p: McpParams) -> float:
 
 
 def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
-    """kth contact distance CDF of a homogeneous Poisson process."""
+    """kth contact distance CDF of a homogeneous Poisson process, n in 1..435."""
     _check_order(k)
+    _check_dimension(n)
     if not math.isfinite(intensity) or intensity <= 0.0:
         raise ValueError(f"intensity must be finite and positive, got {intensity!r}")
     if r <= 0.0:
@@ -570,7 +561,9 @@ def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
     try:
         mu = intensity * unit_ball_volume(n) * r**n
     except OverflowError:
-        mu = math.inf
+        # r^n alone overflows, the mean count need not; past e^709 the CDF is 1.
+        log_mu = math.log(intensity) + math.log(unit_ball_volume(n)) + n * math.log(r)
+        mu = math.exp(min(log_mu, 709.0))
     # P[Poisson(mu) >= k] via the regularized lower incomplete gamma.
     return gammainc(k, mu)
 
@@ -676,9 +669,8 @@ def cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) ->
         table[:, idx] = [1.0 - (w[:, k - 1 :: -1] * ccdf[:, :k]).sum(axis=1) for k in ks]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
-        raise ValueError(
-            f"the {kind.value} CDF for k={ks[i]} at r={float(radii[j])!r} is not finite"
-        )
+        raise ValueError(f"the {kind.value} CDF for k={ks[i]} at r={float(radii[j])!r} "
+                         "is not finite")
     return np.clip(table, 0.0, 1.0)
 
 
@@ -770,6 +762,11 @@ def _check_orders(ks) -> None:
         _check_order(ks[-1])
     for k in ks:
         _check_order(k)
+
+
+def _check_dimension(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_DIMENSION:
+        raise ValueError(f"dimension must be an integer in 1..{_MAX_DIMENSION}, got {n!r}")
 
 
 def _is_integer(value) -> bool:

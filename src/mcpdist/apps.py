@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .analytic import CurveKind, McpParams, cdf_table, ppp_cdf_contact
-from .geometry import ball_volume
 
 __all__ = [
     "SweepMetric",
@@ -88,7 +87,7 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
 
     By default mbar is held fixed, so the daughter intensity rescales as
     mbar / (v_n rd^n) at every grid point; hold="lambda_d" instead keeps
-    the base daughter intensity and lets mbar grow with the cluster.
+    the base daughter intensity and lets mbar grow as mbar (rd / base.rd)^n.
     The whole grid is one CDF table call, one parameter row per grid
     point, for every k.  PPP reference rows (rd = inf, density
     lambda_p * mbar) are appended when requested, and rows come out sorted
@@ -101,10 +100,10 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
     if hold == "mbar":
         params = [replace(base, rd=rd) for rd in spec.rd_grid]
     else:
-        params = [
-            replace(base, rd=rd, mbar=base.lambda_d * ball_volume(rd, base.n))
-            for rd in spec.rd_grid
-        ]
+        with np.errstate(over="ignore"):  # McpParams refuses an inf or 0 mbar
+            growth = np.power(np.divide(spec.rd_grid, base.rd), base.n)
+        params = [replace(base, rd=rd, mbar=float(base.mbar * g))
+                  for rd, g in zip(spec.rd_grid, growth)]
     values = _metric(metric, spec.connect_range, spec.k_values, params)
     rows = [
         SweepRow(rd, k, float(v))

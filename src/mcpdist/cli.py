@@ -4,7 +4,7 @@ All numeric output uses repr round-trip formatting with dot decimal
 separators, so identical invocations produce identical bytes.  Exit
 codes: 0 success (validate: all pass), 1 validation failure, 2 invalid
 parameters (including numeric extremes that fail fast: a PMF beyond its
-order cap, volumes outside the double range, a simulation beyond its
+order cap, a dimension or length out of range, a simulation beyond its
 point or distance caps, a CDF table beyond its value cap, an unwritable
 output path), 4 excessive censoring.  Code 3 once meant quadrature
 non-convergence; it is no longer emitted and is not reused.
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write raw kth distances as CSV")
     val.set_defaults(handler=_cmd_validate)
 
-    swp = sub.add_parser("sweep", help="metric vs cluster radius at fixed mbar")
+    swp = sub.add_parser("sweep", help="metric vs cluster radius")
     _add_common(swp)
     swp.add_argument("--metric", choices=("connectivity", "cache"), required=True)
     swp.add_argument("--lambda-p", type=_float_list, default=None,
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--rd-max", type=float, default=None)
     swp.add_argument("--rd-points", type=int, default=20)
     swp.add_argument("--no-ppp-reference", action="store_true")
-    swp.add_argument("--hold", choices=("mbar", "lambda_d"), default="mbar")
+    swp.add_argument("--hold", choices=("mbar", "lambda_d"), default="mbar", help="kept fixed")
     swp.set_defaults(handler=_cmd_sweep)
 
     return parser

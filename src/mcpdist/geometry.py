@@ -1,9 +1,9 @@
-"""Exact n-ball and two-ball intersection (lens) volumes.
+"""Exact n-ball volumes and the share of a ball inside another (the lens).
 
 Every distribution in this package reduces to one-dimensional integrals
-whose kernel is the volume of the intersection of two n-balls.  The
-general-n lens is assembled from two hyperspherical caps split at the
-radical hyperplane; dimensions 1-3 use closed forms.
+whose kernel is the volume A of the intersection of two n-balls, as a
+share A / (v_n r_d^n) of the cluster ball: the sum of two hyperspherical
+caps split at the radical hyperplane; dimensions 1-3 use closed forms.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from ._special import betainc_half
+from ._special import betainc_half_scaled
 
-__all__ = ["unit_ball_volume", "ball_volume", "intersection_volume"]
+__all__ = ["unit_ball_volume", "ball_volume", "intersection_volume", "lens_share"]
 
 
 def unit_ball_volume(n: int) -> float:
@@ -34,11 +34,10 @@ def unit_ball_volume(n: int) -> float:
 
 
 def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
-    """Volume of an n-ball of the given radius; inf beyond the double range.
+    """Volume of an n-ball of the given radius, or of each radius in an array.
 
-    An array of radii gives an array of volumes, a scalar a float.  In
-    dimensions where the unit-ball volume itself underflows to zero
-    (n > 452), a radius whose nth power overflows gives nan.
+    inf beyond the double range; nan where v_n underflows to zero (n > 452)
+    and radius^n overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         volume = unit_ball_volume(n) * np.asarray(radius, dtype=float) ** n
@@ -48,60 +47,67 @@ def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
 def intersection_volume(
     r: float | np.ndarray, r_d: float | np.ndarray, x: float | np.ndarray, n: int
 ) -> float | np.ndarray:
-    """Volume of B(o, r) intersected with a ball of radius r_d centered x away.
+    """ball_volume(r_d, n) * lens_share(r, r_d, x, n): the lens volume itself."""
+    volume = ball_volume(r_d, n) * np.asarray(lens_share(r, r_d, x, n))
+    return float(volume) if volume.ndim == 0 else volume
 
-    Piecewise: the smaller ball's volume when one ball contains the other
+
+def lens_share(
+    r: float | np.ndarray, r_d: float | np.ndarray, x: float | np.ndarray, n: int
+) -> float | np.ndarray:
+    """Share A / (v_n r_d^n) of a ball of radius r_d, centered x away, inside B(o, r).
+
+    Piecewise: (min(r, r_d) / r_d)^n when one ball contains the other
     (x <= |r - r_d|), zero when they are disjoint (x >= r + r_d), and the
-    sum of the two hyperspherical caps cut off by the radical hyperplane in
-    between.  When the radical plane lies beyond one center the cap exceeds
-    a hemisphere and is evaluated as ball minus complementary cap, keeping
-    the incomplete-beta argument inside [0, 1].  r, r_d and x may be
-    arrays that broadcast against each other (say columns of radii against
-    a matrix of separations), giving an array of volumes, each equal to
-    the scalar call on its elements; scalars give a float.
+    two caps cut off by the radical hyperplane in between.  r, r_d and x
+    may be arrays that broadcast against each other (say columns of radii
+    against a matrix of separations), each entry equal to the scalar call
+    on its elements; scalars give a float.
     """
     _check_dimension(n)
-    xs = np.asarray(x, dtype=float)
+    r, r_d, xs = (np.asarray(v, dtype=float) for v in (r, r_d, x))
     if not (np.isfinite(r).all() and np.isfinite(r_d).all() and np.isfinite(xs).all()):
         raise ValueError("lens arguments must be finite")
-    if np.any(np.less(r, 0.0)) or np.any(np.less_equal(r_d, 0.0)) or (xs < 0.0).any():
+    if (r < 0.0).any() or (r_d <= 0.0).any() or (xs < 0.0).any():
         raise ValueError(f"invalid lens geometry: r={r}, r_d={r_d}, x={x}")
 
     # Every branch is evaluated at every x and the right one picked below;
     # the cap formulas divide by x = 0, or overflow near it, on the
-    # containment branch only.
+    # containment branch only.  Powers take np.power even on scalars, whose
+    # ** may differ in the last bit from the array loop a table call runs.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        full = np.power(np.minimum(r, r_d) / r_d, n)
         if n == 1:
-            lens = r + r_d - xs
+            lens = (r + r_d - xs) / (2.0 * r_d)
         else:
-            # Cap heights measured from the radical hyperplane.  The
-            # difference-of-squares product form avoids the cancellation
-            # that the naive (x^2 + r^2 - r_d^2)/(2x) offset suffers when
-            # one ball is tiny next to the other; heights above the ball
-            # radius mean the cap exceeds a hemisphere, which every formula
-            # below handles directly.
+            # Cap heights measured from the radical hyperplane, in the
+            # difference-of-squares product form that avoids the naive
+            # (x^2 + r^2 - r_d^2)/(2x) offset's cancellation when one ball
+            # is tiny next to the other; a height above the ball radius is
+            # a cap beyond a hemisphere, which every formula handles.
             h1 = (r_d - xs + r) * (r_d + xs - r) / (2.0 * xs)
             h2 = (r + r_d - xs) * (r + xs - r_d) / (2.0 * xs)
-            lens = _cap_volume(r, h1, n) + _cap_volume(r_d, h2, n)
-    full = ball_volume(np.minimum(r, r_d), n)
-    volume = np.where(xs >= r + r_d, 0.0, np.where(xs <= np.abs(r - r_d), full, lens))
-    return float(volume) if volume.ndim == 0 else volume
+            lens = _cap_share(r, h1, r_d, n) + _cap_share(r_d, h2, r_d, n)
+        share = np.where(xs >= r + r_d, 0.0, np.where(xs <= np.abs(r - r_d), full, lens))
+    return float(share) if share.ndim == 0 else share
 
 
-def _cap_volume(radius: float | np.ndarray, height: np.ndarray, n: int) -> np.ndarray:
-    # Hyperspherical cap of the given height, 0 <= height <= 2 * radius.
+def _cap_share(radius: np.ndarray, height: np.ndarray, r_d: np.ndarray, n: int) -> np.ndarray:
+    # A cap of height 0..2 radius as a share of the ball of radius r_d.
     h = np.clip(height, 0.0, 2.0 * radius)
+    rho = np.sqrt(h * (2.0 * radius - h))  # the radius of its base, at most min(r, r_d)
     if n == 2:
-        # Circular segment: (R^2/2)(theta - sin theta) rearranged so only
-        # well-conditioned atan2/sqrt evaluations appear.
+        # Circular segment (R^2/2)(theta - sin theta), from well-conditioned atan2/sqrt only.
         a = radius - h
-        s = np.sqrt(h * (2.0 * radius - h))
-        return radius * radius * np.arctan2(s, a) - s * a
+        return (radius * radius * np.arctan2(rho, a) - rho * a) / (math.pi * r_d * r_d)
     if n == 3:
-        return math.pi * h * h * (3.0 * radius - h) / 3.0
-    z = h * (2.0 * radius - h) / (radius * radius)
-    half = 0.5 * ball_volume(radius, n) * betainc_half((n + 1) / 2, np.minimum(z, 1.0))
-    return np.where(h <= radius, half, ball_volume(radius, n) - half)
+        return h * h * (3.0 * radius - h) / (4.0 * np.power(r_d, 3))
+    # The cap (R / r_d)^n I_z(a, 1/2) / 2, a = (n + 1) / 2, z = (rho / R)^2, as
+    # (rho / r_d)^n (rho / R) J / 2, J = I_z / z^a in [1 / (a B(a, 1/2)), 1]: no factor
+    # above 1.  Past a hemisphere (only the smaller ball's) it is (R / r_d)^n less that.
+    sine = np.minimum(rho / radius, 1.0)
+    small = 0.5 * np.power(rho / r_d, n) * sine * betainc_half_scaled((n + 1) / 2, sine * sine)
+    return np.where(h <= radius, small, np.power(radius / r_d, n) - small)
 
 
 def _check_dimension(n: int) -> None:

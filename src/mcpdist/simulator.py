@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (_U, CurveKind, DistributionCurve, McpParams, _check_orders, _count_radius,
-                       _gl_weights, cdf_table, distribution_curves, quantile_radius)
+from .analytic import (_LENGTH_RANGE, _U, CurveKind, DistributionCurve, McpParams, _check_orders,
+                       _count_radius, _gl_weights, cdf_table, distribution_curves, quantile_radius)
 from .geometry import unit_ball_volume
 
 __all__ = [
@@ -62,8 +62,7 @@ _BLOCK_POINTS = 2**15
 _TABLE_CELLS = 4 * _BLOCK_POINTS
 
 # Every sampled point lies within observation_radius + 2 rd of the origin;
-# inside this range its squared distance is a normal double.
-_REACH_RANGE = (1e-150, 1e150)
+# inside analytic's _LENGTH_RANGE its squared distance is a normal double.
 # A parent's radius is formed from its share v / v_max of the window's
 # mean parent count v_max (see _nearest); below this cap the share
 # stays a normal double for any volume v above 1e-150.
@@ -139,11 +138,9 @@ class SimConfig:
             raise ValueError("max_k must be at least 1")
         p = self.params
         reach = self.observation_radius + 2.0 * p.rd
-        if not _REACH_RANGE[0] <= reach <= _REACH_RANGE[1]:
-            raise ValueError(
-                f"observation_radius + 2 rd = {reach!r} lies outside {_REACH_RANGE}, "
-                "where squared distances would over- or underflow"
-            )
+        if reach > _LENGTH_RANGE[1]:
+            raise ValueError(f"observation_radius + 2 rd = {reach!r} exceeds {_LENGTH_RANGE[1]!r}, "
+                             "where squared distances would overflow")
         if _parents_within(p, self.observation_radius + p.rd) > _MAX_WINDOW_PARENTS:
             raise ValueError(f"the window holds more than {_MAX_WINDOW_PARENTS:.0e} parents on "
                              "average, where parent radii would lose precision")

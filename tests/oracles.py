@@ -20,7 +20,8 @@ def log_pgf_count_1d(s: float, r: float, p: McpParams) -> float:
     On the line the lens is piecewise linear in the separation, so the
     integral evaluates in closed form:
     2 lambda_p [ |r - rd| e^z - (r + rd) + beta expm1(z)/z ] with
-    beta = 2 min(r, rd) and z = lambda_d (s - 1) beta.
+    beta = 2 min(r, rd), z = lambda_d (s - 1) beta and the daughter
+    intensity lambda_d = mbar / (2 rd).
     """
     if p.n != 1:
         raise ValueError("closed form is only valid in dimension 1")
@@ -28,7 +29,7 @@ def log_pgf_count_1d(s: float, r: float, p: McpParams) -> float:
     if r <= 0.0 or s == 1.0:
         return 0.0
     beta = 2.0 * min(r, p.rd)
-    z = p.lambda_d * (s - 1.0) * beta
+    z = p.mbar / (2.0 * p.rd) * (s - 1.0) * beta
     ramp = beta if z == 0.0 else beta * math.expm1(z) / z
     return 2.0 * p.lambda_p * (abs(r - p.rd) * math.exp(z) - (r + p.rd) + ramp)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -41,10 +43,11 @@ def closed_form_g_1d(s, r, lambda_p, lambda_d, rd):
 
 
 class TestParams:
-    def test_lambda_d_accessor(self):
+    def test_fields_are_the_four_arguments(self):
+        # The daughter intensity is not stored: the kernel never forms it.
         p = McpParams(lambda_p=2e-5, mbar=5.0, rd=50.0, n=2)
-        assert p.lambda_d == pytest.approx(5.0 / (math.pi * 2500.0), rel=1e-15)
-        assert LINE.lambda_d == 0.5
+        assert [f.name for f in dataclasses.fields(p)] == ["lambda_p", "mbar", "rd", "n"]
+        assert not hasattr(p, "lambda_d")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,6 +58,22 @@ class TestParams:
             McpParams(lambda_p=1.0, mbar=1.0, rd=math.inf, n=2)
         with pytest.raises(ValueError):
             McpParams(lambda_p=1.0, mbar=1.0, rd=1.0, n=0)
+
+    def test_dimension_ends_where_the_unit_ball_volume_turns_subnormal(self):
+        # v_436 is subnormal, and v_450 already 7.6e-4 off: n = 435 is the last
+        # dimension whose cluster count and Campbell intensity keep full precision.
+        assert unit_ball_volume(435) >= sys.float_info.min > unit_ball_volume(436)
+        assert McpParams(1e-3, 5.0, 2.0, 435).n == 435
+        for n in (436, 450, 1000):
+            with pytest.raises(ValueError, match=r"dimension must be an integer in 1\.\.435"):
+                McpParams(1e-3, 5.0, 2.0, n)
+
+    def test_cluster_radius_is_a_length_whose_square_is_normal(self):
+        for rd in (1e-150, 1e150):
+            assert McpParams(0.1, 2.0, rd, 1).rd == rd
+        for rd in (1e-151, 1e-200, 1e151, 1e198):
+            with pytest.raises(ValueError, match=r"rd must lie in \[1e-150, 1e\+150\]"):
+                McpParams(0.1, 2.0, rd, 1)
 
 
 def test_written_out_rule_is_gauss_legendre():
@@ -214,7 +233,7 @@ class TestCountPmf:
         p = McpParams(lambda_p=350.0, mbar=0.2, rd=0.2, n=2)
         assert np.array_equal(count_pmf(2.0, p, m_max=3).probs, count_pmf(2.0, p).probs[:4])
         # ~6e197 clusters reach the ball, where the recurrence would overflow
-        p = McpParams(lambda_p=0.003, mbar=50.0, rd=1e198, n=1)
+        p = McpParams(lambda_p=0.003, mbar=50.0, rd=1e150, n=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pmf = count_pmf(1e200, p, m_max=3)
@@ -316,6 +335,21 @@ class TestPppCdf:
     def test_overflowing_mean_count_is_certain(self):
         # r^n overflows a Python float: the mean count is infinite, the CDF 1.
         assert ppp_cdf_contact(1e200, 3, 1.0, 2) == 1.0
+
+    def test_overflowing_power_keeps_a_small_mean_count(self):
+        # 6^400 overflows, but the mean count 1e-300 v_400 6^400 is 6.2e-265.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            mu = mpmath.mpf(1e-300) * mpmath.pi**200 / mpmath.factorial(200) * mpmath.mpf(6) ** 400
+            want = float(-mpmath.expm1(-mu))
+        assert ppp_cdf_contact(6.0, 1, 1e-300, 400) == pytest.approx(want, rel=1e-12)
+
+    def test_dimension_bound(self):
+        assert 0.0 < ppp_cdf_contact(4.5, 1, 1.0, 435) < 1.0
+        # v_500 is subnormal; r^n overflowing once returned 1.0 here, not 2.4e-42.
+        for n in (436, 500):
+            with pytest.raises(ValueError, match=r"dimension must be an integer in 1\.\.435"):
+                ppp_cdf_contact(4.5, 1, 1.0, n)
 
 
 class TestQuantileRadius:

@@ -248,13 +248,13 @@ def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
     # Contact tables read only the stationary pair; the Palm pair's lens is
     # one more call, made on first use, whose rows are the ones a
     # one-radius kernel gives.
-    calls, lens = [], analytic.intersection_volume
+    calls, lens = [], analytic.lens_share
 
     def counted(*args):
         calls.append(args[2].shape)
         return lens(*args)
 
-    monkeypatch.setattr(analytic, "intersection_volume", counted)
+    monkeypatch.setattr(analytic, "lens_share", counted)
     radii = np.linspace(0.0, 300.0, 7)
     analytic.cdf_table(CurveKind.CONTACT, radii, [1, 3], fig1_params)
     assert len(calls) == 1

@@ -396,9 +396,10 @@ class TestFailFast:
         assert code == 0 and err == "" and out.endswith("overall=pass\n")
 
     @pytest.mark.parametrize("argv, message", [
-        # the lens behind the CDF that prices a run leaves the double range at n = 400
+        # at n = 400 a run draws the daughters of ~1e30 parents within its
+        # kth distance + rd, which almost never land inside it
         (["--n", "400", "--lambda-p", "1e-3", "--mbar", "5", "--rd", "1", "--r-max", "10"],
-         "leaves the double range"),
+         "points on average"),
         # each Palm run draws its own cluster's ~1e300 siblings
         (["--lambda-p", "2e-5", "--mbar", "1e300", "--rd", "50", "--r-max", "10"],
          "points on average"),
@@ -420,6 +421,24 @@ class TestFailFast:
         assert err.startswith("error: k must be an integer in 1..4096") and err.count("\n") == 1
         assert err.endswith("got 3000000\n")
 
+    def test_dimension_ends_where_the_unit_ball_volume_turns_subnormal(self, capsys):
+        argv = ["cdf", "--kind", "cd", "--k", "1", "--grid-max", "10", "--grid-points", "4",
+                "--lambda-p", "1e-3", "--mbar", "5", "--rd", "2"]
+        code, out, err = run_cli(capsys, *argv, "--n", "435")
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) == 4
+        code, out, err = run_cli(capsys, *argv, "--n", "436")
+        assert code == 2 and out == ""
+        assert err == "error: dimension must be an integer in 1..435, got 436\n"
+
+    def test_tiny_cluster_radius_on_the_line_exits_2(self, capsys):
+        # At rd = 1e-200 sibling distances square to subnormals, and validate
+        # once failed its own KS test (exit 1); rd must be a length in range.
+        for rd in ("1e-200", "1e-170"):
+            code, out, err = run_cli(capsys, "validate", "--n", "1", "--lambda-p", "0.1",
+                                     "--mbar", "2", "--rd", rd, "--k-max", "2", "--samples", "2000")
+            assert code == 2 and out == ""
+            assert err == f"error: rd must lie in [1e-150, 1e+150], got {float(rd)!r}\n"
+
     def test_numeric_extremes_exit_2(self, capsys):
         for argv in (
             ["cdf", "--kind", "cd", "--lambda-p", "2e-5", "--mbar", "5", "--rd", "1e200"],
@@ -440,22 +459,27 @@ class TestFailFast:
         assert proc.stderr.startswith("error: the expected number of clusters")
         assert proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["cdf", "--kind", "cd", "--n", "200", "--k", "2", "--grid-max", "40", "--grid-points", "4"],
-        ["cdf", "--kind", "nnd", "--n", "400", "--k", "2", "--grid-max", "8"],
-        ["sweep", "--metric", "connectivity", "--n", "400", "--R", "7", "--k", "1"],
-    ], ids=["cdf-cd-n200", "cdf-nnd-n400", "sweep-n400"])
-    def test_high_dimensional_lens_is_one_error_line(self, argv):
-        # A cap's ball volume R^n v_n overflows at these n, although the lens
-        # is at most the cluster's: numpy's warnings must not reach stderr.
+    @pytest.mark.parametrize("argv, rows", [
+        (["cdf", "--kind", "cd", "--n", "200", "--k", "2", "--grid-max", "40", "--grid-points", "4"],
+         4),
+        (["cdf", "--kind", "cd", "--n", "400", "--k", "1,4", "--grid-max", "10", "--grid-points",
+          "64"], 128),
+        (["cdf", "--kind", "nnd", "--n", "400", "--k", "2", "--grid-max", "8"], 512),
+        (["sweep", "--metric", "connectivity", "--n", "400", "--R", "7", "--k", "1"], 2),
+    ], ids=["cdf-cd-n200", "cdf-cd-n400", "cdf-nnd-n400", "sweep-n400"])
+    def test_high_dimensional_lens_computes(self, argv, rows):
+        # A cap's ball volume R^n v_n overflows at these n, but the lens's
+        # share of the cluster ball does not; no numpy warning reaches stderr.
+        # At the end of each cd grid the mean count (about 5e209 at n = 200,
+        # 1e47 at n = 400) makes the CDF 1 to double precision.
         params = ["--lambda-p", "1e-3", "--mbar", "5", "--rd", "1"]
-        proc = subprocess.run([sys.executable, "-m", "mcpdist", *argv, *params],
-                              capture_output=True, text=True)
-        if proc.returncode == 0:
-            assert proc.stderr == ""
-        else:
-            assert proc.returncode == 2 and proc.stdout == ""
-            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mcpdist",
+                               *argv, *params], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, table = parse_csv(proc.stdout)
+        assert len(table) == rows
+        if "cd" in argv:
+            assert table[-1][-1] == "1.0"
 
     @pytest.mark.parametrize("argv", [["cdf", "--kind", "nnd", "--k", "3"],
                                       ["validate", "--k-max", "2"]])
@@ -543,18 +567,22 @@ def _invocations(draw):
     number = st.sampled_from(_NUMBERS)
     command = draw(st.sampled_from(("cdf", "pmf", "validate", "sweep")))
     huge = "1000000000"
-    argv = [command, "--n", draw(st.sampled_from(("1", "2", "3", "5", "9", "400", "700", huge)))]
+    n = draw(st.one_of(st.sampled_from(("1", "2", "3", "5", "9", "400", "700", huge)),
+                       st.integers(min_value=100, max_value=1000).map(str)))
+    argv = [command, "--n", n]
+    # From n = 100 on, cluster radii near 1 keep the lens share in play.
+    rd = st.floats(min_value=0.5, max_value=2.0).map(repr) if 100 <= int(n) <= 1000 else number
     if command == "sweep":
         argv += ["--metric", draw(st.sampled_from(("connectivity", "cache"))),
                  "--lambda-p", draw(number), "--mbar", draw(number), "--R", draw(number),
                  "--k", draw(st.sampled_from(("1", "2,3"))),
                  "--rd-points", draw(st.sampled_from(("1", "3", huge)))]
         if draw(st.booleans()):
-            argv += ["--rd", draw(number)]
+            argv += ["--rd", draw(rd)]
         if draw(st.booleans()):
             argv += ["--hold", "lambda_d"]
         return argv
-    argv += ["--lambda-p", draw(number), "--mbar", draw(number), "--rd", draw(number)]
+    argv += ["--lambda-p", draw(number), "--mbar", draw(number), "--rd", draw(rd)]
     if command == "cdf":
         argv += ["--kind", draw(st.sampled_from(("cd", "nnd"))),
                  "--k", draw(st.sampled_from(("0", "1", "1,4", "5000"))),
@@ -603,3 +631,6 @@ class TestCliFuzz:
             assert out.getvalue() == "" and unchanged, (argv, code)
         if argv[0] == "validate" and argv[argv.index("--k-max") + 1] == "1000000000":
             assert code == 2 and elapsed < 1.0, (argv, code, elapsed)
+        # v_n is subnormal above n = 435: such a dimension is one error line.
+        if int(argv[2]) > 435:
+            assert code == 2, (argv, code)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mcpdist.geometry import ball_volume, intersection_volume, unit_ball_volume
+from mcpdist.geometry import ball_volume, intersection_volume, lens_share, unit_ball_volume
 
 from conftest import mc_lens_volume
 
@@ -184,3 +184,62 @@ def test_lens_continuous_at_breakpoints_1d(r, r_d):
         left = intersection_volume(r, r_d, max(b - eps, 0.0), 1)
         right = intersection_volume(r, r_d, b + eps, 1)
         assert abs(left - right) <= 2 * eps * (1 + 1e-9)
+
+
+def _share_cap_formula(r, r_d, x, n):
+    """A / (v_n r_d^n) from the betainc cap formula, in mpmath at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    r, r_d, x = mpmath.mpf(r), mpmath.mpf(r_d), mpmath.mpf(x)
+    if x >= r + r_d:
+        return mpmath.mpf(0)
+    if x <= abs(r - r_d):
+        return (min(r, r_d) / r_d) ** n
+    a = mpmath.mpf(n + 1) / 2
+
+    def cap(radius, h):
+        half = (radius / r_d) ** n * mpmath.betainc(a, 0.5, 0, h * (2 * radius - h) / radius**2,
+                                                    regularized=True) / 2
+        return half if h <= radius else (radius / r_d) ** n - half
+
+    return (cap(r, (r_d - x + r) * (r_d + x - r) / (2 * x))
+            + cap(r_d, (r + r_d - x) * (r + x - r_d) / (2 * x)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 20, 200, 400, 1000])
+def test_lens_share_matches_mpmath(n):
+    # The share is formed from bounded factors, so it keeps its relative
+    # accuracy wherever it is a normal double, at any n.  It is
+    # ill-conditioned like n/2 in the cap heights, hence the bound above n = 20.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    size = 60
+    r_d = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    r = r_d * 10.0 ** rng.uniform(-2.0, math.log10(30.0), size)
+    lo, hi = np.abs(r - r_d), r + r_d
+    x = lo + (hi - lo) * rng.uniform(0.0, 1.0, size)
+    x[0], x[1], x[2] = 0.0, lo[1] / 2.0, hi[2]  # concentric, contained, touching
+    shares = lens_share(r[:, np.newaxis], r_d[:, np.newaxis], x[:, np.newaxis], n)[:, 0]
+    bound = 1e-12 if n <= 20 else 2e-13 * n
+    with mpmath.workdps(50):
+        for i in range(size):
+            scalar = lens_share(float(r[i]), float(r_d[i]), float(x[i]), n)
+            assert scalar == shares[i], i
+            want = _share_cap_formula(r[i], r_d[i], x[i], n)
+            if want > 1e-300:
+                assert abs(scalar - want) <= bound * want, (i, scalar, float(want))
+            else:
+                assert 0.0 <= scalar <= 1e-300, (i, scalar, float(want))
+
+
+def test_lens_share_is_the_volume_over_the_cluster_ball():
+    for n, r, r_d, x in [(1, 2.0, 1.0, 1.5), (2, 1.0, 1.0, 1.0), (3, 5.0, 1.0, 2.0),
+                         (5, 2.0, 0.7, 1.9), (8, 0.5, 1.2, 1.0)]:
+        assert lens_share(r, r_d, x, n) == pytest.approx(
+            intersection_volume(r, r_d, x, n) / ball_volume(r_d, n), rel=1e-14)
+    # At n = 400 the cap balls' volumes overflow, and the unit ball's
+    # underflows at n = 1000; the share stays in [0, 1].
+    x = np.array([0.0, 5.53, 6.03, 6.53, 7.03])
+    for n in (400, 1000):
+        share = lens_share(6.03, 1.0, x, n)
+        assert np.all((share >= 0.0) & (share <= 1.0)) and share[0] == 1.0 and share[-1] == 0.0
+        assert 0.0 < share[3] < share[2] < 1.0

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcpdist import McpParams, h_coefficient, intersection_volume, pgf_count_palm, q_weight
+from mcpdist import McpParams, h_coefficient, pgf_count_palm, q_weight
 from mcpdist.analytic import log_pgf_count
+from mcpdist.geometry import lens_share
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -26,13 +27,14 @@ REL, ABS = 1e-12, 1e-15
 
 def reference(r, p):
     """h_0..h_6, q_0..q_4, g(0), g(0.5) and the Palm PGF at 0 and 0.5."""
-    n, rd, ld = p.n, p.rd, p.lambda_d
+    n, rd = p.n, p.rd
     v_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
     # The 16 integrals below evaluate the lens on the same mpmath nodes.
     @functools.cache
     def t(x):
-        return ld * intersection_volume(r, rd, float(x), n)
+        # a cluster's mean daughter count in the probe ball, lambda_d A
+        return p.mbar * lens_share(r, rd, float(x), n)
 
     def window(f):
         # lambda_p v_n * integral over [0, r + rd] of f(t) n x^(n-1) dx
@@ -78,13 +80,13 @@ def test_kernel_matches_mpmath(n, r, rd):
 @given(
     r=st.floats(min_value=0.0, max_value=10.0),
     rd=st.floats(min_value=1e-3, max_value=10.0),
-    n=st.integers(min_value=1, max_value=8),
+    n=st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=9, max_value=1000)),
     x=st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=1, max_size=20),
 )
 def test_lens_array_equals_scalar_calls(r, rd, n, x):
-    volumes = intersection_volume(r, rd, np.array(x), n)
-    assert volumes.shape == (len(x),)
-    for xi, vi in zip(x, volumes):
-        scalar = intersection_volume(r, rd, xi, n)
+    shares = lens_share(r, rd, np.array(x), n)
+    assert shares.shape == (len(x),)
+    for xi, vi in zip(x, shares):
+        scalar = lens_share(r, rd, xi, n)
         assert type(scalar) is float
         assert scalar == vi or (math.isnan(scalar) and math.isnan(vi))

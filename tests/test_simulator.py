@@ -13,9 +13,7 @@ from mcpdist import (
     EmpiricalCdf,
     McpParams,
     SimConfig,
-    ball_volume,
     count_pmf,
-    intersection_volume,
     ks_distance,
     palm_count_pmf,
     pgf_count,
@@ -24,6 +22,7 @@ from mcpdist import (
 )
 from mcpdist import simulator
 from mcpdist.analytic import CurveKind, cdf_table, distribution_curve, quantile_radius
+from mcpdist.geometry import lens_share
 from mcpdist.simulator import (
     _KEEP_MARGIN,
     KS_THRESHOLD_FACTOR,
@@ -86,7 +85,7 @@ class TestDaughterPoints:
         rng = np.random.Generator(np.random.SFC64(key))
         d2 = simulator._daughter_distances(rng, n, rd, np.array([rho]), np.array([size]))
         d = np.sort(np.sqrt(d2))
-        cdf = intersection_volume(d, rd, rho, n) / ball_volume(rd, n)
+        cdf = lens_share(d, rd, rho, n)
         steps = np.arange(1, size + 1) / size
         ks = max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / size))))
         assert ks <= KS_THRESHOLD_FACTOR / math.sqrt(size)
@@ -214,11 +213,12 @@ class TestHarness:
         for radius in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="observation_radius must be finite and positive"):
                 SimConfig(fig1_params, radius, 10, 1, 1)
-        # Squared distances out to the window's reach must stay normal doubles.
-        tiny = McpParams(1.0, 1.0, 1e-152, 2)
-        for p, radius in ((tiny, 1e-152), (fig1_params, 1e151)):
-            with pytest.raises(ValueError, match="observation_radius \\+ 2 rd = .* lies outside"):
-                SimConfig(p, radius, 10, 1, 1)
+        # Squared distances out to the window's reach must stay normal
+        # doubles; McpParams keeps rd, and so the reach, above 1e-150.
+        with pytest.raises(ValueError, match="rd must lie in"):
+            McpParams(1.0, 1.0, 1e-152, 2)
+        with pytest.raises(ValueError, match="observation_radius \\+ 2 rd = .* exceeds 1e\\+150"):
+            SimConfig(fig1_params, 1e151, 10, 1, 1)
         with pytest.raises(ValueError, match="samples must be at least 1"):
             SimConfig(fig1_params, 80.0, 0, 1, 1)
         with pytest.raises(ValueError, match="max_k must be at least 1"):
@@ -770,6 +770,7 @@ class TestBlockPath:
             SimConfig(fig1_params, 450.0, 10**11, 1, 4)
         with pytest.raises(ValueError, match="points on average"):
             validate_against_analytic(crowded, [1], samples=100, seed=1)
-        # The lens behind the CDF that prices a run leaves the double range here.
-        with pytest.raises(ValueError, match="lens volume at r=.* leaves the double range"):
+        # At n = 400 a run's ~1e31 parents within its kth distance + rd
+        # (about 6 here) almost never put a daughter inside it.
+        with pytest.raises(ValueError, match="points on average"):
             SimConfig(McpParams(1e-3, 5.0, 1.0, 400), 10.0, 1, 1, 4)

@@ -101,11 +101,13 @@ def test_cap_fraction_near_scipy(n):
     a = (n + 1) / 2
     z = np.concatenate([np.linspace(0.0, 1.0, 2001), np.geomspace(1e-12, 1.0, 400),
                         1.0 - np.geomspace(1e-12, 1.0, 400), [(a + 1.0) / (a + 2.5)]])
-    mine, ref = _special.betainc_half(a, z), special.betainc(a, 0.5, z)
-    # Below ~1e-280 the prefactor z^a underflows; such caps are nothing next to the ball.
+    scaled, ref = _special.betainc_half_scaled(a, z), special.betainc(a, 0.5, z)
+    # scipy's I_z underflows below ~1e-280 with its prefactor z^a; the
+    # scaled value does not, and at z = 0 it is the limit 1 / (a B(a, 1/2)).
     normal = ref > 1e-280
-    np.testing.assert_allclose(mine[normal], ref[normal], rtol=1e-12, atol=0.0)
-    assert np.all(mine[~normal] <= 1e-280)
+    np.testing.assert_allclose(scaled[normal] * z[normal] ** a, ref[normal], rtol=1e-12, atol=0.0)
+    assert scaled[0] == pytest.approx(1.0 / (a * special.beta(a, 0.5)), rel=1e-14)
+    assert np.all((scaled > 0.0) & (scaled <= 1.0))
 
 
 def test_cap_fraction_entries_equal_their_one_element_calls():
@@ -113,8 +115,8 @@ def test_cap_fraction_entries_equal_their_one_element_calls():
     z = np.random.default_rng(5).uniform(0.0, 1.0, 300)
     z[::7] = np.nan
     for n in (4, 5, 20):
-        table = _special.betainc_half((n + 1) / 2, z.reshape(30, 10))
-        single = [_special.betainc_half((n + 1) / 2, z[i : i + 1])[0] for i in range(z.size)]
+        table = _special.betainc_half_scaled((n + 1) / 2, z.reshape(30, 10))
+        single = [_special.betainc_half_scaled((n + 1) / 2, z[i : i + 1])[0] for i in range(z.size)]
         np.testing.assert_array_equal(table.ravel(), single)
         assert np.isnan(table.ravel()[::7]).all()
 
