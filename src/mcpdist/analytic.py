@@ -5,11 +5,10 @@ probability generating function exp(g(s)), with g a one-dimensional
 integral over the lens volume between the probe ball and the cluster
 ball.  Taylor coefficients h_k of g at s = 0 yield the PMF of N through
 the exp power-series recurrence, run on p_m / p_0 with a log-space scale
-so that it stays finite where p_0 underflows.  The kth contact distance
-CDF is a partial PMF sum; nearest-neighbor distances follow by convolving
-with the intra-cluster weights q_j under the reduced Palm distribution.
-The small-rd limit is the same NND sum with the Poisson(mbar) weights
-e^(-mbar) mbar^j / j! in place of q_j, each formed whole in log space.
+so that it stays finite where p_0 underflows.  Each kth distance CDF is a
+partial sum 1 - sum_{m<k} of one count PMF: N's for contact distances; for
+nearest neighbors the reduced-Palm count's, N convolved with the
+intra-cluster weights q_j, or in the small-rd limit with Poisson(mbar) ones.
 
 Everything runs on a vector of radii, one row per radius, and each row
 may carry its own parameters (lambda_p, mbar, rd; n is shared): the
@@ -419,12 +418,10 @@ def count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:
     orders.  The recurrence runs on p_m / p_0 with a log-space scale, so it
     stays finite even where p_0 underflows double precision.
     """
-    _check_pmf_args(r, p, m_max)
-    probs = _count_pmf(_Kernel([r], p), m_max)[0]
-    return PmfVector(probs, 1.0 - float(probs.sum()))
+    return _pmf_vector(CurveKind.CONTACT, r, p, m_max)
 
 
-def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
+def _pmf_vector(kind: CurveKind, r: float, p: McpParams, m_max: int | None) -> PmfVector:
     _check_radius(r)
     if m_max is not None and (not _is_integer(m_max) or not 0 <= m_max <= _PMF_HARD_CAP):
         raise ValueError(f"m_max must be an integer in 0..{_PMF_HARD_CAP}, got {m_max!r}")
@@ -433,6 +430,8 @@ def _check_pmf_args(r: float, p: McpParams, m_max: int | None) -> None:
     if m_max is None and r >= _count_radius(_PMF_HARD_CAP, p):
         raise ValueError(f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
                          "beyond the adaptive PMF order cap; pass m_max")
+    probs = _kind_pmf(kind, _Kernel([r], p), m_max)[0]
+    return PmfVector(probs, 1.0 - float(probs.sum()))
 
 
 def _count_radius(count: float, p: McpParams) -> float:
@@ -482,6 +481,26 @@ def _count_pmf(kernel: _Kernel, m_max: int | None) -> np.ndarray:
         return probs
     out = np.zeros((lam.size, probs.shape[1]))
     out[live] = probs
+    return out
+
+
+def _kind_pmf(kind: CurveKind, kernel: _Kernel, m_max: int | None) -> np.ndarray:
+    """Rows of _count_pmf, for NND convolved with the reduced-Palm weights q_j.
+
+    The small-rd limit takes Poisson(mbar) weights, formed whole in log space
+    from the one node t = mbar of weight 1: every sibling on the typical point.
+    One lag at a time, elementwise, so no order depends on the row length.
+    """
+    probs = _count_pmf(kernel, m_max)
+    if kind is CurveKind.CONTACT:
+        return probs
+    mbar = kernel._lens_args[1]
+    t, w = kernel._palm if kind is CurveKind.NND else (mbar, np.ones_like(mbar))
+    # The weights stop at their first all-zero block; later lags would add zeros.
+    weights = _poisson_sums(t, w, 0, probs.shape[1])
+    out = np.zeros_like(probs)
+    for j in range(weights.shape[1]):
+        out[:, j:] += probs[:, : probs.shape[1] - j] * weights[:, j : j + 1]
     return out
 
 
@@ -589,19 +608,13 @@ def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVecto
 
     Discrete convolution of the stationary count PMF with the q weights.
     """
-    _check_pmf_args(r, p, m_max)
-    kernel = _Kernel([r], p)
-    stationary = _count_pmf(kernel, m_max)[0]
-    m_top = stationary.size - 1
-    probs = np.convolve(stationary, kernel.q(0, m_top + 1)[0])[: m_top + 1]
-    return PmfVector(probs, 1.0 - float(probs.sum()))
+    return _pmf_vector(CurveKind.NND, r, p, m_max)
 
 
 def cdf_nnd(r: float, k: int, p: McpParams) -> float:
     """CDF of the kth nearest-neighbor distance of the typical point.
 
-    1 - sum_{i=1..k} q_(k-i)(r) * ccdf_contact_i(r); the convolution with
-    the stationary PMF telescopes down to this k-term form.
+    1 - sum_{m<k} P0[N = m], a partial sum of the Palm count PMF (palm_count_pmf).
     """
     return _cdf_eval(CurveKind.NND, r, k, p)
 
@@ -609,12 +622,10 @@ def cdf_nnd(r: float, k: int, p: McpParams) -> float:
 def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
     """Vanishing-cluster-radius limit of the kth nearest-neighbor CDF.
 
-    The NND sum 1 - sum_{i=1..k} w_(k-i) ccdf_contact_i(r) with q replaced
-    by the Poisson(mbar) weights w_j = e^(-mbar) mbar^j / j!: as rd -> 0
-    every cluster mate sits on the typical point.  Each weight is formed
-    whole in log space, so it is at most 1 and no mbar overflows it.  The
-    formula keeps its mass at r = 0 (co-located siblings), so r = 0 is
-    deliberately not special-cased to zero.
+    The NND partial sum with the q weights replaced by the Poisson(mbar)
+    weights e^(-mbar) mbar^j / j!: as rd -> 0 every cluster mate sits on the
+    typical point.  The limit keeps its mass at r = 0 (co-located siblings),
+    so r = 0 is deliberately not special-cased to zero.
     """
     return _cdf_eval(CurveKind.NND_SMALL_RD_LIMIT, r, k, p)
 
@@ -651,22 +662,8 @@ def cdf_table(kind: CurveKind, radii, ks, p: McpParams | Sequence[McpParams]) ->
     chunk = max(1, _CHUNK_CELLS // _row_cells(top))
     for start in range(0, rows.size, chunk):
         idx = rows[start : start + chunk]
-        kernel = _Kernel(radii[idx], params[idx])
-        probs = _count_pmf(kernel, top)
-        if kind is CurveKind.CONTACT:
-            table[:, idx] = [1.0 - probs[:, :k].sum(axis=1) for k in ks]
-            continue
-        ccdf = np.cumsum(probs, axis=1)  # ccdf[:, i-1] = P[N < i] = 1 - F_{R_i}
-        # 1 - sum_{i=1..k} w_(k-i) ccdf_i: the convolution with the
-        # stationary PMF telescopes down to this k-term form.  NND weighs by
-        # q, the small-rd limit by Poisson(mbar) weights, each formed whole
-        # in log space so that it stays at most 1.
-        if kind is CurveKind.NND:
-            w = kernel.q(0, top + 1)
-        else:
-            mbar = np.array([q.mbar for q in params[idx]])[:, np.newaxis]
-            w = _padded(_poisson_sums(mbar, np.ones_like(mbar), 0, top + 1), top + 1)
-        table[:, idx] = [1.0 - (w[:, k - 1 :: -1] * ccdf[:, :k]).sum(axis=1) for k in ks]
+        probs = _kind_pmf(kind, _Kernel(radii[idx], params[idx]), top)
+        table[:, idx] = [1.0 - probs[:, :k].sum(axis=1) for k in ks]
     if not np.isfinite(table).all():
         i, j = np.argwhere(~np.isfinite(table))[0]
         raise ValueError(f"the {kind.value} CDF for k={ks[i]} at r={float(radii[j])!r} "
