@@ -431,7 +431,8 @@ def _pmf_vector(kind: CurveKind, r: float, p: McpParams, m_max: int | None) -> P
         raise ValueError(f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
                          "beyond the adaptive PMF order cap; pass m_max")
     probs = _kind_pmf(kind, _Kernel([r], p), m_max)[0]
-    return PmfVector(probs, 1.0 - float(probs.sum()))
+    # Rounding can carry the sum a hair past 1; no mass is negative.
+    return PmfVector(probs, max(0.0, 1.0 - float(probs.sum())))
 
 
 def _count_radius(count: float, p: McpParams) -> float:
@@ -440,6 +441,10 @@ def _count_radius(count: float, p: McpParams) -> float:
     inf where the intensity lambda_p mbar v_n underflows to zero.
     """
     intensity = p.lambda_p * p.mbar * unit_ball_volume(p.n)
+    if math.isinf(intensity):
+        # The radius is a normal double where the intensity overflows: form it in logs.
+        log_intensity = math.log(p.lambda_p) + math.log(p.mbar) + math.log(unit_ball_volume(p.n))
+        return math.exp((math.log(count) - log_intensity) / p.n)
     return (count / intensity) ** (1.0 / p.n) if intensity > 0.0 else math.inf
 
 

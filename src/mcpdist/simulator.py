@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (_LENGTH_RANGE, _U, CurveKind, DistributionCurve, McpParams, _check_orders,
-                       _count_radius, _gl_weights, cdf_table, distribution_curves, quantile_radius)
+                       _count_radius, _gl_weights, _is_integer, cdf_table, distribution_curves,
+                       quantile_radius)
 from .geometry import unit_ball_volume
 
 __all__ = [
@@ -125,15 +126,15 @@ class SimConfig:
     mean_points: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # SeedSequence takes any nonnegative integer; anything else would
-        # fail only once sampling starts, with a message that names no argument.
-        seed = self.seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        # SeedSequence takes any nonnegative integer, and the blocks a whole
+        # number of runs; anything else would fail only once sampling
+        # starts, with a message that names no argument.
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not math.isfinite(self.observation_radius) or self.observation_radius <= 0.0:
             raise ValueError("observation_radius must be finite and positive")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if not _is_integer(self.samples) or self.samples < 1:
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if self.max_k < 1:
             raise ValueError("max_k must be at least 1")
         p = self.params

@@ -227,6 +227,15 @@ class TestCountPmf:
         mean = float(np.dot(np.arange(pmf.probs.size), pmf.probs))
         assert mean == pytest.approx(350.0 * 0.2 * math.pi * 4.0, rel=1e-9)
 
+    def test_truncation_mass_is_never_negative(self):
+        # Each PMF here sums a few 1e-14 past 1 in rounding; the mass beyond
+        # the truncation is then 0, not negative.
+        for r, p in ((2.0, McpParams(lambda_p=350.0, mbar=0.2, rd=0.2, n=2)),
+                     (6.0, McpParams(lambda_p=0.02, mbar=3.0, rd=2.0, n=5))):
+            for pmf in (count_pmf(r, p), palm_count_pmf(r, p)):
+                assert float(pmf.probs.sum()) > 1.0
+                assert pmf.truncation_mass == 0.0
+
     def test_orders_below_the_cluster_count_bound_are_zero(self):
         # here the low orders underflow: the early return agrees with the
         # recurrence run to the adaptive order cap

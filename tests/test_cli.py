@@ -481,6 +481,26 @@ class TestFailFast:
         if "cd" in argv:
             assert table[-1][-1] == "1.0"
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["cdf", "--kind", "cd", "--k", "1", "--grid-points", "4"], 0, ""),
+        # The own clusters' 1e160 siblings are over the point cap; the run
+        # pricing once doubled a zero radius here without end.
+        (["validate", "--r-max", "1e-4", "--samples", "10", "--k-max", "1"], 2,
+         "points on average"),
+    ], ids=["cdf", "validate"])
+    def test_overflowing_intensity_keeps_its_campbell_radius(self, argv, code, message):
+        # lambda_p mbar v_n overflows, yet the radius whose ball holds k
+        # points on average, about 4e-54, is a normal double.
+        params = ["--n", "3", "--lambda-p", "1e160", "--mbar", "1e160", "--rd", "1e-105"]
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mcpdist",
+                               *argv, *params], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == "" and parse_csv(proc.stdout)[1][-1][-1] == "1.0"
+        else:
+            assert proc.stdout == "" and message in proc.stderr
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["cdf", "--kind", "nnd", "--k", "3"],
                                       ["validate", "--k-max", "2"]])
     def test_underflowing_intensity_asks_for_a_grid_end(self, capsys, argv):

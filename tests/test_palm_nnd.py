@@ -85,12 +85,11 @@ class TestPalmPmf:
         assert pgf_count_palm(0.3, 0.0, fig1_params) == 1.0
 
     def test_partial_sums_match_nnd_cdf(self, fig1_params):
-        # telescoping: 1 - sum_{m<k} palm_pmf[m] equals the k-term form
+        # the kth NND CDF is 1 - sum_{m<k} of the Palm PMF, bit for bit
         for r in (20.0, 60.0, 110.0):
-            pmf = palm_count_pmf(r, fig1_params, m_max=5)
             for k in range(1, 7):
-                direct = 1.0 - float(pmf.probs[:k].sum())
-                assert cdf_nnd(r, k, fig1_params) == pytest.approx(direct, abs=1e-10)
+                pmf = palm_count_pmf(r, fig1_params, m_max=k - 1)
+                assert cdf_nnd(r, k, fig1_params) == 1.0 - float(pmf.probs.sum())
 
 
 class TestNndCdf:
@@ -147,6 +146,22 @@ class TestLimits:
         assert cdf_nnd_small_rd_limit(0.0, 1, p) == pytest.approx(
             1.0 - math.exp(-2.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("p", [
+        McpParams(lambda_p=2e-5, mbar=5.0, rd=50.0, n=2),
+        McpParams(lambda_p=0.01, mbar=2.0, rd=0.005, n=2),
+        McpParams(lambda_p=0.02, mbar=3.0, rd=2.0, n=3),
+    ])
+    def test_small_rd_limit_is_the_poisson_convolved_partial_sum(self, p):
+        # 1 - sum_{m<k} of the stationary PMF convolved with the Poisson(mbar)
+        # weights e^(-mbar) mbar^j / j!, each sum formed exactly
+        weights = [math.exp(j * math.log(p.mbar) - math.lgamma(j + 1) - p.mbar) for j in range(12)]
+        for r in (0.0, 0.5 * p.rd, 3.0 * p.rd, 20.0 * p.rd):
+            probs = count_pmf(r, p, m_max=11).probs
+            limit = [math.fsum(probs[m - j] * weights[j] for j in range(m + 1)) for m in range(12)]
+            for k in (1, 2, 3, 5, 12):
+                expected = 1.0 - math.fsum(limit[:k])
+                assert abs(cdf_nnd_small_rd_limit(r, k, p) - expected) <= 1e-15, (r, k)
 
     def test_small_rd_limit_lone_point_clusters(self, fig1_params):
         p = McpParams(lambda_p=2e-5, mbar=1e-8, rd=50.0, n=2)

@@ -219,8 +219,12 @@ class TestHarness:
             McpParams(1.0, 1.0, 1e-152, 2)
         with pytest.raises(ValueError, match="observation_radius \\+ 2 rd = .* exceeds 1e\\+150"):
             SimConfig(fig1_params, 1e151, 10, 1, 1)
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            SimConfig(fig1_params, 80.0, 0, 1, 1)
+        # A float or bool run budget once passed the constructor and failed
+        # in the sampler with a TypeError.
+        for bad in (0, -1, 10.5, 450.0, True, "10"):
+            with pytest.raises(ValueError, match="samples must be a positive integer"):
+                SimConfig(fig1_params, 80.0, bad, 1, 1)
+        assert SimConfig(fig1_params, 80.0, np.int64(10), 1, 1).samples == 10
         with pytest.raises(ValueError, match="max_k must be at least 1"):
             SimConfig(fig1_params, 80.0, 10, 1, 0)
 
