@@ -501,10 +501,10 @@ def _kind_pmf(kind: CurveKind, kernel: _Kernel, m_max: int | None) -> np.ndarray
         return probs
     mbar = kernel._lens_args[1]
     t, w = kernel._palm if kind is CurveKind.NND else (mbar, np.ones_like(mbar))
-    # The weights stop at their first all-zero block; later lags would add zeros.
     weights = _poisson_sums(t, w, 0, probs.shape[1])
     out = np.zeros_like(probs)
-    for j in range(weights.shape[1]):
+    # A lag whose weights are all zero (or past the returned ones) would add zeros.
+    for j in np.flatnonzero(weights.any(axis=0)):
         out[:, j:] += probs[:, : probs.shape[1] - j] * weights[:, j : j + 1]
     return out
 
