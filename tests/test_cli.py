@@ -489,8 +489,8 @@ class TestFailFast:
          "points on average"),
     ], ids=["cdf", "validate"])
     def test_overflowing_intensity_keeps_its_campbell_radius(self, argv, code, message):
-        # lambda_p mbar v_n overflows, yet the radius whose ball holds k
-        # points on average, about 4e-54, is a normal double.
+        # lambda_p mbar v_n overflows, yet the radius whose ball holds one
+        # point on average, about 1.3e-107, is a normal double.
         params = ["--n", "3", "--lambda-p", "1e160", "--mbar", "1e160", "--rd", "1e-105"]
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mcpdist",
                                *argv, *params], capture_output=True, text=True, timeout=60)
