@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from ._special import gammainc, lgam, log_factorials
-from .geometry import ball_volume, lens_share, unit_ball_volume
+from .geometry import _campbell_count, _campbell_radius, lens_share, unit_ball_volume
 
 __all__ = [
     "CurveKind",
@@ -233,15 +233,7 @@ class _Kernel:
         self._lens_args = r, mbar, rd, n
         x, w = _radial_rule(np.abs(r - rd), r + rd, n)
         self.t = self._lens(x)
-        # The product overflows for a huge lambda_p, and the volume alone
-        # where a tiny lambda_p brings the count back into range; those rows
-        # form lambda_p v_n (r + rd)^n in logs instead.
-        with np.errstate(over="ignore"):
-            clusters = lambda_p * ball_volume(r + rd, n)
-            big = ~np.isfinite(clusters)
-            if big.any():
-                clusters[big] = np.exp(np.log(lambda_p[big]) + math.log(unit_ball_volume(n))
-                                       + n * np.log((r + rd)[big]))
+        clusters = _campbell_count(r + rd, n, lambda_p)
         if not np.isfinite(clusters).all():
             window = float((r + rd)[~np.isfinite(clusters)][0])
             raise ValueError(f"the expected number of clusters within r + rd = {window!r} of the "
@@ -425,27 +417,13 @@ def _pmf_vector(kind: CurveKind, r: float, p: McpParams, m_max: int | None) -> P
     _check_radius(r)
     if m_max is not None and (not _is_integer(m_max) or not 0 <= m_max <= _PMF_HARD_CAP):
         raise ValueError(f"m_max must be an integer in 0..{_PMF_HARD_CAP}, got {m_max!r}")
-    # Campbell: the expected count lambda_p mbar v_n r^n must sit below the
-    # order cap; compared as radii so that a huge r cannot overflow.
-    if m_max is None and r >= _count_radius(_PMF_HARD_CAP, p):
+    # Campbell: the expected count lambda_p mbar v_n r^n must sit below the order cap.
+    if m_max is None and _campbell_count(r, p.n, p.lambda_p, p.mbar) >= _PMF_HARD_CAP:
         raise ValueError(f"the expected count at r={r!r} is at least {_PMF_HARD_CAP}, "
                          "beyond the adaptive PMF order cap; pass m_max")
     probs = _kind_pmf(kind, _Kernel([r], p), m_max)[0]
     # Rounding can carry the sum a hair past 1; no mass is negative.
     return PmfVector(probs, max(0.0, 1.0 - float(probs.sum())))
-
-
-def _count_radius(count: float, p: McpParams) -> float:
-    """Radius whose ball holds `count` points on average (Campbell).
-
-    inf where the intensity lambda_p mbar v_n underflows to zero.
-    """
-    intensity = p.lambda_p * p.mbar * unit_ball_volume(p.n)
-    if math.isinf(intensity):
-        # The radius is a normal double where the intensity overflows: form it in logs.
-        log_intensity = math.log(p.lambda_p) + math.log(p.mbar) + math.log(unit_ball_volume(p.n))
-        return math.exp((math.log(count) - log_intensity) / p.n)
-    return (count / intensity) ** (1.0 / p.n) if intensity > 0.0 else math.inf
 
 
 def _count_pmf(kernel: _Kernel, m_max: int | None) -> np.ndarray:
@@ -580,16 +558,8 @@ def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
     _check_dimension(n)
     if not math.isfinite(intensity) or intensity <= 0.0:
         raise ValueError(f"intensity must be finite and positive, got {intensity!r}")
-    if r <= 0.0:
-        return 0.0
-    try:
-        mu = intensity * unit_ball_volume(n) * r**n
-    except OverflowError:
-        # r^n alone overflows, the mean count need not; past e^709 the CDF is 1.
-        log_mu = math.log(intensity) + math.log(unit_ball_volume(n)) + n * math.log(r)
-        mu = math.exp(min(log_mu, 709.0))
-    # P[Poisson(mu) >= k] via the regularized lower incomplete gamma.
-    return gammainc(k, mu)
+    # P[Poisson(mean count) >= k] via the regularized lower incomplete gamma.
+    return 0.0 if r <= 0.0 else gammainc(k, _campbell_count(r, n, intensity))
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +657,15 @@ def _row_cells(top: int) -> int:
 
 
 def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
-    """Smallest _count_radius(k, p) 2^j, j an integer, where the CDF reaches 1 - 1e-4."""
+    """Smallest r_k 2^j, j an integer, where the CDF reaches 1 - 1e-4 (r_k: k points on average)."""
     _check_order(k)
-    r = _count_radius(k, p)
+    r = _campbell_radius(k, p.n, p.lambda_p, p.mbar)
     if math.isinf(r):
         raise ValueError(f"the intensity lambda_p mbar v_n underflows, so the {kind.value} "
                          f"CDF has no finite 1 - {_CURVE_TAIL} quantile; pass an explicit grid end")
+    if r == 0.0:
+        raise ValueError(f"the radius whose ball holds k={k} points on average lies below every "
+                         "positive double; pass an explicit grid end (--grid-max)")
     target = 1.0 - _CURVE_TAIL
     if _cdf_eval(kind, r, k, p) < target:
         for _ in range(200):

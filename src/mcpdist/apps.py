@@ -16,7 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import CurveKind, McpParams, cdf_table, ppp_cdf_contact
+from ._special import gammainc
+from .analytic import CurveKind, McpParams, cdf_table
+from .geometry import _campbell_count
 
 __all__ = [
     "SweepMetric",
@@ -111,10 +113,9 @@ def sweep(spec: SweepSpec, metric: SweepMetric, hold: str = "mbar") -> list[Swee
         for k, v in zip(spec.k_values, column)
     ]
     if spec.include_ppp_reference:
-        density = base.lambda_p * base.mbar
-        for k in spec.k_values:
-            rows.append(
-                SweepRow(math.inf, k, ppp_cdf_contact(spec.connect_range, k, density, base.n))
-            )
+        # ppp_cdf_contact's P[Poisson(count) >= k], with lambda_p and mbar
+        # apart: their product may overflow where the count does not.
+        count = _campbell_count(spec.connect_range, base.n, base.lambda_p, base.mbar)
+        rows += [SweepRow(math.inf, k, gammainc(k, count)) for k in spec.k_values]
     rows.sort(key=lambda row: (row.rd, row.k))
     return rows

@@ -16,6 +16,8 @@ from ._special import betainc_half_scaled
 
 __all__ = ["unit_ball_volume", "ball_volume", "intersection_volume", "lens_share"]
 
+_TINY = np.finfo(float).tiny
+
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in n dimensions: pi^(n/2) / Gamma(n/2 + 1).
@@ -36,12 +38,9 @@ def unit_ball_volume(n: int) -> float:
 def ball_volume(radius: float | np.ndarray, n: int) -> float | np.ndarray:
     """Volume of an n-ball of the given radius, or of each radius in an array.
 
-    inf beyond the double range; nan where v_n underflows to zero (n > 452)
-    and radius^n overflows.
+    inf only beyond the double range; nan where v_n is 0 (n > 452) and radius^n overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        volume = unit_ball_volume(n) * np.asarray(radius, dtype=float) ** n
-    return float(volume) if volume.ndim == 0 else volume
+    return _campbell_count(radius, n)
 
 
 def intersection_volume(
@@ -100,14 +99,46 @@ def _cap_share(radius: np.ndarray, height: np.ndarray, r_d: np.ndarray, n: int) 
         # Circular segment (R^2/2)(theta - sin theta), from well-conditioned atan2/sqrt only.
         a = radius - h
         return (radius * radius * np.arctan2(rho, a) - rho * a) / (math.pi * r_d * r_d)
-    if n == 3:
-        return h * h * (3.0 * radius - h) / (4.0 * np.power(r_d, 3))
+    if n == 3:  # h^2 (3 R - h) / (4 r_d^3), from ratios to r_d: its cube may be subnormal
+        u = h / r_d
+        return u * u * (3.0 * radius / r_d - u) / 4.0
     # The cap (R / r_d)^n I_z(a, 1/2) / 2, a = (n + 1) / 2, z = (rho / R)^2, as
     # (rho / r_d)^n (rho / R) J / 2, J = I_z / z^a in [1 / (a B(a, 1/2)), 1]: no factor
     # above 1.  Past a hemisphere (only the smaller ball's) it is (R / r_d)^n less that.
     sine = np.minimum(rho / radius, 1.0)
     small = 0.5 * np.power(rho / r_d, n) * sine * betainc_half_scaled((n + 1) / 2, sine * sine)
     return np.where(h <= radius, small, np.power(radius / r_d, n) - small)
+
+
+def _campbell_count(radius, n: int, *intensities) -> float | np.ndarray:
+    """Campbell mean count intensities[0] ... intensities[-1] v_n radius^n (floats or arrays).
+
+    As written, left to right, where radius^n, the intensities' product with
+    v_n, and the count are normal doubles; in logs elsewhere, so the count is
+    inf or 0 only beyond the double range.  A float radius takes C pow, as a
+    Python float's ** does (a numpy array's may differ in the last bit).
+    """
+    r = np.asarray(radius, dtype=float)
+    r = r[()] if r.ndim == 0 else r
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        rate = math.prod(intensities) * unit_ball_volume(n)
+        power = r**n
+        count = rate * power
+        normal = np.isfinite(count) & (np.minimum(np.minimum(rate, power), count) >= _TINY)
+        count = np.where(normal, count, np.exp(_log_rate(n, intensities) + n * np.log(r)))
+    return float(count) if count.ndim == 0 else count
+
+
+def _campbell_radius(count: float, n: int, *intensities: float) -> float:
+    """Radius whose n-ball holds `count` points on average; inf where the rate underflows."""
+    rate = math.prod(intensities) * unit_ball_volume(n)
+    if math.isinf(rate):  # the radius is still a double: form it in logs
+        return math.exp((math.log(count) - float(_log_rate(n, intensities))) / n)
+    return (count / rate) ** (1.0 / n) if rate > 0.0 else math.inf
+
+
+def _log_rate(n: int, intensities):
+    return sum(map(np.log, intensities)) + np.log(unit_ball_volume(n))
 
 
 def _check_dimension(n: int) -> None:

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (_LENGTH_RANGE, _U, CurveKind, DistributionCurve, McpParams, _check_orders,
-                       _count_radius, _gl_weights, _is_integer, cdf_table, distribution_curves,
-                       quantile_radius)
-from .geometry import unit_ball_volume
+                       _gl_weights, _is_integer, cdf_table, distribution_curves, quantile_radius)
+from .geometry import _campbell_count, _campbell_radius
 
 __all__ = [
     "CensoringError",
@@ -82,14 +81,6 @@ class CensoringError(RuntimeError):
     """Too many runs were censored for the empirical CDF to be trusted."""
 
 
-def _parents_within(p: McpParams, radius):
-    # Campbell mean lambda_p v_n radius^n of the parents within radius > 0
-    # (a float or an array), in logs: a huge radius gives inf, not an error.
-    log_parents = (math.log(p.lambda_p) + math.log(unit_ball_volume(p.n))
-                   + p.n * np.log(radius))
-    return np.exp(np.minimum(log_parents, 709.0))
-
-
 def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
     """Mean number of parents that draw daughters in a run, its own cluster's not included.
 
@@ -100,17 +91,19 @@ def _mean_parents(p: McpParams, observation_radius: float, max_k: int) -> float:
 
         c rd^n + integral_0^R n c (r + rd)^(n-1) (1 - F(r)) dr,
 
-    by analytic's 64-node Gauss-Legendre rule on [0, end]: end is R or the
-    first _count_radius(max_k, p) 2^j, j >= 0, where 1 - F is below _MEAN_TAIL.
+    by analytic's 64-node Gauss-Legendre rule on [0, end]: end is R, or the first
+    r_k 2^j, j >= 0, where 1 - F is below _MEAN_TAIL; r_k holds max_k points on average (or is 0).
     """
     kind = CurveKind.CONTACT
-    end = min(observation_radius, _count_radius(max_k, p))
-    while end < observation_radius and cdf_table(kind, [end], [max_k], p)[0, 0] < 1.0 - _MEAN_TAIL:
+    end = min(observation_radius, _campbell_radius(max_k, p.n, p.lambda_p, p.mbar))
+    while 0.0 < end < observation_radius and (cdf_table(kind, [end], [max_k], p)[0, 0]
+                                              < 1.0 - _MEAN_TAIL):
         end = min(2.0 * end, observation_radius)
     r = end * _U
     tail = 1.0 - cdf_table(kind, r, [max_k], p)[0]
-    shells = p.n / (r + p.rd) * _parents_within(p, r + p.rd)
-    return float(_parents_within(p, p.rd) + 0.5 * end * np.sum(_gl_weights * shells * tail))
+    shells = p.n / (r + p.rd) * _campbell_count(r + p.rd, p.n, p.lambda_p)
+    return float(_campbell_count(p.rd, p.n, p.lambda_p)
+                 + 0.5 * end * np.sum(_gl_weights * shells * tail))
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class SimConfig:
         if reach > _LENGTH_RANGE[1]:
             raise ValueError(f"observation_radius + 2 rd = {reach!r} exceeds {_LENGTH_RANGE[1]!r}, "
                              "where squared distances would overflow")
-        if _parents_within(p, self.observation_radius + p.rd) > _MAX_WINDOW_PARENTS:
+        if _campbell_count(self.observation_radius + p.rd, p.n, p.lambda_p) > _MAX_WINDOW_PARENTS:
             raise ValueError(f"the window holds more than {_MAX_WINDOW_PARENTS:.0e} parents on "
                              "average, where parent radii would lose precision")
         if self.samples * self.max_k > MAX_DISTANCES:
@@ -156,7 +149,7 @@ class SimConfig:
         def points(parents):
             return 1.0 + parents * (1.0 + p.mbar)
 
-        mean = points(float(_parents_within(p, p.rd)))
+        mean = points(_campbell_count(p.rd, p.n, p.lambda_p))
         if mean <= MAX_MEAN_POINTS:
             mean = points(_mean_parents(p, self.observation_radius, self.max_k))
         own = 1.0 + p.mbar
@@ -277,7 +270,8 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator):
 
     window = cfg.observation_radius + p.rd
     table, drawn = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
-                            runs, float(_parents_within(p, window)), window, p.n, p.rd, cfg.max_k)
+                            runs, _campbell_count(window, p.n, p.lambda_p), window, p.n, p.rd,
+                            cfg.max_k)
     d2, siblings = clusters(p.rd * rng.random(runs) ** (1.0 / p.n))
     return np.stack((table, _select_block(d2, siblings, table)), axis=1), drawn + siblings
 

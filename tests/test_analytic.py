@@ -22,6 +22,7 @@ from mcpdist import (
 )
 from mcpdist import analytic
 from mcpdist.analytic import CurveKind, log_pgf_count
+from mcpdist.geometry import _campbell_radius
 
 from oracles import (
     corollary_contact_cdf,
@@ -351,7 +352,23 @@ class TestPppCdf:
         with mpmath.workdps(30):
             mu = mpmath.mpf(1e-300) * mpmath.pi**200 / mpmath.factorial(200) * mpmath.mpf(6) ** 400
             want = float(-mpmath.expm1(-mu))
-        assert ppp_cdf_contact(6.0, 1, 1e-300, 400) == pytest.approx(want, rel=1e-12)
+        assert ppp_cdf_contact(6.0, 1, 1e-300, 400) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r, k, intensity, n", [
+        (1e-106, 1, 1e308, 3),  # intensity v_n overflows, the mean count is 4.2e-10
+        (1e-110, 1, 1e300, 3),  # r^n is subnormal
+        (1e-16, 1, 1e300, 20),
+        (2e-16, 2, 1e305, 20),
+        (1e-160, 3, 1e308, 2),
+    ])
+    def test_mean_count_outside_one_factor_matches_mpmath(self, r, k, intensity, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            volume = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+            mu = mpmath.mpf(intensity) * volume * mpmath.mpf(r) ** n
+            want = float(mpmath.gammainc(k, 0, mu, regularized=True))
+        assert 0.0 < want < 1.0
+        assert ppp_cdf_contact(r, k, intensity, n) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dimension_bound(self):
         assert 0.0 < ppp_cdf_contact(4.5, 1, 1.0, 435) < 1.0
@@ -364,7 +381,7 @@ class TestPppCdf:
 class TestQuantileRadius:
     """The auto grid end is the smallest Campbell-lattice point that reaches 1 - 1e-4.
 
-    The lattice is _count_radius(k, p) 2^j, from the radius whose ball
+    The lattice is r_k 2^j, from the Campbell radius r_k whose ball
     holds k points on average; `walks` says, for the contact and the NND
     search, whether it doubles from there, halves or stays.
     """
@@ -378,7 +395,7 @@ class TestQuantileRadius:
         (McpParams(0.1, 2.0, 1.0, 1), 2, ("doubles", "doubles")),
     ])
     def test_auto_grid_ends_on_the_smallest_reaching_lattice_point(self, kind, p, k, walks):
-        seed = analytic._count_radius(k, p)
+        seed = _campbell_radius(k, p.n, p.lambda_p, p.mbar)
         end = float(distribution_curves(kind, [k], p)[0].radii[-1])
         assert end == analytic.quantile_radius(kind, k, p)
         j = round(math.log2(end / seed))
@@ -387,3 +404,39 @@ class TestQuantileRadius:
         assert walk == ("halves" if j < 0 else "stays" if j == 0 else "doubles")
         target = 1.0 - 1e-4
         assert analytic._cdf_eval(kind, end, k, p) >= target > analytic._cdf_eval(kind, end / 2, k, p)
+
+
+class TestScaleInvariance:
+    """(lambda_p, mbar, rd) at r and (lambda_p s^-n, mbar, rd s) at r s are one process.
+
+    Scaling every length by s leaves every count, and so h_k, the count PMF
+    and both CDFs, unchanged; no oracle is needed.  The twins reach rd down
+    to 1e-150, and windows whose (r + rd)^n or rd^n is subnormal.
+    """
+
+    # (n, lambda_p, r, s); mbar = 3 and rd = 1 before scaling.
+    @pytest.mark.parametrize("n, lambda_p, r, s", [
+        (1, 0.3, 0.8, 1e-150),
+        (2, 0.3, 0.8, 1e-150),
+        (3, 0.3, 0.8, 1e-102),
+        (3, 1e-16, 0.8, 1e-107),  # rd^3 is subnormal
+        (3, 1e-145, 1.7, 1e-150),  # rd^3 underflows to zero
+        (5, 0.3, 0.8, 1e-61),
+        (5, 1e-16, 0.8, 3e-65),  # (r + rd)^5 is subnormal
+        (20, 0.3, 1.2, 1e-15),
+        (20, 1e-20, 1.0, 1e-16),  # (r + rd)^20 is subnormal
+    ])
+    def test_scaled_twin_has_the_same_counts(self, n, lambda_p, r, s):
+        p = McpParams(lambda_p, 3.0, 1.0, n)
+        twin = McpParams(math.exp(math.log(lambda_p) - n * math.log(s)), 3.0, s, n)
+        for k in range(5):
+            want = h_coefficient(r, k, p)
+            assert h_coefficient(r * s, k, twin) == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = count_pmf(r, p, m_max=6).probs
+        assert want[-1] > 0.0
+        np.testing.assert_allclose(count_pmf(r * s, twin, m_max=6).probs, want, rtol=1e-12, atol=0)
+        for k in (1, 2, 4):
+            assert cdf_nnd(r * s, k, twin) == pytest.approx(cdf_nnd(r, k, p), rel=1e-12, abs=0.0)
+            # A contact CDF is 1 - sum p_m, so it keeps a few ulps of 1 absolute.
+            assert cdf_contact(r * s, k, twin) == pytest.approx(
+                cdf_contact(r, k, p), rel=1e-12, abs=1e-15)

@@ -102,6 +102,22 @@ class TestSweep:
             if math.isinf(row.rd):
                 assert row.value == ppp_cdf_contact(R, row.k, 3e-2 * MBAR, 2)
 
+    @pytest.mark.parametrize("lambda_p, mbar, R, n", [
+        (1e200, 1e200, 1e-201, 2),  # lambda_p mbar overflows
+        (1e300, 1e8, 1e-106, 3),  # lambda_p mbar v_n overflows
+    ])
+    def test_reference_rows_keep_lambda_p_and_mbar_apart(self, lambda_p, mbar, R, n):
+        mpmath = pytest.importorskip("mpmath")
+        spec = SweepSpec(McpParams(lambda_p, mbar, 1e-150, n), (1e-150,), R, (1, 2))
+        ref = [row for row in sweep(spec, SweepMetric.CONNECTIVITY) if math.isinf(row.rd)]
+        assert [row.k for row in ref] == [1, 2]
+        with mpmath.workdps(40):
+            volume = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+            mu = mpmath.mpf(lambda_p) * mpmath.mpf(mbar) * volume * mpmath.mpf(R) ** n
+            for row in ref:
+                want = float(mpmath.gammainc(row.k, 0, mu, regularized=True))
+                assert row.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_fixed_mbar_rescales_daughter_intensity(self):
         base = McpParams(3e-2, MBAR, 1.0, 2)
         spec = SweepSpec(base, (1.0, 8.0), R, (1,), include_ppp_reference=False)

@@ -56,6 +56,21 @@ class TestCdfCommand:
         assert float(rows[-1][2]) >= 1.0 - 1e-4
         assert out.endswith("\n")
 
+    def test_tiny_cluster_radius_computes_at_n_3(self, capsys):
+        # rd^3 = 1e-360 underflows; the n = 3 caps are formed from ratios to
+        # rd, so each row is its rd = 1 twin's (the parents are too sparse to
+        # matter at either scale).
+        code, out, err = run_cli(capsys, "cdf", "--kind", "nnd", "--n", "3", "--lambda-p", "1",
+                                 "--mbar", "2", "--rd", "1e-120", "--grid-max", "3e-120",
+                                 "--grid-points", "4")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        twin = McpParams(1e-300, 2.0, 1.0, 3)
+        for r, _, value in rows[1:]:
+            want = cdf_nnd(float(r) / 1e-120, 1, twin)
+            assert float(value) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_degenerate_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--kind", "cd", "--k", "1", "--grid-max", "0", *FIG1_ARGS
@@ -238,6 +253,13 @@ class TestSweepCommand:
         assert rows[1][1] == "inf"
         assert float(rows[0][3]) == cdf_contact(5.0, 2, McpParams(3e-2, 2.0, 1.5, 2))
         assert float(rows[1][3]) == ppp_cdf_contact(5.0, 2, 6e-2, 2)
+
+    def test_overflowing_lambda_p_mbar_keeps_its_reference_row(self, capsys):
+        argv = ["sweep", "--metric", "connectivity", "--lambda-p", "1e200", "--mbar", "1e200",
+                "--R", "1e-60", "--rd", "1e-60", "--k", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert parse_csv(out)[1] == [["1e+200", "1e-60", "1", "1.0"], ["1e+200", "inf", "1", "1.0"]]
 
     def test_fig2_panels_shape(self, capsys):
         code, out, _ = run_cli(
@@ -515,6 +537,19 @@ class TestFailFast:
         code, out, err = run_cli(capsys, "cdf", "--kind", "nnd", "--k", "3", "--grid-max", "100",
                                  *tiny)
         assert code == 0 and err == "" and len(parse_csv(out)[1]) > 1
+
+    def test_campbell_radius_below_every_double_asks_for_a_grid_end(self, capsys):
+        # lambda_p mbar v_1 = 2e600: the ball of k = 1 point has a radius of
+        # 5e-601, which underflows to 0, a search start that cannot double.
+        huge = ["--n", "1", "--lambda-p", "1e300", "--mbar", "1e300", "--rd", "1e-150"]
+        code, out, err = run_cli(capsys, "cdf", "--kind", "cd", "--k", "1", "--grid-points", "4",
+                                 *huge)
+        assert code == 2 and out == ""
+        assert "lies below every positive double" in err and "(--grid-max)" in err
+        assert err.count("\n") == 1
+        code, out, err = run_cli(capsys, "cdf", "--kind", "cd", "--k", "1", "--grid-points", "4",
+                                 "--grid-max", "1e-300", *huge)
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) == 4
 
     def test_table_value_caps_exit_2_before_any_work(self, capsys):
         ks = ",".join(map(str, range(1, 4097)))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mcpdist.geometry import ball_volume, intersection_volume, lens_share, unit_ball_volume
+from mcpdist.geometry import (_campbell_count, _campbell_radius, ball_volume, intersection_volume,
+                              lens_share, unit_ball_volume)
 
 from conftest import mc_lens_volume
 
@@ -243,3 +244,42 @@ def test_lens_share_is_the_volume_over_the_cluster_ball():
         share = lens_share(6.03, 1.0, x, n)
         assert np.all((share >= 0.0) & (share <= 1.0)) and share[0] == 1.0 and share[-1] == 0.0
         assert 0.0 < share[3] < share[2] < 1.0
+
+
+@pytest.mark.parametrize("r, n, intensities", [
+    (5.0, 2, (0.03, 2.0)), (0.7, 3, (350.0,)), (1.3, 20, (1e-3, 5.0)), (2.0, 1, ())])
+def test_campbell_count_is_the_product_as_written_in_range(r, n, intensities):
+    # Left to right, with Python's float power: (I_1 ... I_m v_n) r^n.
+    want = math.prod(intensities) * unit_ball_volume(n) * r**n
+    assert _campbell_count(r, n, *intensities) == want
+    column = _campbell_count(np.array([r, r]), n, *intensities)
+    assert column.shape == (2,) and column[0] == column[1]
+
+
+@pytest.mark.parametrize("r, n, intensities", [
+    (1e-106, 3, (1e308,)),  # I v_n overflows
+    (1e-110, 3, (1e300,)),  # r^n is subnormal
+    (1e-60, 2, (1e200, 1e200)),  # I_1 I_2 overflows
+    (6.0, 400, (1e-300,)),  # r^n overflows, v_n r^n is 4.4e15
+])
+def test_campbell_count_leaves_no_factor_out_of_range(r, n, intensities):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        volume = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+        want = float(mpmath.fprod(map(mpmath.mpf, intensities)) * volume * mpmath.mpf(r) ** n)
+    assert _campbell_count(r, n, *intensities) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_campbell_radius_survives_an_overflowing_intensity():
+    # lambda_p mbar v_3 = 4.2e320, yet one point's ball has a radius of 6.2e-108.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.cbrt(1 / (mpmath.mpf(1e160) ** 2 * 4 * mpmath.pi / 3)))
+    assert _campbell_radius(1.0, 3, 1e160, 1e160) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_campbell_count_is_inf_or_zero_only_past_the_double_range():
+    assert _campbell_count(1e200, 2, 1.0) == math.inf
+    assert _campbell_count(1e-200, 2, 1e-300) == 0.0
+    assert _campbell_count(0.0, 3, 1e300) == 0.0
+    assert _campbell_radius(1.0, 2, 1e-300, 1e-300) == math.inf

@@ -1,5 +1,7 @@
 import io
 import math
+import subprocess
+import sys
 from unittest.mock import patch
 
 import numpy as np
@@ -705,6 +707,16 @@ class TestBlockPath:
         assert np.isinf(stationary).all()
         assert np.all(np.isinf(d) | (d <= 2.0))
         assert np.isinf(d[:, 2]).any() and np.isfinite(d[:, 2]).any()
+
+    def test_mean_parents_take_a_zero_end_as_is(self):
+        # The Campbell radius of lambda_p mbar v_1 = 2e600 underflows to 0:
+        # the integral then spans nothing, and doubling that end never ended.
+        code = ("from mcpdist import McpParams; from mcpdist.simulator import _mean_parents; "
+                "print(repr(_mean_parents(McpParams(1e300, 1e300, 1e-150, 1), 1.0, 1)))")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert float(proc.stdout) == 1e300 * 2.0 * 1e-150  # lambda_p v_1 rd
 
     def test_block_size_follows_expected_points(self, fig1_params):
         # A run draws a volume gap, a count and mbar daughters for each
