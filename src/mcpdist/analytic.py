@@ -479,11 +479,20 @@ def _kind_pmf(kind: CurveKind, kernel: _Kernel, m_max: int | None) -> np.ndarray
         return probs
     mbar = kernel._lens_args[1]
     t, w = kernel._palm if kind is CurveKind.NND else (mbar, np.ones_like(mbar))
-    weights = _poisson_sums(t, w, 0, probs.shape[1])
+    width = probs.shape[1]
+    weights = _poisson_sums(t, w, 0, width)
     out = np.zeros_like(probs)
     # A lag whose weights are all zero (or past the returned ones) would add zeros.
-    for j in np.flatnonzero(weights.any(axis=0)):
-        out[:, j:] += probs[:, : probs.shape[1] - j] * weights[:, j : j + 1]
+    lags = np.flatnonzero(weights.any(axis=0)).tolist()
+    if len(out) == 1:
+        # One row steps through 1-D views and scalar weights, as _recurrence
+        # does: the same products and sums, without 2-D broadcasts.
+        row, step, weight = out[0], probs[0], weights[0].tolist()
+        for j in lags:
+            row[j:] += step[: width - j] * weight[j]
+    else:
+        for j in lags:
+            out[:, j:] += probs[:, : width - j] * weights[:, j : j + 1]
     return out
 
 

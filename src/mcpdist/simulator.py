@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -60,6 +61,9 @@ MAX_DISTANCES = 50_000_000
 # many runs; its selection table is split by runs beyond _TABLE_CELLS cells.
 _BLOCK_POINTS = 2**15
 _TABLE_CELLS = 4 * _BLOCK_POINTS
+# Daughters are finished, and KS rows compared, this many points at a time,
+# so the temporaries stay small whatever the draw or the sample count.
+_CHUNK = 2**13
 
 # Every sampled point lies within observation_radius + 2 rd of the origin;
 # inside analytic's _LENGTH_RANGE its squared distance is a normal double.
@@ -117,6 +121,9 @@ class SimConfig:
     max_k: int
     # The mean points one run draws, its own cluster included.
     mean_points: float = field(init=False, repr=False, compare=False)
+    # The mean parents within observation_radius + rd, beyond which none
+    # can place a daughter inside the window.
+    window_parents: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # SeedSequence takes any nonnegative integer, and the blocks a whole
@@ -135,7 +142,8 @@ class SimConfig:
         if reach > _LENGTH_RANGE[1]:
             raise ValueError(f"observation_radius + 2 rd = {reach!r} exceeds {_LENGTH_RANGE[1]!r}, "
                              "where squared distances would overflow")
-        if _campbell_count(self.observation_radius + p.rd, p.n, p.lambda_p) > _MAX_WINDOW_PARENTS:
+        window_parents = _campbell_count(self.observation_radius + p.rd, p.n, p.lambda_p)
+        if window_parents > _MAX_WINDOW_PARENTS:
             raise ValueError(f"the window holds more than {_MAX_WINDOW_PARENTS:.0e} parents on "
                              "average, where parent radii would lose precision")
         if self.samples * self.max_k > MAX_DISTANCES:
@@ -159,6 +167,7 @@ class SimConfig:
                 f"their daughters, or its Palm siblings), above the cap of {MAX_MEAN_POINTS}"
             )
         object.__setattr__(self, "mean_points", mean + own)
+        object.__setattr__(self, "window_parents", window_parents)
 
     def runs_per_block(self) -> int:
         """Runs simulated together: about _BLOCK_POINTS drawn points, own clusters included."""
@@ -171,7 +180,28 @@ def _substream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.ndarray):
+class _Scratch:
+    """One worker thread's arrays, reused by name across rounds and blocks.
+
+    take(name, shape) returns the first prod(shape) entries of the named
+    array as a view of that shape, replacing the array (its contents
+    dropped) when it is too small.  A view holds until the next take of its
+    name, so a caller's arrays never share a name with its callees'.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.ndarray,
+                        scratch: _Scratch | None = None):
     """Squared distances of counts[i] points uniform in the rd-ball about radii[i] e_1.
 
     An offset is L g / |g|, L = rd U^(1/n), g standard normal in n
@@ -180,23 +210,68 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
     normal W when n is even.  With q^2 = Z^2 + S it is formed elementwise
     as (rho + L Z / q)^2 + L^2 S / q^2, not as rho^2 + 2 rho L Z / q + L^2,
     which cancels near the origin; q = 0 leaves it at rho.
+
+    In place: L, Z and S (W^2 alone at n = 2) are drawn into three of
+    scratch's arrays, the only ones of the draw's length.  Then, a chunk
+    of whole parents at a time (under _CHUNK points plus its last
+    parent's), W and q pass through one chunk-sized array, L becomes
+    L / q and Z the squared distance, which is returned: a view of
+    scratch, valid until its next draw.  Every draw and every elementwise
+    operation is the one above.
     """
+    scratch = _Scratch() if scratch is None else scratch
     size = int(counts.sum())
-    length = rd * rng.random(size) ** (1.0 / n)
-    z = rng.standard_normal(size)
+    length, z, rest = (scratch.take(name, size) for name in ("length", "normal", "rest"))
+    rng.random(out=length)
+    length **= 1.0 / n
+    length *= rd
+    rng.standard_normal(out=z)
     shape = (n - 1) // 2
-    rest = 2.0 * rng.standard_gamma(shape, size) if shape else np.zeros(size)
-    if n % 2 == 0:
-        w = rng.standard_normal(size)
-        rest += w * w
-    q = np.sqrt(z * z + rest)
-    scale = np.divide(length, q, out=np.zeros(size), where=q > 0.0)
-    first = np.repeat(radii, counts) + scale * z
-    return first * first + scale * scale * rest
+    if shape:
+        rng.standard_gamma(shape, out=rest)
+        rest *= 2.0
+    elif n == 2:
+        rng.standard_normal(out=rest)
+        rest *= rest
+    else:
+        rest.fill(0.0)
+    # Chunks of whole parents: one more starts at the first parent that
+    # starts at or past each multiple of _CHUNK points.
+    parents, points = [0, counts.size], [0, size]
+    if size > _CHUNK:
+        starts = np.cumsum(counts) - counts
+        cuts = np.searchsorted(starts, np.arange(_CHUNK, size, _CHUNK))
+        parents[1:1] = cuts.tolist()
+        points[1:1] = np.append(starts, size)[cuts].tolist()
+    for a, b, lo, hi in zip(parents, parents[1:], points, points[1:]):
+        if lo == hi:
+            continue
+        q = scratch.take("chunk", hi - lo)
+        scale, first, s = length[lo:hi], z[lo:hi], rest[lo:hi]
+        if shape and n % 2 == 0:
+            rng.standard_normal(out=q)
+            q *= q
+            s += q
+        np.multiply(first, first, out=q)
+        q += s
+        np.sqrt(q, out=q)
+        # q = 0 only where Z and S vanish (or Z^2 underflows): scale 0.
+        if q.all():
+            scale /= q
+        else:
+            np.divide(scale, q, out=scale, where=q > 0.0)
+            scale[q == 0.0] = 0.0
+        first *= scale
+        first += np.repeat(radii[a:b], counts[a:b])
+        first *= first
+        scale *= scale
+        scale *= s
+        first += scale
+    return z
 
 
 def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: float,
-             max_k: int):
+             max_k: int, scratch: _Scratch | None = None):
     """Squared distances to each run's max_k nearest points, drawing parents outward.
 
     Ranked by distance, the parents of a Poisson process sit at volumes
@@ -213,10 +288,12 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     drawn so far (one at first); those inside the window and the reach at
     the round's start draw clusters, merged in by _select_block, and a run
     is done at its first parent past either.  Returns the (runs, max_k)
-    table, inf-padded, each row's largest entry last, and the daughters
-    each run drew.
+    table, inf-padded, each row ascending (an array of scratch), and the
+    daughters each run drew.
     """
-    table = np.full((runs, max_k), np.inf)
+    scratch = _Scratch() if scratch is None else scratch
+    table = scratch.take("table", (runs, max_k))
+    table.fill(np.inf)
     drawn = np.zeros(runs, dtype=np.int64)
 
     def merge(rows, owner, radii):
@@ -224,7 +301,8 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
         per_run = np.bincount(owner, weights=counts, minlength=rows.size).astype(np.int64)
         drawn[rows] += per_run
         got = per_run > 0  # only these rows can change
-        table[rows[got]] = _select_block(d2, per_run[got], table[rows[got]])
+        rows = rows[got]
+        table[rows] = _select_block(d2, per_run[got], table[rows], scratch)
 
     last = np.zeros(runs)  # volume of each run's last drawn parent
     # A window too small for double precision holds no parent.
@@ -247,7 +325,8 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     return table, drawn
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator):
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, out: np.ndarray | None = None,
+                  scratch: _Scratch | None = None):
     """Draw cfg.runs_per_block() independent runs (see _nearest), then their own clusters.
 
     Parents form a Poisson process in the ball of radius observation_radius
@@ -258,47 +337,68 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator):
     it.  A Palm run's kth distance is at most its stationary run's, so its
     max_k nearest are the max_k smallest of that run's and its siblings.
 
-    Returns the (runs, 2, max_k) squared distances, the stationary table
-    as _nearest's at [:, 0] and the Palm one at [:, 1], and the daughters,
-    siblings included, each run drew.
+    Writes the squared distances of the first len(out) runs into out
+    (default: of every run, into a new (runs, 2, max_k) array), each row
+    ascending as _select_block leaves it, the stationary one at [:, 0] and
+    the Palm one at [:, 1]; returns out and the daughters, siblings
+    included, each run drew.
     """
     p, runs = cfg.params, cfg.runs_per_block()
+    scratch = _Scratch() if scratch is None else scratch
+    out = np.empty((runs, 2, cfg.max_k)) if out is None else out
 
     def clusters(radii):
         counts = rng.poisson(p.mbar, size=radii.size)
-        return _daughter_distances(rng, p.n, p.rd, radii, counts), counts
+        return _daughter_distances(rng, p.n, p.rd, radii, counts, scratch), counts
 
-    window = cfg.observation_radius + p.rd
-    table, drawn = _nearest(lambda rows, m: rng.standard_exponential((rows.size, m)), clusters,
-                            runs, _campbell_count(window, p.n, p.lambda_p), window, p.n, p.rd,
-                            cfg.max_k)
+    def gaps(rows, m):
+        return rng.standard_exponential(out=scratch.take("gaps", (rows.size, m)))
+
+    table, drawn = _nearest(gaps, clusters, runs, cfg.window_parents, cfg.observation_radius + p.rd,
+                            p.n, p.rd, cfg.max_k, scratch)
     d2, siblings = clusters(p.rd * rng.random(runs) ** (1.0 / p.n))
-    return np.stack((table, _select_block(d2, siblings, table)), axis=1), drawn + siblings
+    kept = len(out)
+    out[:, 0] = table[:kept]
+    _select_block(d2[: siblings[:kept].sum()], siblings[:kept], table[:kept], scratch, out[:, 1])
+    return out, drawn + siblings
 
 
-def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray,
+                  scratch: _Scratch | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Merge d2, counts[i] new squared distances of run i, run by run, into table.
 
     Each row of the (runs, max_k) table holds a run's max_k smallest so
-    far, inf-padded, its largest last, and so does the returned one: the
-    new values go beside the old rows in an inf-padded runs x (max_k +
-    largest count) table, partitioned at max_k - 1 along each row.  Runs
-    are split in halves while that table would exceed _TABLE_CELLS cells,
-    so one crowded run cannot blow it up.
+    far, inf-padded, its largest last, and so does the returned one, in
+    ascending order: out, or else a view of scratch; table is left as it
+    is.  The new values go beside the old rows in scratch's inf-padded
+    runs x (max_k + largest count) work table, sorted in place along each
+    row: as fast as a partition at max_k - 1 on rows of a few dozen, and
+    no later sort is needed.  Runs are split in halves while that table
+    would exceed _TABLE_CELLS cells, so one crowded run cannot blow it up;
+    each half fills its rows of out.
     """
+    scratch = _Scratch() if scratch is None else scratch
     runs, max_k = table.shape
-    width = max_k + int(counts.max(initial=0))
-    if runs > 1 and runs * width > _TABLE_CELLS:
+    new = int(counts.max(initial=0))
+    if runs > 1 and runs * (max_k + new) > _TABLE_CELLS:
+        out = scratch.take("selected", table.shape) if out is None else out
         half = runs // 2
         cut = int(counts[:half].sum())
-        return np.concatenate((_select_block(d2[:cut], counts[:half], table[:half]),
-                               _select_block(d2[cut:], counts[half:], table[half:])))
-    work = np.full((runs, width), np.inf)
+        _select_block(d2[:cut], counts[:half], table[:half], scratch, out[:half])
+        _select_block(d2[cut:], counts[half:], table[half:], scratch, out[half:])
+        return out
+    width = max_k + new
+    work = scratch.take("work", (runs, width))
+    work.fill(np.inf)
     work[:, :max_k] = table
     # Flat index of each run's first new value, less its start in d2.
     offset = np.arange(runs) * width + max_k - (np.cumsum(counts) - counts)
     work.reshape(-1)[np.arange(d2.size) + np.repeat(offset, counts)] = d2
-    return np.partition(work, max_k - 1, axis=1)[:, :max_k]
+    work.sort(axis=1)
+    if out is None:
+        return work[:, :max_k]
+    out[...] = work[:, :max_k]
+    return out
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -333,11 +433,16 @@ def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.nda
     """
     block_runs = cfg.runs_per_block()
     out = np.empty((cfg.samples, 2, cfg.max_k))
+    # Each worker thread's _Scratch, reused by all of its blocks.
+    local = threading.local()
 
     def block(b: int) -> None:
-        tables, _ = _sample_block(cfg, _substream(cfg.seed, b))
+        scratch = getattr(local, "scratch", None)
+        if scratch is None:
+            scratch = local.scratch = _Scratch()
         part = out[b * block_runs : (b + 1) * block_runs]
-        np.sqrt(np.sort(tables[: len(part)], axis=-1), out=part)
+        _sample_block(cfg, _substream(cfg.seed, b), part, scratch)
+        np.sqrt(part, out=part)
 
     n_blocks = -(-cfg.samples // block_runs)
     # More threads than cores or blocks would only wait.
@@ -391,6 +496,9 @@ def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
     Both one-sided jumps are checked at every sample point; the curve is
     interpolated linearly between its nodes and treated as 0 below its
     first node, so step CDFs encoded via adjacent nodes compare exactly.
+    The samples go through _CHUNK at a time: np.interp has no out argument,
+    so its arrays, the step heights and the points just below the samples
+    are chunk-sized temporaries, whatever the sample count.
     Raises CensoringError if more than MAX_CENSORED_FRACTION of the runs
     are censored.
     """
@@ -409,11 +517,15 @@ def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
         raise ValueError("curve does not cover the sample range")
     n = ecdf.total
     right = float(values[-1])
-    f_hi = np.interp(x, radii, values, left=0.0, right=right)
-    f_lo = np.interp(np.nextafter(x, -np.inf), radii, values, left=0.0, right=right)
-    steps = np.arange(1, x.size + 1) / n
-    d_plus = float(np.max(steps - f_hi, initial=0.0))
-    d_minus = float(np.max(f_lo - (steps - 1.0 / n), initial=0.0))
+    d_plus = d_minus = 0.0
+    for lo in range(0, x.size, _CHUNK):
+        part = x[lo : lo + _CHUNK]
+        steps = np.arange(lo + 1, lo + part.size + 1) / n
+        f = np.interp(part, radii, values, left=0.0, right=right)
+        d_plus = max(d_plus, float(np.max(np.subtract(steps, f, out=f))))
+        f = np.interp(np.nextafter(part, -np.inf), radii, values, left=0.0, right=right)
+        steps -= 1.0 / n
+        d_minus = max(d_minus, float(np.max(np.subtract(f, steps, out=f))))
     return max(d_plus, d_minus, 0.0)
 
 
@@ -473,13 +585,21 @@ def validate_against_analytic(
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
     simulated = simulate_kth_distances(cfg)
+    # One sorted column and one window mask, reused by every k of both kinds.
+    column = np.empty(samples)
+    in_window = np.empty((samples, k_max), dtype=bool)
     for name, kind, distances in zip(("cd", "nnd"), (CurveKind.CONTACT, CurveKind.NND),
                                      simulated.swapaxes(0, 1)):
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
-        end = float(np.max(distances, where=distances <= radius, initial=0.0))
+        end = float(np.max(distances, where=np.less_equal(distances, radius, out=in_window),
+                           initial=0.0))
         for curve in distribution_curves(kind, k_values, p, r_max=end):
-            ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], radius)
+            # Censored runs (beyond the window, or inf) sort past the kept ones.
+            column[:] = distances[:, curve.k - 1]
+            column.sort()
+            kept = int(np.searchsorted(column, radius, side="right"))
+            ecdf = EmpiricalCdf(column[:kept], samples - kept)
             ks = ks_distance(ecdf, curve)
             rows.append(ValidationRow(name, curve.k, ks, threshold, ecdf.censored_fraction()))
     return ValidationReport(rows, simulated, radius)

@@ -129,3 +129,44 @@ def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
 
 def _clip01(value: float) -> float:
     return min(1.0, max(0.0, value))
+
+
+def daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The simulator's squared daughter distances, formed out of place.
+
+    One whole array per quantity, in the simulator's draw order: the
+    bit-for-bit reference for its in-place, chunked kernel.
+    """
+    size = int(counts.sum())
+    length = rd * rng.random(size) ** (1.0 / n)
+    z = rng.standard_normal(size)
+    shape = (n - 1) // 2
+    rest = 2.0 * rng.standard_gamma(shape, size) if shape else np.zeros(size)
+    if n % 2 == 0:
+        w = rng.standard_normal(size)
+        rest += w * w
+    q = np.sqrt(z * z + rest)
+    scale = np.divide(length, q, out=np.zeros(size), where=q > 0.0)
+    first = np.repeat(radii, counts) + scale * z
+    return first * first + scale * scale * rest
+
+
+def select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray, cells: int) -> np.ndarray:
+    """The simulator's run-by-run merge, on fresh arrays: np.partition of a new
+    inf-padded table, halved by runs while it exceeds cells cells.
+
+    Each row, sorted, is the bit-for-bit reference for the simulator's
+    in-place merge at _TABLE_CELLS = cells.
+    """
+    runs, max_k = table.shape
+    width = max_k + int(counts.max(initial=0))
+    if runs > 1 and runs * width > cells:
+        half = runs // 2
+        cut = int(counts[:half].sum())
+        return np.concatenate((select_block(d2[:cut], counts[:half], table[:half], cells),
+                               select_block(d2[cut:], counts[half:], table[half:], cells)))
+    work = np.full((runs, width), np.inf)
+    work[:, :max_k] = table
+    offset = np.arange(runs) * width + max_k - (np.cumsum(counts) - counts)
+    work.reshape(-1)[np.arange(d2.size) + np.repeat(offset, counts)] = d2
+    return np.partition(work, max_k - 1, axis=1)[:, :max_k]

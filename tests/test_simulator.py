@@ -2,6 +2,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -26,6 +27,7 @@ from mcpdist import simulator
 from mcpdist.analytic import CurveKind, cdf_table, distribution_curve, quantile_radius
 from mcpdist.geometry import lens_share
 from mcpdist.simulator import (
+    _CHUNK,
     _KEEP_MARGIN,
     KS_THRESHOLD_FACTOR,
     _mean_parents,
@@ -33,6 +35,8 @@ from mcpdist.simulator import (
     validate_against_analytic,
     write_raw_samples,
 )
+
+from oracles import daughter_distances, select_block
 
 
 def rng_for(seed=0):
@@ -58,17 +62,17 @@ class CountingRng:
     def __init__(self, rng):
         self.rng, self.rounds, self.daughter_counts, self.normals = rng, 0, 0, 0
 
-    def standard_exponential(self, size):
+    def standard_exponential(self, size=None, out=None):
         self.rounds += 1
-        return self.rng.standard_exponential(size)
+        return self.rng.standard_exponential(size, out=out)
 
     def poisson(self, lam, size):
         self.daughter_counts += math.prod(np.atleast_1d(size))
         return self.rng.poisson(lam, size)
 
-    def standard_normal(self, size):
-        self.normals += math.prod(np.atleast_1d(size))
-        return self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self.normals += out.size if size is None else math.prod(np.atleast_1d(size))
+        return self.rng.standard_normal(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -367,6 +371,118 @@ class TestValidationHarness:
             assert row.censored_fraction == ecdf.censored_fraction()
 
 
+class ZeroingRng:
+    """A Generator whose standard normals are 0 at every 7th draw and 1e-170,
+    whose square underflows, at every 11th, counted over all its calls:
+    offsets with q = 0."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
+        index = np.arange(self.drawn, self.drawn + z.size)
+        z[index % 7 == 0] = 0.0
+        z[index % 11 == 5] = 1e-170
+        self.drawn += z.size
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestInPlaceKernels:
+    # Draws spanning one chunk, several (with empty parents), and one parent
+    # past a whole chunk; parents at the origin among them.
+    COUNTS = [np.array([3, 0, 5, 1]), np.array([0, 2 * _CHUNK + 5, 0, 7]),
+              np.tile([9, 0, 4, 3], _CHUNK // 4)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_daughter_kernel_matches_the_out_of_place_reference(self, n, zeros):
+        # The same RNG state gives the same squared distances, bit for bit,
+        # and leaves the same state; one scratch serves draws that grow and
+        # shrink.  With zeros, Z = 0 (and W = 0 at n = 2) or Z^2 = 0 puts
+        # q = 0 at rd = 1e100, where 1e-170 L is not negligible.
+        scratch = simulator._Scratch()
+        for i, counts in enumerate(self.COUNTS * 2):
+            radii = np.random.default_rng(i).uniform(0.0, 300.0, counts.size)
+            radii[::3] = 0.0
+            rd = 1e100 if zeros else 2.0
+            rngs = [np.random.Generator(np.random.SFC64([n, i])) for _ in range(2)]
+            if zeros:
+                rngs = [ZeroingRng(rng) for rng in rngs]
+            got = simulator._daughter_distances(rngs[0], n, rd, radii, counts, scratch)
+            expected = daughter_distances(rngs[1], n, rd, radii, counts)
+            assert got.tobytes() == expected.tobytes()
+            assert rngs[0].random() == rngs[1].random()
+
+    @given(
+        counts=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+        max_k=st.integers(1, 6),
+        cells=st.sampled_from((1, 40, 300, simulator._TABLE_CELLS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=[0], max_k=3, cells=1, seed=0)
+    @example(counts=[40, 0, 1, 40, 2], max_k=4, cells=60, seed=1)  # a crowded run split off
+    def test_selection_matches_the_out_of_place_reference(self, counts, max_k, cells, seed):
+        # The reference's rows, sorted, bit for bit; table is left as it
+        # was; the crowded-run split fills out half by half; one scratch
+        # serves both calls.
+        rng = rng_for(seed)
+        counts = np.array(counts)
+        d2 = rng.uniform(0.0, 10.0, int(counts.sum()))
+        table = np.sort(rng.uniform(0.0, 10.0, (counts.size, max_k)), axis=1)
+        table[::2, -1] = np.inf
+        before = table.copy()
+        scratch = simulator._Scratch()
+        with patch.object(simulator, "_TABLE_CELLS", cells):
+            for _ in range(2):
+                got = simulator._select_block(d2, counts, table, scratch)
+                expected = np.sort(select_block(d2, counts, table, cells), axis=1)
+                assert got.tobytes() == expected.tobytes()
+        assert table.tobytes() == before.tobytes()
+
+
+class TestMemory:
+    # fig1 validate, k = 1..4, 50,000 samples: the montecarlo benchmark.
+    FIG1_VALIDATE = ["validate", "--k-max", "4", "--samples", "50000", "--seed", "1",
+                     "--n", "2", "--lambda-p", "2e-05", "--mbar", "5.0", "--rd", "50.0"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults as Linux reports them")
+    def test_fresh_validate_reuses_its_pages(self):
+        # Blocks and KS rows reuse their arrays, so the allocator need not
+        # map and fault the same pages again: 1,550 minor faults, where
+        # arrays allocated per block and per row took 15,800.
+        script = f"""
+import os, resource
+import mcpdist.cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = mcpdist.cli.main({self.FIG1_VALIDATE!r} + ["--output", os.devnull])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, faults = map(int, proc.stdout.split())
+        assert code == 0
+        assert faults <= 4_000, faults
+
+    def test_validate_working_set_does_not_grow(self, fig1_params):
+        # Reused arrays must not buy fewer faults with a larger working set:
+        # the traced peak of a warm fig1 validate is 4.5 MB, where arrays
+        # allocated per block and per row peaked at 5.6 MB.
+        validate_against_analytic(fig1_params, range(1, 5), samples=50_000, seed=1)
+        tracemalloc.start()
+        try:
+            validate_against_analytic(fig1_params, range(1, 5), samples=50_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_500_000, peak
+
+
 def squared_norms(points):
     # Coordinates summed in column order.
     d2 = np.zeros(points.shape[0])
@@ -547,8 +663,8 @@ class TestBlockPath:
         cfg = SimConfig(p, radius, 1, seed, max_k)
         calls, daughter_distances = [], simulator._daughter_distances
 
-        def recorded(rng, n, rd, radii, counts):
-            d2 = daughter_distances(rng, n, rd, radii, counts)
+        def recorded(rng, n, rd, radii, counts, scratch):
+            d2 = daughter_distances(rng, n, rd, radii, counts, scratch)
             calls.append((counts, d2))
             return d2
 
@@ -576,9 +692,9 @@ class TestBlockPath:
         # run at fig1, where 3.5 parents drew daughters.
         offsets, daughter_distances = [], simulator._daughter_distances
 
-        def recorded(rng, n, rd, radii, daughters):
+        def recorded(rng, n, rd, radii, daughters, scratch):
             offsets.append(radii.size)
-            return daughter_distances(rng, n, rd, radii, daughters)
+            return daughter_distances(rng, n, rd, radii, daughters, scratch)
 
         monkeypatch.setattr(simulator, "_daughter_distances", recorded)
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
@@ -605,7 +721,7 @@ class TestBlockPath:
         # and its rows D_k.  Validate's window.
         nearest, needed = simulator._nearest, []
 
-        def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k):
+        def recording(gaps, clusters, runs, v_max, outer, n, rd, max_k, scratch):
             drawn = [[] for _ in range(runs)]
 
             def recorded(rows, m):
@@ -614,7 +730,8 @@ class TestBlockPath:
                     drawn[run].append(row.copy())
                 return g
 
-            table, daughters = nearest(recorded, clusters, runs, v_max, outer, n, rd, max_k)
+            table, daughters = nearest(recorded, clusters, runs, v_max, outer, n, rd, max_k,
+                                       scratch)
             d_k = np.sqrt(table[:, -1])
             for run in range(runs):
                 v = np.cumsum(np.concatenate(drawn[run]))
@@ -689,6 +806,20 @@ class TestBlockPath:
             monkeypatch.setenv("MCPDIST_THREADS", threads)
             outputs.append(simulate_kth_distances(cfg).tobytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_worker_threads_keep_their_own_scratch(self, fig1_params, monkeypatch):
+        # Eight threads on any core count, switching every 10 us, over nine
+        # blocks: a scratch array shared by two threads would mix their rows.
+        block = SimConfig(fig1_params, 450.0, 1, 9, 4).runs_per_block()
+        cfg = SimConfig(fig1_params, 450.0, 8 * block + 100, 9, 4)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = simulate_kth_distances(cfg, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == simulate_kth_distances(cfg, workers=1).tobytes()
 
     def test_more_samples_extend_the_same_rows(self, fig1_params):
         # Within one block, across one block end and across two.
