@@ -453,8 +453,8 @@ class TestMemory:
                         reason="counts minor page faults as Linux reports them")
     def test_fresh_validate_reuses_its_pages(self):
         # Blocks and KS rows reuse their arrays, so the allocator need not
-        # map and fault the same pages again: 1,550 minor faults, where
-        # arrays allocated per block and per row took 15,800.
+        # map and fault the same pages again: about 1,700 minor faults,
+        # where arrays allocated per block and per row took about 16,000.
         script = f"""
 import os, resource
 import mcpdist.cli
