@@ -212,12 +212,11 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
     which cancels near the origin; q = 0 leaves it at rho.
 
     In place: L, Z and S (W^2 alone at n = 2) are drawn into three of
-    scratch's arrays, the only ones of the draw's length.  Then, a chunk
-    of whole parents at a time (under _CHUNK points plus its last
-    parent's), W and q pass through one chunk-sized array, L becomes
-    L / q and Z the squared distance, which is returned: a view of
-    scratch, valid until its next draw.  Every draw and every elementwise
-    operation is the one above.
+    scratch's arrays of the draw's length.  Then, a chunk of whole parents
+    at a time (under _CHUNK points plus its last parent's), W and q pass
+    through a fourth, chunk-sized array, L becomes L / q and Z the squared
+    distance, which is returned: a view of scratch, valid until its next
+    draw.  Every draw and every elementwise operation is the one above.
     """
     scratch = _Scratch() if scratch is None else scratch
     size = int(counts.sum())
