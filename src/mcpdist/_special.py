@@ -8,12 +8,14 @@ Mathematical Library, with the igam_fac/igamc_series rework after DiDonato
 inverse", ACM TOMS 12, 1986): the power series, the continued fraction,
 the cancellation-free Q series near x = 1, and igam_fac with the scaled
 Lanczos sum (g = 6.024680040776729583740234375).  They use Cephes' own
-`lgam` and rational `expm1` (`unity.c`), not libm's, and every other
-elementary function through `math`, that is libm, so for orders 1..20
-P and Q equal scipy.special.gammainc and gammaincc bit for bit.  Above
-order 20, where x is within 30 % of a (or within 4.5 sqrt(a) above order
-200), scipy takes Temme's uniform asymptotic series instead; these
-branches are tested to within 1e-12 relative of it there.
+`lgam`, and its rational `expm1` and `log1pmx` series (`unity.c`) only
+on the domains these branches reach (|x| <= 0.0954 and |x| < 0.43), not
+libm's, and every other elementary function through `math`, that is
+libm, so for orders 1..20 P and Q equal scipy.special.gammainc and
+gammaincc bit for bit.  Above order 20, where x is within 30 % of a (or
+within 4.5 sqrt(a) above order 200), scipy takes Temme's uniform
+asymptotic series instead; these branches are tested to within 1e-12
+relative of it there.
 
 The regularized incomplete beta I_z(a, 1/2) of the n-ball cap is the
 modified-Lentz continued fraction of Press et al., Numerical Recipes
@@ -114,10 +116,7 @@ def log_factorials(count: int) -> np.ndarray:
 
 
 def _expm1(x: float) -> float:
-    if not math.isfinite(x):
-        return x if math.isnan(x) or x > 0.0 else -1.0
-    if x < -0.5 or x > 0.5:
-        return math.exp(x) - 1.0
+    # Cephes' rational form on [-1/2, 1/2]; its one caller passes log x, |log x| <= 0.0954.
     xx = x * x
     r = x * _polevl(xx, _EXPM1_P)
     r = r / (_polevl(xx, _EXPM1_Q) - r)
@@ -134,17 +133,16 @@ def _lanczos_sum_expg_scaled(x: float) -> float:
 
 
 def _log1pmx(x: float) -> float:
-    # log(1 + x) - x
-    if abs(x) < 0.5:
-        xfac, res = x, 0.0
-        for n in range(2, _MAXITER):
-            xfac *= -x
-            term = xfac / n
-            res += term
-            if abs(term) < _MACHEP * abs(res):
-                break
-        return res
-    return math.log1p(x) - x
+    # log(1 + x) - x by Cephes' series for |x| < 1/2; _igam_fac's Lanczos
+    # branch reaches it only at a >= 143, where |x| < 0.43.
+    xfac, res = x, 0.0
+    for n in range(2, _MAXITER):
+        xfac *= -x
+        term = xfac / n
+        res += term
+        if abs(term) < _MACHEP * abs(res):
+            break
+    return res
 
 
 def _igam_fac(a: float, x: float) -> float:

@@ -215,8 +215,9 @@ class _Kernel:
     lambda_p n v_n x^(n-1) dx, the Palm pair over the typical point's
     cluster-center offset [0, rd] with weights n y^(n-1) / rd^n dy.  Each
     pair's lens is evaluated in one call over every row, the Palm one only
-    when a Palm quantity is first asked for, and each PGF quantity is a
-    weighted sum over the nodes of a row.  Those sums are numpy sums along
+    when _palm is first read.  Each PGF quantity is a weighted sum over the
+    nodes of a row: g(s) and the Palm factor here, h_k and q_j by
+    _poisson_sums on (t, w) and _palm.  Those sums are numpy sums along
     contiguous rows, never matrix products, so a row's value does not
     depend on the other rows.
     """
@@ -267,14 +268,6 @@ class _Kernel:
         """E[s^(own-cluster count)] per row: the Palm PGF divided by the stationary one."""
         t, w = self._palm
         return (np.exp((s - 1.0) * t) * w).sum(axis=-1)
-
-    def h(self, lo: int, hi: int) -> np.ndarray:
-        """h_k for k = lo..hi-1, one row per radius."""
-        return _padded(_poisson_sums(self.t, self.w, lo, hi), hi - lo)
-
-    def q(self, lo: int, hi: int) -> np.ndarray:
-        """q_j for j = lo..hi-1, one row per radius."""
-        return _padded(_poisson_sums(*self._palm, lo, hi), hi - lo)
 
 
 def _row_params(p: McpParams | Sequence[McpParams], rows: int) -> np.ndarray:
@@ -350,7 +343,8 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
     """
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k!r}")
-    return float(_Kernel([r], p).h(k, k + 1)[0, 0])
+    kernel = _Kernel([r], p)
+    return float(_poisson_sums(kernel.t, kernel.w, k, k + 1)[0, 0])
 
 
 def log_pgf_count(s: float, r: float, p: McpParams) -> float:
@@ -484,15 +478,14 @@ def _kind_pmf(kind: CurveKind, kernel: _Kernel, m_max: int | None) -> np.ndarray
     out = np.zeros_like(probs)
     # A lag whose weights are all zero (or past the returned ones) would add zeros.
     lags = np.flatnonzero(weights.any(axis=0)).tolist()
+    # One row steps through 1-D views and scalar weights, as _recurrence
+    # does: the same products and sums, without 2-D broadcasts.
     if len(out) == 1:
-        # One row steps through 1-D views and scalar weights, as _recurrence
-        # does: the same products and sums, without 2-D broadcasts.
         row, step, weight = out[0], probs[0], weights[0].tolist()
-        for j in lags:
-            row[j:] += step[: width - j] * weight[j]
     else:
-        for j in lags:
-            out[:, j:] += probs[:, : width - j] * weights[:, j : j + 1]
+        row, step, weight = out, probs, weights.T[:, :, np.newaxis]
+    for j in lags:
+        row[..., j:] += step[..., : width - j] * weight[j]
     return out
 
 
@@ -507,8 +500,6 @@ def _recurrence(jh: np.ndarray, top: int, adaptive: bool) -> tuple[np.ndarray, n
     scale it was formed with, so no later order changes it.
     """
     rows, width = jh.shape
-    if adaptive and rows != 1:
-        raise ValueError("the adaptive PMF recurrence takes one row")
     # back[:, top - m] = e^(-scale) r_m: orders run right to left, so the
     # min(m, width) orders below m form one contiguous window, nearest
     # first, and each row's term is one dot product of its own, whose
@@ -547,7 +538,8 @@ def _recurrence(jh: np.ndarray, top: int, adaptive: bool) -> tuple[np.ndarray, n
             peak = max(peak, value)
             below = below + 1 if value < _TAIL_RATIO * peak else 0
     if adaptive and below < _TAIL_RUN:
-        raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders")
+        raise ValueError(f"PMF tail did not decay within {_PMF_HARD_CAP} orders; "
+                         "pass m_max (--m-max)")
     return formed[:, : m + 1], np.cumsum(jumps[:, : m + 1], axis=1)
 
 
@@ -584,7 +576,7 @@ def q_weight(r: float, j: int, p: McpParams) -> float:
     """
     if j < 0:
         raise ValueError(f"order must be nonnegative, got {j!r}")
-    return float(_Kernel([r], p).q(j, j + 1)[0, 0])
+    return float(_poisson_sums(*_Kernel([r], p)._palm, j, j + 1)[0, 0])
 
 
 def palm_count_pmf(r: float, p: McpParams, m_max: int | None = None) -> PmfVector:

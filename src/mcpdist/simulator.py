@@ -201,7 +201,7 @@ class _Scratch:
 
 
 def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.ndarray,
-                        scratch: _Scratch | None = None):
+                        scratch: _Scratch):
     """Squared distances of counts[i] points uniform in the rd-ball about radii[i] e_1.
 
     An offset is L g / |g|, L = rd U^(1/n), g standard normal in n
@@ -218,7 +218,6 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
     distance, which is returned: a view of scratch, valid until its next
     draw.  Every draw and every elementwise operation is the one above.
     """
-    scratch = _Scratch() if scratch is None else scratch
     size = int(counts.sum())
     length, z, rest = (scratch.take(name, size) for name in ("length", "normal", "rest"))
     rng.random(out=length)
@@ -270,7 +269,7 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
 
 
 def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: float,
-             max_k: int, scratch: _Scratch | None = None):
+             max_k: int, scratch: _Scratch):
     """Squared distances to each run's max_k nearest points, drawing parents outward.
 
     Ranked by distance, the parents of a Poisson process sit at volumes
@@ -290,7 +289,6 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     table, inf-padded, each row ascending (an array of scratch), and the
     daughters each run drew.
     """
-    scratch = _Scratch() if scratch is None else scratch
     table = scratch.take("table", (runs, max_k))
     table.fill(np.inf)
     drawn = np.zeros(runs, dtype=np.int64)
@@ -301,7 +299,8 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
         drawn[rows] += per_run
         got = per_run > 0  # only these rows can change
         rows = rows[got]
-        table[rows] = _select_block(d2, per_run[got], table[rows], scratch)
+        selected = scratch.take("selected", (rows.size, max_k))
+        table[rows] = _select_block(d2, per_run[got], table[rows], scratch, selected)
 
     last = np.zeros(runs)  # volume of each run's last drawn parent
     # A window too small for double precision holds no parent.
@@ -324,8 +323,7 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
     return table, drawn
 
 
-def _sample_block(cfg: SimConfig, rng: np.random.Generator, out: np.ndarray | None = None,
-                  scratch: _Scratch | None = None):
+def _sample_block(cfg: SimConfig, rng: np.random.Generator, out: np.ndarray, scratch: _Scratch):
     """Draw cfg.runs_per_block() independent runs (see _nearest), then their own clusters.
 
     Parents form a Poisson process in the ball of radius observation_radius
@@ -336,15 +334,12 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, out: np.ndarray | No
     it.  A Palm run's kth distance is at most its stationary run's, so its
     max_k nearest are the max_k smallest of that run's and its siblings.
 
-    Writes the squared distances of the first len(out) runs into out
-    (default: of every run, into a new (runs, 2, max_k) array), each row
-    ascending as _select_block leaves it, the stationary one at [:, 0] and
-    the Palm one at [:, 1]; returns out and the daughters, siblings
-    included, each run drew.
+    Writes the squared distances of the first len(out) runs into the
+    (len(out), 2, max_k) array out, each row ascending as _select_block
+    leaves it, the stationary one at [:, 0] and the Palm one at [:, 1];
+    returns out and the daughters, siblings included, each run drew.
     """
     p, runs = cfg.params, cfg.runs_per_block()
-    scratch = _Scratch() if scratch is None else scratch
-    out = np.empty((runs, 2, cfg.max_k)) if out is None else out
 
     def clusters(radii):
         counts = rng.poisson(p.mbar, size=radii.size)
@@ -362,25 +357,23 @@ def _sample_block(cfg: SimConfig, rng: np.random.Generator, out: np.ndarray | No
     return out, drawn + siblings
 
 
-def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray,
-                  scratch: _Scratch | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray, scratch: _Scratch,
+                  out: np.ndarray) -> np.ndarray:
     """Merge d2, counts[i] new squared distances of run i, run by run, into table.
 
     Each row of the (runs, max_k) table holds a run's max_k smallest so
-    far, inf-padded, its largest last, and so does the returned one, in
-    ascending order: out, or else a view of scratch; table is left as it
-    is.  The new values go beside the old rows in scratch's inf-padded
-    runs x (max_k + largest count) work table, sorted in place along each
-    row: as fast as a partition at max_k - 1 on rows of a few dozen, and
-    no later sort is needed.  Runs are split in halves while that table
-    would exceed _TABLE_CELLS cells, so one crowded run cannot blow it up;
-    each half fills its rows of out.
+    far, inf-padded, its largest last, and so does out, which is filled in
+    ascending order and returned; table is left as it is.  The new values
+    go beside the old rows in scratch's inf-padded runs x (max_k + largest
+    count) work table, sorted in place along each row: as fast as a
+    partition at max_k - 1 on rows of a few dozen, and no later sort is
+    needed.  Runs are split in halves while that table would exceed
+    _TABLE_CELLS cells, so one crowded run cannot blow it up; each half
+    fills its rows of out.
     """
-    scratch = _Scratch() if scratch is None else scratch
     runs, max_k = table.shape
     new = int(counts.max(initial=0))
     if runs > 1 and runs * (max_k + new) > _TABLE_CELLS:
-        out = scratch.take("selected", table.shape) if out is None else out
         half = runs // 2
         cut = int(counts[:half].sum())
         _select_block(d2[:cut], counts[:half], table[:half], scratch, out[:half])
@@ -394,8 +387,6 @@ def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray,
     offset = np.arange(runs) * width + max_k - (np.cumsum(counts) - counts)
     work.reshape(-1)[np.arange(d2.size) + np.repeat(offset, counts)] = d2
     work.sort(axis=1)
-    if out is None:
-        return work[:, :max_k]
     out[...] = work[:, :max_k]
     return out
 
@@ -436,11 +427,10 @@ def simulate_kth_distances(cfg: SimConfig, workers: int | None = None) -> np.nda
     local = threading.local()
 
     def block(b: int) -> None:
-        scratch = getattr(local, "scratch", None)
-        if scratch is None:
-            scratch = local.scratch = _Scratch()
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch()
         part = out[b * block_runs : (b + 1) * block_runs]
-        _sample_block(cfg, _substream(cfg.seed, b), part, scratch)
+        _sample_block(cfg, _substream(cfg.seed, b), part, local.scratch)
         np.sqrt(part, out=part)
 
     n_blocks = -(-cfg.samples // block_runs)
@@ -584,15 +574,19 @@ def validate_against_analytic(
     threshold = KS_THRESHOLD_FACTOR / math.sqrt(samples)
     rows: list[ValidationRow] = []
     simulated = simulate_kth_distances(cfg)
-    # One sorted column and one window mask, reused by every k of both kinds.
+    # One sorted column, reused by every k of both kinds.
     column = np.empty(samples)
-    in_window = np.empty((samples, k_max), dtype=bool)
     for name, kind, distances in zip(("cd", "nnd"), (CurveKind.CONTACT, CurveKind.NND),
                                      simulated.swapaxes(0, 1)):
         # The reference curves end at the largest in-window sample, not at
         # the window edge, so their grid stays fine where the samples are.
-        end = float(np.max(distances, where=np.less_equal(distances, radius, out=in_window),
-                           initial=0.0))
+        # Rows ascend: that is a row's last entry, or for a censored row
+        # (last entry beyond the window, or inf) one of its others.
+        last = distances[:, -1]
+        inside = last <= radius
+        censored = distances[~inside]
+        end = float(np.max(last, where=inside, initial=0.0))
+        end = float(np.max(censored, where=censored <= radius, initial=end))
         for curve in distribution_curves(kind, k_values, p, r_max=end):
             # Censored runs (beyond the window, or inf) sort past the kept ones.
             column[:] = distances[:, curve.k - 1]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from mcpdist.analytic import McpParams, PmfVector, _check_pgf_args, _Kernel
+from mcpdist.analytic import McpParams, PmfVector, _check_pgf_args, _Kernel, _poisson_sums
 
 
 def log_pgf_count_1d(s: float, r: float, p: McpParams) -> float:
@@ -77,7 +77,7 @@ def count_pmf_partition(r: float, p: McpParams, m_max: int) -> PmfVector:
         raise ValueError("radius and m_max must be nonnegative")
     kernel = _Kernel([r], p)
     base = math.exp(kernel.log_pgf(0.0)[0])
-    h = [0.0, *kernel.h(1, m_max + 1)[0]]
+    h = [0.0, *_poisson_sums(kernel.t, kernel.w, 1, m_max + 1)[0]]
     probs = np.empty(m_max + 1)
     for m in range(m_max + 1):
         acc = 0.0
@@ -99,7 +99,7 @@ def corollary_contact_cdf(r: float, k: int, p: McpParams) -> float:
         return 0.0
     kernel = _Kernel([r], p)
     e = math.exp(kernel.log_pgf(0.0)[0])
-    h1, h2 = kernel.h(1, 3)[0]
+    h1, h2 = _poisson_sums(kernel.t, kernel.w, 1, 3)[0]
     if k == 1:
         return _clip01(1.0 - e)
     if k == 2:
@@ -115,8 +115,8 @@ def corollary_nnd_cdf(r: float, k: int, p: McpParams) -> float:
         return 0.0
     kernel = _Kernel([r], p)
     e = math.exp(kernel.log_pgf(0.0)[0])
-    h1, h2 = kernel.h(1, 3)[0]
-    q0, q1, q2 = kernel.q(0, 3)[0]
+    h1, h2 = _poisson_sums(kernel.t, kernel.w, 1, 3)[0]
+    q0, q1, q2 = _poisson_sums(*kernel._palm, 0, 3)[0]
     if k == 1:
         return _clip01(1.0 - e * q0)
     fbar1 = e

@@ -250,6 +250,15 @@ class TestCountPmf:
             assert cdf_contact(1e200, 3, p) == 1.0
         assert np.all(pmf.probs == 0.0) and pmf.truncation_mass == 1.0
 
+    def test_undecayed_tail_names_m_max(self):
+        # A rare cluster of 4000 daughters puts a hump far past the mean
+        # count of 0.11, so the tail is still above 1e-14 of the peak at
+        # the order cap; with m_max the same PMF computes.
+        p = McpParams(lambda_p=1e-6, mbar=4000.0, rd=1.0, n=2)
+        with pytest.raises(ValueError, match=r"did not decay within 4096 orders; pass m_max"):
+            count_pmf(3.0, p)
+        assert count_pmf(3.0, p, m_max=4096).probs.size == 4097
+
 
 class TestContactCdf:
     def test_zero_radius(self, fig1_params):

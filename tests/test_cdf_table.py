@@ -244,6 +244,24 @@ def test_table_orders_are_checked(fig1_params, ks, message):
             analytic.cdf_table(kind, [10.0, 20.0], ks, fig1_params)
 
 
+@pytest.mark.parametrize("r_max, num, message", [
+    (-1.0, 512, "r_max must be finite and nonnegative, got -1.0"),
+    (math.inf, 512, "r_max must be finite and nonnegative, got inf"),
+    (100.0, 1, "grid needs at least 2 points, got 1"),
+])
+def test_curves_check_their_grid(fig1_params, r_max, num, message):
+    with pytest.raises(ValueError, match=message):
+        distribution_curves(CurveKind.CONTACT, [1, 2], fig1_params, r_max=r_max, num=num)
+
+
+def test_table_parameter_rows_are_checked(fig1_params):
+    with pytest.raises(ValueError, match=r"need one McpParams or one per radius \(3\), got 2"):
+        analytic.cdf_table(CurveKind.CONTACT, [1.0, 2.0, 3.0], [1], [fig1_params] * 2)
+    rows = [fig1_params, McpParams(2e-5, 5.0, 50.0, 3)]
+    with pytest.raises(ValueError, match="every parameter row must have the same dimension n"):
+        analytic.cdf_table(CurveKind.CONTACT, [1.0, 2.0], [1], rows)
+
+
 def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
     # Contact tables read only the stationary pair; the Palm pair's lens is
     # one more call, made on first use, whose rows are the ones a
@@ -259,12 +277,12 @@ def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
     analytic.cdf_table(CurveKind.CONTACT, radii, [1, 3], fig1_params)
     assert len(calls) == 1
     kernel = analytic._Kernel(radii, fig1_params)
-    q = kernel.q(0, 4)
+    q = analytic._poisson_sums(*kernel._palm, 0, 4)
     factor = kernel.palm_factor(0.5)
     assert len(calls) == 3 and calls[1] == calls[2]
     for i, r in enumerate(radii):
         single = analytic._Kernel([r], fig1_params)
-        assert q[i].tobytes() == single.q(0, 4)[0].tobytes()
+        assert q[i].tobytes() == analytic._poisson_sums(*single._palm, 0, 4)[0].tobytes()
         assert factor[i] == single.palm_factor(0.5)[0]
 
 

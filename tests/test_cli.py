@@ -142,6 +142,20 @@ class TestCdfCommand:
             assert code == 2
             assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[2, 5.0]", "config must be a JSON object"),
+    ])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text, message):
+        # A missing file, invalid JSON and a JSON array: one error line each.
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        code, out, err = run_cli(capsys, "cdf", "--config", str(config), "--kind", "cd")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestPmfCommand:
     def test_pmf_rows(self, capsys):
@@ -172,6 +186,13 @@ class TestPmfCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_undecayed_tail_exits_2_naming_the_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pmf", "--r", "3", "--lambda-p", "1e-6", "--mbar", "4000", "--rd", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--m-max" in err
 
 
 class TestValidateCommand:

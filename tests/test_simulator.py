@@ -55,6 +55,12 @@ def counts_within(cfg, r, kind=STATIONARY):
     return (np.isfinite(d) & (d <= r)).sum(axis=1)
 
 
+def sample_block(cfg, rng):
+    """simulator._sample_block of one whole block, into a new array, with its own scratch."""
+    out = np.empty((cfg.runs_per_block(), 2, cfg.max_k))
+    return simulator._sample_block(cfg, rng, out, simulator._Scratch())
+
+
 class CountingRng:
     """A Generator that counts the sampler's rounds, daughter-count draws and
     standard normals."""
@@ -89,7 +95,8 @@ class TestDaughterPoints:
         rho = rho_over_rd * rd
         key = np.random.SeedSequence(entropy=7, spawn_key=(n, int(4 * rho_over_rd)))
         rng = np.random.Generator(np.random.SFC64(key))
-        d2 = simulator._daughter_distances(rng, n, rd, np.array([rho]), np.array([size]))
+        d2 = simulator._daughter_distances(rng, n, rd, np.array([rho]), np.array([size]),
+                                           simulator._Scratch())
         d = np.sort(np.sqrt(d2))
         cdf = lens_share(d, rd, rho, n)
         steps = np.arange(1, size + 1) / size
@@ -333,6 +340,27 @@ class TestValidationHarness:
         for row in rows:
             assert row.passed, row
 
+    def test_curves_end_at_the_largest_in_window_distance(self, fig1_params, monkeypatch):
+        # In a window of 60 many rows end beyond it, some at inf, with some
+        # of their entries inside: each kind's curves still end at its
+        # largest in-window distance, whichever column holds it.
+        ends = []
+
+        def recording(kind, ks, p, r_max=None, num=512):
+            ends.append(r_max)
+            return distribution_curves(kind, ks, p, r_max=r_max, num=num)
+
+        distribution_curves = simulator.distribution_curves
+        monkeypatch.setattr(simulator, "distribution_curves", recording)
+        monkeypatch.setattr(simulator, "ks_distance", lambda ecdf, curve: 0.0)
+        report = validate_against_analytic(fig1_params, range(1, 5), samples=2000, seed=2,
+                                           r_max=60.0)
+        for kind, end in zip((STATIONARY, PALM), ends, strict=True):
+            d = report.distances[:, kind]
+            censored = d[d[:, -1] > 60.0]
+            assert np.isinf(censored).any() and (censored[:, 0] <= 60.0).any()
+            assert end == np.max(d, where=d <= 60.0, initial=0.0)
+
     @pytest.mark.parametrize(
         "p, k_values",
         [
@@ -435,10 +463,10 @@ class TestInPlaceKernels:
         table = np.sort(rng.uniform(0.0, 10.0, (counts.size, max_k)), axis=1)
         table[::2, -1] = np.inf
         before = table.copy()
-        scratch = simulator._Scratch()
+        scratch, out = simulator._Scratch(), np.empty_like(table)
         with patch.object(simulator, "_TABLE_CELLS", cells):
             for _ in range(2):
-                got = simulator._select_block(d2, counts, table, scratch)
+                got = simulator._select_block(d2, counts, table, scratch, out)
                 expected = np.sort(select_block(d2, counts, table, cells), axis=1)
                 assert got.tobytes() == expected.tobytes()
         assert table.tobytes() == before.tobytes()
@@ -495,7 +523,8 @@ def kth_distances(sample, max_k):
     """Distances from the origin to the max_k closest points of one run,
     inf-padded, through the merge the simulator uses."""
     d2 = squared_norms(np.asarray(sample, dtype=float))
-    table = simulator._select_block(d2, np.array([d2.size]), np.full((1, max_k), np.inf))
+    table = simulator._select_block(d2, np.array([d2.size]), np.full((1, max_k), np.inf),
+                                    simulator._Scratch(), np.empty((1, max_k)))
     return np.sqrt(np.sort(table[0]))
 
 
@@ -546,9 +575,10 @@ class TestBlockPath:
         for cells in (simulator._TABLE_CELLS, 1):
             with patch.object(simulator, "_TABLE_CELLS", cells):
                 empty = np.full((counts.size, max_k), np.inf)
-                whole = simulator._select_block(d2, counts, empty)
-                halves = simulator._select_block(d2[first], counts // 2, empty)
-                halves = simulator._select_block(d2[~first], counts - counts // 2, halves)
+                scratch, whole, half, halves = simulator._Scratch(), *np.empty((3, *empty.shape))
+                simulator._select_block(d2, counts, empty, scratch, whole)
+                simulator._select_block(d2[first], counts // 2, empty, scratch, half)
+                simulator._select_block(d2[~first], counts - counts // 2, half, scratch, halves)
             for table in (whole, halves):
                 assert np.sqrt(np.sort(table, axis=1)).tobytes() == expected.tobytes()
 
@@ -606,7 +636,8 @@ class TestBlockPath:
                     d2.append(line * line)
                 else:
                     d2.append(simulator._daughter_distances(rng, n, rd, radii[i : i + 1],
-                                                            counts[i : i + 1]))
+                                                            counts[i : i + 1],
+                                                            simulator._Scratch()))
             return np.concatenate(d2), counts
 
         def nearest(d2):
@@ -617,12 +648,15 @@ class TestBlockPath:
 
         drawn = np.zeros(runs, dtype=np.int64)
         outer = window ** (1.0 / n)
-        table, _ = simulator._nearest(gaps_of(drawn), clusters, runs, window, outer, n, rd, max_k)
+        table, _ = simulator._nearest(gaps_of(drawn), clusters, runs, window, outer, n, rd, max_k,
+                                      simulator._Scratch())
         rows = np.sqrt(np.sort(table, axis=1))
         if own is not None:
             # The Palm runs: each run's own cluster merged in after its rounds.
             d2, counts = clusters(np.array(own))
-            palm_rows = np.sqrt(np.sort(simulator._select_block(d2, counts, table), axis=1))
+            merged = simulator._select_block(d2, counts, table, simulator._Scratch(),
+                                             np.empty_like(table))
+            palm_rows = np.sqrt(np.sort(merged, axis=1))
 
         # Rounds of 1, 1, 2, 4, ... parents end after 1, 2, 4, 8, ... of them.
         ends = 2 ** np.arange(12)
@@ -669,7 +703,7 @@ class TestBlockPath:
             return d2
 
         with patch.object(simulator, "_daughter_distances", recorded):
-            tables, _ = simulator._sample_block(cfg, _substream(seed, 0))
+            tables, _ = sample_block(cfg, _substream(seed, 0))
         counts, siblings = calls[-1]
         assert counts.size == cfg.runs_per_block()
         assert tables.shape == (counts.size, 2, max_k)
@@ -700,7 +734,7 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         runs = cfg.runs_per_block()
         rng = CountingRng(_substream(3, 0))
-        simulator._sample_block(cfg, rng)
+        sample_block(cfg, rng)
         assert offsets[-1] == runs  # the own clusters draw last
         parents = sum(offsets) - runs
         assert rng.daughter_counts == parents + runs
@@ -743,7 +777,7 @@ class TestBlockPath:
         radius = quantile_radius(CurveKind.CONTACT, max_k, p)
         cfg = SimConfig(p, radius, 1, 0, max_k)
         for b in range(blocks):
-            simulator._sample_block(cfg, _substream(0, b))
+            sample_block(cfg, _substream(0, b))
         se = np.std(needed, ddof=1) / math.sqrt(len(needed))
         assert abs(np.mean(needed) - _mean_parents(p, radius, max_k)) <= 4.0 * se
 
@@ -754,7 +788,7 @@ class TestBlockPath:
         cfg = SimConfig(fig1_params, 450.0, 1, 3, 4)
         window_mean = fig1_params.lambda_p * fig1_params.mbar * math.pi * 500.0**2
         assert window_mean == pytest.approx(78.5, rel=1e-3)
-        _, kept_counts = simulator._sample_block(cfg, _substream(3, 0))
+        _, kept_counts = sample_block(cfg, _substream(3, 0))
         assert kept_counts.mean() < 0.3 * window_mean
         assert (kept_counts >= 4).all()
 
@@ -766,7 +800,7 @@ class TestBlockPath:
         for p, radius in ((fig1_params, 450.0), (McpParams(0.02, 3.0, 2.0, 3), 7.97)):
             cfg = SimConfig(p, radius, 1, 3, 4)
             rng = CountingRng(_substream(3, 0))
-            _, counts = simulator._sample_block(cfg, rng)
+            _, counts = sample_block(cfg, rng)
             assert counts.sum() > 0
             assert rng.normals == (2 if p.n % 2 == 0 else 1) * counts.sum()
 
@@ -791,7 +825,7 @@ class TestBlockPath:
         parents = []
         for b in range(10):
             rng = CountingRng(_substream(0, b))
-            _, counts = simulator._sample_block(cfg, rng)
+            _, counts = sample_block(cfg, rng)
             longest = counts.max() / p.mbar
             assert rng.rounds <= 3 + math.log2(max(longest, 1.0)) + 4
             # One count per run is the own cluster's.
