@@ -236,7 +236,7 @@ def _check_order(a) -> float:
 def gammainc(a: int, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a positive integer order a."""
     a = _check_order(a)
-    if x < 0.0:
+    if not x >= 0.0:  # negative or nan
         return math.nan
     if x == 0.0:
         return 0.0
@@ -250,7 +250,7 @@ def gammainc(a: int, x: float) -> float:
 def gammaincc(a: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), integer a >= 1."""
     a = _check_order(a)
-    if x < 0.0:
+    if not x >= 0.0:  # negative or nan
         return math.nan
     if x == 0.0:
         return 1.0

@@ -478,14 +478,15 @@ def _kind_pmf(kind: CurveKind, kernel: _Kernel, m_max: int | None) -> np.ndarray
     out = np.zeros_like(probs)
     # A lag whose weights are all zero (or past the returned ones) would add zeros.
     lags = np.flatnonzero(weights.any(axis=0)).tolist()
-    # One row steps through 1-D views and scalar weights, as _recurrence
-    # does: the same products and sums, without 2-D broadcasts.
+    # Orders run along the first axis of each view.  One row steps through
+    # 1-D views and scalar weights, as _recurrence does: the same products
+    # and sums, without 2-D broadcasts.
     if len(out) == 1:
         row, step, weight = out[0], probs[0], weights[0].tolist()
     else:
-        row, step, weight = out, probs, weights.T[:, :, np.newaxis]
+        row, step, weight = out.T, probs.T, weights.T
     for j in lags:
-        row[..., j:] += step[..., : width - j] * weight[j]
+        row[j:] += step[: width - j] * weight[j]
     return out
 
 

@@ -299,8 +299,8 @@ def _nearest(gaps, clusters, runs: int, v_max: float, outer: float, n: int, rd: 
         drawn[rows] += per_run
         got = per_run > 0  # only these rows can change
         rows = rows[got]
-        selected = scratch.take("selected", (rows.size, max_k))
-        table[rows] = _select_block(d2, per_run[got], table[rows], scratch, selected)
+        merged = table[rows]
+        table[rows] = _select_block(d2, per_run[got], merged, scratch, merged)
 
     last = np.zeros(runs)  # volume of each run's last drawn parent
     # A window too small for double precision holds no parent.
@@ -363,7 +363,8 @@ def _select_block(d2: np.ndarray, counts: np.ndarray, table: np.ndarray, scratch
 
     Each row of the (runs, max_k) table holds a run's max_k smallest so
     far, inf-padded, its largest last, and so does out, which is filled in
-    ascending order and returned; table is left as it is.  The new values
+    ascending order and returned; out may be table, which is read before
+    out is written, and is otherwise left as it is.  The new values
     go beside the old rows in scratch's inf-padded runs x (max_k + largest
     count) work table, sorted in place along each row: as fast as a
     partition at max_k - 1 on rows of a few dozen, and no later sort is

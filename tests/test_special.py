@@ -124,10 +124,11 @@ def test_cap_fraction_entries_equal_their_one_element_calls():
 
 def test_trimmed_cephes_helpers_see_only_their_domains(monkeypatch):
     # _expm1 keeps only Cephes' rational form and _log1pmx only its series,
-    # both for |x| < 1/2: the incomplete gamma functions at every order up
-    # to the PMF cap, from 0 to 3a, and across the Q series near x = 1,
-    # call them at |x| <= 0.0954 (log x on [1 / 1.1, 1.1]) and |x| < 0.43
-    # (the Lanczos branch at a >= 143).
+    # both for |x| < 1/2.  _expm1's one caller is order 1's Q series near
+    # x = 1 (log x on [1 / 1.1, 1.1], |x| <= 0.0954); _log1pmx's is the
+    # Lanczos branch, which needs a >= 143 and |a - x| <= 0.4 a (|x| < 0.43),
+    # at its widest at a = 200 and at the order cap.  A nan x stops before
+    # either.
     seen = {"_expm1": [], "_log1pmx": []}
     for name, args in seen.items():
         def recorded(x, original=getattr(_special, name), args=args):
@@ -136,13 +137,16 @@ def test_trimmed_cephes_helpers_see_only_their_domains(monkeypatch):
 
         monkeypatch.setattr(_special, name, recorded)
     near_one = np.concatenate([np.linspace(0.909, 1.1, 2001), _branch_edges(1)])
-    for k in range(1, _PMF_HARD_CAP + 1):
+    for k in [1, *range(140, 211), _PMF_HARD_CAP]:
         x = np.concatenate([np.linspace(0.0, 3.0 * k, 7), _branch_edges(k)])
         if k == 1:
             x = np.concatenate([x, near_one])
         for v in x:
             _special.gammainc(k, v)
             _special.gammaincc(k, v)
+        assert math.isnan(_special.gammainc(k, math.nan))
+        assert math.isnan(_special.gammaincc(k, math.nan))
     expm1, log1pmx = np.array(seen["_expm1"]), np.array(seen["_log1pmx"])
+    assert not np.isnan(expm1).any() and not np.isnan(log1pmx).any()
     assert np.abs(expm1).max() <= 0.0954 and expm1.min() < -0.095 and expm1.max() > 0.095
     assert np.abs(log1pmx).max() < 0.43 and log1pmx.min() < -0.4 and log1pmx.max() > 0.35
