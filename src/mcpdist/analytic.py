@@ -341,8 +341,7 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
     daughter intensity.  k = 0 drops the power factor entirely, giving the
     bare integral of e^(-lambda_d A) x^(n-1) times the same prefactor.
     """
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k!r}")
+    _check_weight_order(k)
     kernel = _Kernel([r], p)
     return float(_poisson_sums(kernel.t, kernel.w, k, k + 1)[0, 0])
 
@@ -560,8 +559,9 @@ def ppp_cdf_contact(r: float, k: int, intensity: float, n: int) -> float:
     _check_dimension(n)
     if not math.isfinite(intensity) or intensity <= 0.0:
         raise ValueError(f"intensity must be finite and positive, got {intensity!r}")
+    _check_radius(r)
     # P[Poisson(mean count) >= k] via the regularized lower incomplete gamma.
-    return 0.0 if r <= 0.0 else gammainc(k, _campbell_count(r, n, intensity))
+    return gammainc(k, _campbell_count(r, n, intensity))
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +575,7 @@ def q_weight(r: float, j: int, p: McpParams) -> float:
     Radial average over the typical point's offset y in the cluster ball:
     (1/j!) integral of (lambda_d A)^j e^(-lambda_d A) n y^(n-1) / rd^n dy.
     """
-    if j < 0:
-        raise ValueError(f"order must be nonnegative, got {j!r}")
+    _check_weight_order(j)
     return float(_poisson_sums(*_Kernel([r], p)._palm, j, j + 1)[0, 0])
 
 
@@ -729,6 +728,11 @@ def distribution_curve(
 def _check_order(k: int) -> None:
     if not _is_integer(k) or not 1 <= k <= _PMF_HARD_CAP:
         raise ValueError(f"k must be an integer in 1..{_PMF_HARD_CAP}, got {k!r}")
+
+
+def _check_weight_order(k) -> None:
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {k!r}")
 
 
 def _check_orders(ks) -> None:

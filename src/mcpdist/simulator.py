@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (_LENGTH_RANGE, _U, CurveKind, DistributionCurve, McpParams, _check_orders,
-                       _gl_weights, _is_integer, cdf_table, distribution_curves, quantile_radius)
+from .analytic import (_LENGTH_RANGE, _PMF_HARD_CAP, _U, CurveKind, DistributionCurve, McpParams,
+                       _check_orders, _gl_weights, _is_integer, cdf_table, distribution_curves,
+                       quantile_radius)
 from .geometry import _campbell_count, _campbell_radius
 
 __all__ = [
@@ -61,8 +62,8 @@ MAX_DISTANCES = 50_000_000
 # many runs; its selection table is split by runs beyond _TABLE_CELLS cells.
 _BLOCK_POINTS = 2**15
 _TABLE_CELLS = 4 * _BLOCK_POINTS
-# Daughters are finished, and KS rows compared, this many points at a time,
-# so the temporaries stay small whatever the draw or the sample count.
+# KS rows are compared this many samples at a time, so the temporaries
+# stay small whatever the sample count.
 _CHUNK = 2**13
 
 # Every sampled point lies within observation_radius + 2 rd of the origin;
@@ -135,8 +136,10 @@ class SimConfig:
             raise ValueError("observation_radius must be finite and positive")
         if not _is_integer(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if self.max_k < 1:
-            raise ValueError("max_k must be at least 1")
+        # The pricing (_mean_parents) reads the kth contact CDF at k = max_k.
+        if not _is_integer(self.max_k) or not 1 <= self.max_k <= _PMF_HARD_CAP:
+            raise ValueError(f"max_k must be an integer in 1..{_PMF_HARD_CAP}, "
+                             f"got {self.max_k!r}")
         p = self.params
         reach = self.observation_radius + 2.0 * p.rd
         if reach > _LENGTH_RANGE[1]:
@@ -192,11 +195,11 @@ class _Scratch:
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+    def take(self, name: str, shape) -> np.ndarray:
         size = math.prod(shape) if isinstance(shape, tuple) else shape
         array = self._arrays.get(name)
         if array is None or array.size < size:
-            array = self._arrays[name] = np.empty(size, dtype)
+            array = self._arrays[name] = np.empty(size)
         return array[:size].reshape(shape)
 
 
@@ -212,14 +215,13 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
     which cancels near the origin; q = 0 leaves it at rho.
 
     In place: L, Z and S (W^2 alone at n = 2) are drawn into three of
-    scratch's arrays of the draw's length.  Then, a chunk of whole parents
-    at a time (under _CHUNK points plus its last parent's), W and q pass
-    through a fourth, chunk-sized array, L becomes L / q and Z the squared
-    distance, which is returned: a view of scratch, valid until its next
-    draw.  Every draw and every elementwise operation is the one above.
+    scratch's arrays of the draw's length, and W, then q, pass through a
+    fourth; L becomes L / q and Z the squared distance, which is returned:
+    a view of scratch, valid until its next draw.  Every draw and every
+    elementwise operation is the one above.
     """
     size = int(counts.sum())
-    length, z, rest = (scratch.take(name, size) for name in ("length", "normal", "rest"))
+    length, z, rest, q = (scratch.take(name, size) for name in ("length", "normal", "rest", "root"))
     rng.random(out=length)
     length **= 1.0 / n
     length *= rd
@@ -228,43 +230,30 @@ def _daughter_distances(rng, n: int, rd: float, radii: np.ndarray, counts: np.nd
     if shape:
         rng.standard_gamma(shape, out=rest)
         rest *= 2.0
+        if n % 2 == 0:
+            rng.standard_normal(out=q)
+            q *= q
+            rest += q
     elif n == 2:
         rng.standard_normal(out=rest)
         rest *= rest
     else:
         rest.fill(0.0)
-    # Chunks of whole parents: one more starts at the first parent that
-    # starts at or past each multiple of _CHUNK points.
-    parents, points = [0, counts.size], [0, size]
-    if size > _CHUNK:
-        starts = np.cumsum(counts) - counts
-        cuts = np.searchsorted(starts, np.arange(_CHUNK, size, _CHUNK))
-        parents[1:1] = cuts.tolist()
-        points[1:1] = np.append(starts, size)[cuts].tolist()
-    for a, b, lo, hi in zip(parents, parents[1:], points, points[1:]):
-        if lo == hi:
-            continue
-        q = scratch.take("chunk", hi - lo)
-        scale, first, s = length[lo:hi], z[lo:hi], rest[lo:hi]
-        if shape and n % 2 == 0:
-            rng.standard_normal(out=q)
-            q *= q
-            s += q
-        np.multiply(first, first, out=q)
-        q += s
-        np.sqrt(q, out=q)
-        # q = 0 only where Z and S vanish (or Z^2 underflows): scale 0.
-        if q.all():
-            scale /= q
-        else:
-            np.divide(scale, q, out=scale, where=q > 0.0)
-            scale[q == 0.0] = 0.0
-        first *= scale
-        first += np.repeat(radii[a:b], counts[a:b])
-        first *= first
-        scale *= scale
-        scale *= s
-        first += scale
+    np.multiply(z, z, out=q)
+    q += rest
+    np.sqrt(q, out=q)
+    # q = 0 only where Z and S vanish (or Z^2 underflows): L / q is 0 there.
+    if q.all():
+        length /= q
+    else:
+        np.divide(length, q, out=length, where=q > 0.0)
+        length[q == 0.0] = 0.0
+    z *= length
+    z += np.repeat(radii, counts)
+    z *= z
+    length *= length
+    length *= rest
+    z += length
     return z
 
 

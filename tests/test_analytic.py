@@ -115,6 +115,8 @@ class TestHCoefficients:
             h_coefficient(-1.0, 0, LINE)
         with pytest.raises(ValueError):
             h_coefficient(1.0, -1, LINE)
+        with pytest.raises(ValueError, match="order must be a nonnegative integer, got 1.5"):
+            h_coefficient(1.0, 1.5, LINE)
 
 
 class TestPgf:
@@ -345,6 +347,12 @@ class TestPppCdf:
             for k in (1, 2, 5):
                 direct = 1.0 - sum(math.exp(-mu) * mu**m / math.factorial(m) for m in range(k))
                 assert ppp_cdf_contact(r, k, lam, n) == pytest.approx(direct, abs=1e-12)
+
+    def test_rejects_the_radii_cdf_contact_rejects(self):
+        for r in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+                ppp_cdf_contact(r, 2, 1.0, 2)
+        assert ppp_cdf_contact(-0.0, 2, 1.0, 2) == 0.0
 
     def test_rejects_bad_intensity(self):
         for intensity in (0.0, -1.0, math.inf, math.nan):

@@ -43,6 +43,10 @@ class TestQWeights:
         assert q_weight(0.0, 0, fig1_params) == 1.0
         assert q_weight(0.0, 3, fig1_params) == 0.0
 
+    def test_rejects_a_non_integer_order(self, fig1_params):
+        with pytest.raises(ValueError, match="order must be a nonnegative integer, got 2.0"):
+            q_weight(100.0, 2.0, fig1_params)
+
     def test_normalization(self, fig1_params):
         for r in (25.0, 50.0, 100.0, 200.0):
             total = q_sum(r, fig1_params)

@@ -238,8 +238,12 @@ class TestHarness:
             with pytest.raises(ValueError, match="samples must be a positive integer"):
                 SimConfig(fig1_params, 80.0, bad, 1, 1)
         assert SimConfig(fig1_params, 80.0, np.int64(10), 1, 1).samples == 10
-        with pytest.raises(ValueError, match="max_k must be at least 1"):
-            SimConfig(fig1_params, 80.0, 10, 1, 0)
+        # max_k is the order the pricing's kth contact CDF takes: all but 0
+        # once failed inside its cdf_table, in a message that named k.
+        for bad in (0, 2.5, True, 4.0, 5000):
+            with pytest.raises(ValueError, match=r"max_k must be an integer in 1\.\.4096"):
+                SimConfig(fig1_params, 450.0, 10, 1, bad)
+        assert SimConfig(fig1_params, 450.0, 10, 1, np.int64(4)).max_k == 4
 
     def test_window_sufficiency(self, fig1_params):
         # doubling the window must not move the ECDF beyond Monte Carlo noise
@@ -420,8 +424,8 @@ class ZeroingRng:
 
 
 class TestInPlaceKernels:
-    # Draws spanning one chunk, several (with empty parents), and one parent
-    # past a whole chunk; parents at the origin among them.
+    # A short draw, long draws with empty parents, one of them a parent of
+    # over 16,000 points; parents at the origin among them.
     COUNTS = [np.array([3, 0, 5, 1]), np.array([0, 2 * _CHUNK + 5, 0, 7]),
               np.tile([9, 0, 4, 3], _CHUNK // 4)]
 
@@ -481,7 +485,7 @@ class TestMemory:
                         reason="counts minor page faults as Linux reports them")
     def test_fresh_validate_reuses_its_pages(self):
         # Blocks and KS rows reuse their arrays, so the allocator need not
-        # map and fault the same pages again: about 1,700 minor faults,
+        # map and fault the same pages again: about 2,500 minor faults,
         # where arrays allocated per block and per row took about 16,000.
         script = f"""
 import os, resource
