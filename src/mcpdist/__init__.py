@@ -1,7 +1,7 @@
 """kth contact and nearest-neighbor distance distributions of n-D Matern
 cluster processes, with a Monte Carlo validation harness."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analytic import (
     CurveKind,
@@ -34,7 +34,6 @@ from .simulator import (
     CensoringError,
     EmpiricalCdf,
     SimConfig,
-    ks_distance,
     simulate_kth_distances,
     validate_against_analytic,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "distribution_curves",
     "h_coefficient",
     "intersection_volume",
-    "ks_distance",
     "palm_count_pmf",
     "pgf_count",
     "pgf_count_palm",

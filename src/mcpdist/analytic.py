@@ -245,8 +245,11 @@ class _Kernel:
         """mbar A(r, rd, x) / (v_n rd^n) per row at its nodes x."""
         r, mbar, rd, n = self._lens_args
         # Rounding can leave a cap sum a hair below zero; an r whose square
-        # overflows leaves it non-finite.
-        t = mbar * np.maximum(lens_share(r, rd, x, n), 0.0)
+        # overflows leaves it non-finite, and so can mbar times the share:
+        # the check below raises for both, so numpy need not warn.
+        share = np.maximum(lens_share(r, rd, x, n), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = mbar * share
         bad = ~np.isfinite(t).all(axis=1)
         if bad.any():
             raise ValueError(f"the lens at r={float(r[bad][0, 0])!r} in n={n} dimensions "

@@ -2,7 +2,8 @@
 
 Draws, for each run, the distances from the origin to its max_k nearest
 points, once stationary and once under Palm, and compares their
-empirical CDFs against the analytic curves.  Each run draws its parents
+empirical CDFs with the exact analytic CDFs at their own order
+statistics (see _ks_statistic).  Each run draws its parents
 in order of distance from the origin, in rounds, and stops at its own
 running kth distance: only parents within rd of it draw daughters, each
 drawn as its squared distance alone (see _daughter_distances).  The
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (_LENGTH_RANGE, _PMF_HARD_CAP, _U, CurveKind, DistributionCurve, McpParams,
-                       _check_orders, _gl_weights, _is_integer, cdf_table, distribution_curves,
-                       quantile_radius)
+from .analytic import (_LENGTH_RANGE, _PMF_HARD_CAP, _U, CurveKind, McpParams, _check_orders,
+                       _gl_weights, _is_integer, cdf_table, quantile_radius)
 from .geometry import _campbell_count, _campbell_radius
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "SimConfig",
     "ValidationReport",
     "ValidationRow",
-    "ks_distance",
     "simulate_kth_distances",
     "validate_against_analytic",
     "write_raw_samples",
@@ -62,9 +61,6 @@ MAX_DISTANCES = 50_000_000
 # many runs; its selection table is split by runs beyond _TABLE_CELLS cells.
 _BLOCK_POINTS = 2**15
 _TABLE_CELLS = 4 * _BLOCK_POINTS
-# KS rows are compared this many samples at a time, so the temporaries
-# stay small whatever the sample count.
-_CHUNK = 2**13
 
 # Every sampled point lies within observation_radius + 2 rd of the origin;
 # inside analytic's _LENGTH_RANGE its squared distance is a normal double.
@@ -469,17 +465,20 @@ class EmpiricalCdf:
         return self.censored_count / self.total
 
 
-def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
-    """Sup-distance between the empirical CDF and a sampled curve.
+def _ks_statistic(ecdf: EmpiricalCdf, kind: CurveKind, k: int, p: McpParams,
+                  threshold: float) -> float:
+    """KS distance from ecdf to the exact kth CDF F, read as far as threshold needs.
 
-    Both one-sided jumps are checked at every sample point; the curve is
-    interpolated linearly between its nodes and treated as 0 below its
-    first node, so step CDFs encoded via adjacent nodes compare exactly.
-    The samples go through _CHUNK at a time: np.interp has no out argument,
-    so its arrays, the step heights and the points just below the samples
-    are chunk-sized temporaries, whatever the sample count.
-    Raises CensoringError if more than MAX_CENSORED_FRACTION of the runs
-    are censored.
+    F is read at ceil(2 / threshold) order statistics spaced evenly by
+    rank, the first and last among them.  F is monotone, so a gap between
+    neighbouring ones, ranks a < b of total runs, bounds the steps of every
+    sample inside it by max((b - 1) / total - F(x_a), F(x_b) - a / total).
+    Only when these samples' steps stay within threshold is F read, in a
+    second cdf_table call, at every sample of each gap whose bound exceeds
+    it.  Returns the largest ECDF step from F at the samples read: it never
+    exceeds the exact KS distance, and stays within threshold exactly when
+    that does.  Raises CensoringError if more than MAX_CENSORED_FRACTION
+    of the runs are censored.
     """
     if ecdf.total == 0:
         raise ValueError("empirical CDF holds no runs")
@@ -489,23 +488,23 @@ def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
             f"({ecdf.censored_fraction():.2%} > {MAX_CENSORED_FRACTION:.2%}); "
             "enlarge the observation window"
         )
-    x = ecdf.sorted_samples
-    radii = curve.radii
-    values = curve.values
-    if x.size and (radii[0] > x[0] or radii[-1] < x[-1]):
-        raise ValueError("curve does not cover the sample range")
-    n = ecdf.total
-    right = float(values[-1])
-    d_plus = d_minus = 0.0
-    for lo in range(0, x.size, _CHUNK):
-        part = x[lo : lo + _CHUNK]
-        steps = np.arange(lo + 1, lo + part.size + 1) / n
-        f = np.interp(part, radii, values, left=0.0, right=right)
-        d_plus = max(d_plus, float(np.max(np.subtract(steps, f, out=f))))
-        f = np.interp(np.nextafter(part, -np.inf), radii, values, left=0.0, right=right)
-        steps -= 1.0 / n
-        d_minus = max(d_minus, float(np.max(np.subtract(f, steps, out=f))))
-    return max(d_plus, d_minus, 0.0)
+    x, total = ecdf.sorted_samples, ecdf.total
+
+    def steps(index):  # F at x[index], and the ECDF's larger step from it there
+        f = cdf_table(kind, x[index], [k], p)[0]
+        return f, np.maximum((index + 1) / total - f, f - index / total)
+
+    count = min(x.size, max(2, math.ceil(2.0 / threshold)))
+    nodes = np.linspace(0, x.size - 1, count).round().astype(np.intp)
+    f, step = steps(nodes)
+    ks = float(step.max())
+    if ks <= threshold:
+        bound = np.maximum(nodes[1:] / total - f[:-1], f[1:] - (nodes[:-1] + 1) / total)
+        inside = np.repeat(bound > threshold, np.diff(nodes))
+        inside[nodes[:-1]] = False
+        if inside.any():
+            ks = max(ks, float(steps(np.flatnonzero(inside))[1].max()))
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +516,9 @@ def ks_distance(ecdf: EmpiricalCdf, curve: DistributionCurve) -> float:
 class ValidationRow:
     kind: str  # "cd" or "nnd"
     k: int
+    # The KS distance to the exact CDF over the samples _ks_statistic read:
+    # at most the distance over all samples, and above threshold exactly
+    # when that is.
     ks: float
     threshold: float
     censored_fraction: float
@@ -545,10 +547,12 @@ def validate_against_analytic(
 ) -> ValidationReport:
     """Run the simulator against the analytic CDFs for every requested k.
 
-    Returns one row per (kind, k) with the KS distance and its DKW-based
-    threshold, which assumes an exact reference: each kind's reference
-    curves span its sampled distances, on a grid from 0 to the largest
-    in-window one.  The report also holds the simulated kth distances.
+    Returns one row per (kind, k) with the KS distance against the exact
+    CDF and its DKW-based threshold: the exact CDF is read at the row's
+    own order statistics, all of them where a row is close to its
+    threshold (see _ks_statistic), so a row passes exactly when its KS
+    distance is within the threshold.  The report also holds the simulated
+    kth distances.
     Raises CensoringError if more than 1% of runs end beyond the
     observation window.  The orders, the window (r_max, or the kth contact
     CDF's tail radius) and the point cap are checked before any sampling.
@@ -568,23 +572,14 @@ def validate_against_analytic(
     column = np.empty(samples)
     for name, kind, distances in zip(("cd", "nnd"), (CurveKind.CONTACT, CurveKind.NND),
                                      simulated.swapaxes(0, 1)):
-        # The reference curves end at the largest in-window sample, not at
-        # the window edge, so their grid stays fine where the samples are.
-        # Rows ascend: that is a row's last entry, or for a censored row
-        # (last entry beyond the window, or inf) one of its others.
-        last = distances[:, -1]
-        inside = last <= radius
-        censored = distances[~inside]
-        end = float(np.max(last, where=inside, initial=0.0))
-        end = float(np.max(censored, where=censored <= radius, initial=end))
-        for curve in distribution_curves(kind, k_values, p, r_max=end):
+        for k in k_values:
             # Censored runs (beyond the window, or inf) sort past the kept ones.
-            column[:] = distances[:, curve.k - 1]
+            column[:] = distances[:, k - 1]
             column.sort()
             kept = int(np.searchsorted(column, radius, side="right"))
             ecdf = EmpiricalCdf(column[:kept], samples - kept)
-            ks = ks_distance(ecdf, curve)
-            rows.append(ValidationRow(name, curve.k, ks, threshold, ecdf.censored_fraction()))
+            ks = _ks_statistic(ecdf, kind, k, p, threshold)
+            rows.append(ValidationRow(name, k, ks, threshold, ecdf.censored_fraction()))
     return ValidationReport(rows, simulated, radius)
 
 

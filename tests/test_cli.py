@@ -502,6 +502,19 @@ class TestFailFast:
         assert proc.stderr.startswith("error: the expected number of clusters")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error"]])
+    def test_overflowing_lens_is_one_error_line(self, warnings):
+        # mbar times the lens's share of the cluster ball overflows: the
+        # lens check names it, and no numpy warning precedes that line.
+        argv = [sys.executable, *warnings, "-m", "mcpdist", "cdf", "--n", "435",
+                "--lambda-p", "1.3480186730565633e+107", "--mbar", "7.041765765271717e+241",
+                "--rd", "2.0981352940851747e-56", "--kind", "nnd", "--k", "1,4",
+                "--grid-points", "8"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the lens at r=")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv, rows", [
         (["cdf", "--kind", "cd", "--n", "200", "--k", "2", "--grid-max", "40", "--grid-points", "4"],
          4),

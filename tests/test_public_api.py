@@ -11,9 +11,9 @@ PUBLIC_API = {
         "PmfVector", "SimConfig", "SweepMetric", "SweepSpec", "__version__", "ball_volume",
         "cache_hit_probability", "cdf_contact", "cdf_nnd", "cdf_nnd_small_rd_limit",
         "connectivity_probability", "count_pmf", "distribution_curve", "distribution_curves",
-        "h_coefficient", "intersection_volume", "ks_distance", "palm_count_pmf", "pgf_count",
-        "pgf_count_palm", "ppp_cdf_contact", "q_weight", "quantile_radius",
-        "simulate_kth_distances", "sweep", "unit_ball_volume", "validate_against_analytic",
+        "h_coefficient", "intersection_volume", "palm_count_pmf", "pgf_count", "pgf_count_palm",
+        "ppp_cdf_contact", "q_weight", "quantile_radius", "simulate_kth_distances", "sweep",
+        "unit_ball_volume", "validate_against_analytic",
     ],
     "mcpdist._special": ["betainc_half_scaled", "gammainc", "gammaincc", "lgam", "log_factorials"],
     "mcpdist.analytic": [
@@ -30,7 +30,7 @@ PUBLIC_API = {
     "mcpdist.geometry": ["unit_ball_volume", "ball_volume", "intersection_volume", "lens_share"],
     "mcpdist.simulator": [
         "CensoringError", "EmpiricalCdf", "SimConfig", "ValidationReport", "ValidationRow",
-        "ks_distance", "simulate_kth_distances", "validate_against_analytic", "write_raw_samples",
+        "simulate_kth_distances", "validate_against_analytic", "write_raw_samples",
     ],
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import subprocess
@@ -12,12 +13,10 @@ from hypothesis import strategies as st
 
 from mcpdist import (
     CensoringError,
-    DistributionCurve,
     EmpiricalCdf,
     McpParams,
     SimConfig,
     count_pmf,
-    ks_distance,
     palm_count_pmf,
     pgf_count,
     q_weight,
@@ -27,9 +26,9 @@ from mcpdist import simulator
 from mcpdist.analytic import CurveKind, cdf_table, distribution_curve, quantile_radius
 from mcpdist.geometry import lens_share
 from mcpdist.simulator import (
-    _CHUNK,
     _KEEP_MARGIN,
     KS_THRESHOLD_FACTOR,
+    _ks_statistic,
     _mean_parents,
     _substream,
     validate_against_analytic,
@@ -276,54 +275,62 @@ def test_raw_samples_mark_censored_distances():
     assert out.getvalue() == "run,k,distance,censored\n0,1,1.0,0\n0,2,,1\n1,1,2.5,0\n1,2,,1\n"
 
 
-class TestKsDistance:
-    def test_identical_step_function_is_zero(self):
-        samples = np.array([1.0, 2.0, 3.0, 4.0])
-        ecdf = EmpiricalCdf.from_distances(samples, 10.0)
-        # encode the ECDF itself as a curve with machine-width risers
-        radii, values = [0.0], [0.0]
-        for i, x in enumerate(samples, start=1):
-            radii += [np.nextafter(x, -np.inf), x]
-            values += [(i - 1) / 4.0, i / 4.0]
-        curve = DistributionCurve(
-            np.array(radii), np.array(values), CurveKind.CONTACT, 1,
-            McpParams(1.0, 1.0, 1.0, 2),
-        )
-        assert ks_distance(ecdf, curve) == 0.0
+def exact_ks(ecdf, kind, k, p):
+    """The KS distance between ecdf and the exact CDF, read at every sample."""
+    x, total = ecdf.sorted_samples, ecdf.total
+    f = cdf_table(kind, x, [k], p)[0]
+    index = np.arange(x.size)
+    return float(np.maximum((index + 1) / total - f, f - index / total).max())
 
-    def test_degenerate_point_mass(self):
-        # all mass at 5 against a curve that is 0 below 5 and 1 at/above
-        ecdf = EmpiricalCdf.from_distances(np.full(1000, 5.0), 10.0)
-        curve = DistributionCurve(
-            np.array([5.0, 10.0]), np.array([1.0, 1.0]), CurveKind.CONTACT, 1,
-            McpParams(1.0, 1.0, 1.0, 2),
-        )
-        assert ks_distance(ecdf, curve) == 0.0
 
+class TestKsStatistic:
     def test_dkw_bound_on_inverse_sampled_draws(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params)
+        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, num=4096)
         rng = rng_for(17)
         u = rng.random(100_000) * float(curve.values[-1])
         draws = np.interp(u, curve.values, curve.radii)
         ecdf = EmpiricalCdf.from_distances(draws, float(curve.radii[-1]))
-        assert ks_distance(ecdf, curve) <= 0.01
+        assert _ks_statistic(ecdf, CurveKind.CONTACT, 1, fig1_params, 0.01) <= 0.01
 
     def test_censoring_error(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, r_max=10.0)
         ecdf = EmpiricalCdf.from_distances(np.array([1.0, 2.0, np.inf, np.inf]), 10.0)
         with pytest.raises(CensoringError):
-            ks_distance(ecdf, curve)
+            _ks_statistic(ecdf, CurveKind.CONTACT, 1, fig1_params, 0.1)
 
     def test_empty_ecdf_is_refused(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, r_max=10.0)
         with pytest.raises(ValueError, match="holds no runs"):
-            ks_distance(EmpiricalCdf.from_distances(np.array([]), 10.0), curve)
+            _ks_statistic(EmpiricalCdf.from_distances(np.array([]), 10.0), CurveKind.CONTACT, 1,
+                          fig1_params, 0.1)
 
-    def test_coverage_precondition(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, r_max=5.0)
-        ecdf = EmpiricalCdf.from_distances(np.array([1.0, 7.0]), 8.0)
-        with pytest.raises(ValueError):
-            ks_distance(ecdf, curve)
+    @pytest.mark.parametrize("p", [McpParams(0.1, 2.0, 1.0, 1), McpParams(2e-5, 5.0, 50.0, 2),
+                                   McpParams(0.02, 3.0, 2.0, 5)], ids=["n1", "n2", "n5"])
+    def test_rows_decide_as_the_exact_distance_does(self, p, monkeypatch):
+        # Each row's ks is at most the KS distance against the exact CDF at
+        # every sample, and passes exactly when that does.  The helper
+        # itself, at thresholds about that distance, reads F again inside
+        # the gaps that could hide it and decides as the exact distance.
+        report = validate_against_analytic(p, range(1, 5), samples=4000, seed=7)
+        calls, table = [], simulator.cdf_table
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return table(*args)
+
+        monkeypatch.setattr(simulator, "cdf_table", counting)
+        refined = 0
+        for row in report:
+            kind = CurveKind.CONTACT if row.kind == "cd" else CurveKind.NND
+            column = report.distances[:, 0 if row.kind == "cd" else 1, row.k - 1]
+            ecdf = EmpiricalCdf.from_distances(column, report.observation_radius)
+            exact = exact_ks(ecdf, kind, row.k, p)
+            assert row.ks <= exact and row.passed == (exact <= row.threshold)
+            for threshold in (0.5 * exact, 0.999 * exact, exact, 1.001 * exact):
+                calls.clear()
+                ks = _ks_statistic(ecdf, kind, row.k, p, threshold)
+                assert ks <= exact and (ks <= threshold) == (exact <= threshold)
+                assert calls[0] < ecdf.sorted_samples.size
+                refined += len(calls) == 2
+        assert refined > 0
 
 
 class TestValidationHarness:
@@ -335,35 +342,40 @@ class TestValidationHarness:
             assert row.passed
 
     def test_rows_pass_in_a_wide_window(self, fig1_params):
-        # The window reaches 44 times the CDF tail radius.  The reference
-        # curves end at the largest sampled distance, so their 512 points
-        # cover the samples as finely as in the tail window.
+        # The window reaches 44 times the CDF tail radius.  The exact CDF
+        # is read at the samples themselves, so the rows do not depend on
+        # how far the window reaches past them.
         rows = validate_against_analytic(fig1_params, range(1, 5), samples=20_000, seed=1,
                                          r_max=20_000.0)
         assert len(rows) == 8
         for row in rows:
             assert row.passed, row
 
-    def test_curves_end_at_the_largest_in_window_distance(self, fig1_params, monkeypatch):
-        # In a window of 60 many rows end beyond it, some at inf, with some
-        # of their entries inside: each kind's curves still end at its
-        # largest in-window distance, whichever column holds it.
-        ends = []
+    @pytest.mark.parametrize("k_max, samples", [(4, 20_000), (1, 50_000)])
+    def test_rows_pass_where_an_interpolated_reference_failed(self, k_max, samples):
+        # Against a 512-point linear interpolant of the CDF, nnd k = 1 read
+        # 0.019 over a threshold of 0.014 at 20,000 samples; against the
+        # exact CDF it reads 0.005.
+        rows = validate_against_analytic(McpParams(0.1, 2.0, 1.0, 1), range(1, k_max + 1),
+                                         samples=samples, seed=1)
+        assert len(rows) == 2 * k_max
+        for row in rows:
+            assert row.passed, row
 
-        def recording(kind, ks, p, r_max=None, num=512):
-            ends.append(r_max)
-            return distribution_curves(kind, ks, p, r_max=r_max, num=num)
-
-        distribution_curves = simulator.distribution_curves
-        monkeypatch.setattr(simulator, "distribution_curves", recording)
-        monkeypatch.setattr(simulator, "ks_distance", lambda ecdf, curve: 0.0)
-        report = validate_against_analytic(fig1_params, range(1, 5), samples=2000, seed=2,
-                                           r_max=60.0)
-        for kind, end in zip((STATIONARY, PALM), ends, strict=True):
-            d = report.distances[:, kind]
-            censored = d[d[:, -1] > 60.0]
-            assert np.isinf(censored).any() and (censored[:, 0] <= 60.0).any()
-            assert end == np.max(d, where=d <= 60.0, initial=0.0)
+    @pytest.mark.parametrize("change, failing", [
+        ({"rd": 55.0}, [("cd", 1)] + [("nnd", k) for k in range(1, 5)]),
+        ({"mbar": 6.0}, [(kind, k) for kind in ("cd", "nnd") for k in range(1, 5)]),
+    ], ids=["rd-x1.1", "mbar-x1.2"])
+    def test_rows_fail_for_runs_of_other_parameters(self, fig1_params, change, failing,
+                                                    monkeypatch):
+        # 50,000 runs drawn with rd 10 % or mbar 20 % above fig1's fail
+        # at least these rows against fig1's CDFs, each by a factor of 1.7
+        # or more (at rd x 1.1, cd k = 2 also fails, by 1 %).
+        simulate = simulator.simulate_kth_distances
+        monkeypatch.setattr(simulator, "simulate_kth_distances", lambda cfg: simulate(
+            dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, **change))))
+        rows = validate_against_analytic(fig1_params, range(1, 5), samples=50_000, seed=1)
+        assert set(failing) <= {(row.kind, row.k) for row in rows if not row.passed}
 
     @pytest.mark.parametrize(
         "p, k_values",
@@ -426,8 +438,8 @@ class ZeroingRng:
 class TestInPlaceKernels:
     # A short draw, long draws with empty parents, one of them a parent of
     # over 16,000 points; parents at the origin among them.
-    COUNTS = [np.array([3, 0, 5, 1]), np.array([0, 2 * _CHUNK + 5, 0, 7]),
-              np.tile([9, 0, 4, 3], _CHUNK // 4)]
+    COUNTS = [np.array([3, 0, 5, 1]), np.array([0, 2 * 8192 + 5, 0, 7]),
+              np.tile([9, 0, 4, 3], 8192 // 4)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20])
     @pytest.mark.parametrize("zeros", [False, True])
@@ -485,7 +497,7 @@ class TestMemory:
                         reason="counts minor page faults as Linux reports them")
     def test_fresh_validate_reuses_its_pages(self):
         # Blocks and KS rows reuse their arrays, so the allocator need not
-        # map and fault the same pages again: about 2,500 minor faults,
+        # map and fault the same pages again: about 1,700 minor faults,
         # where arrays allocated per block and per row took about 16,000.
         script = f"""
 import os, resource
@@ -503,7 +515,7 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     def test_validate_working_set_does_not_grow(self, fig1_params):
         # Reused arrays must not buy fewer faults with a larger working set:
-        # the traced peak of a warm fig1 validate is 4.5 MB, where arrays
+        # the traced peak of a warm fig1 validate is 4.3 MB, where arrays
         # allocated per block and per row peaked at 5.6 MB.
         validate_against_analytic(fig1_params, range(1, 5), samples=50_000, seed=1)
         tracemalloc.start()
