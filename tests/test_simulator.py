@@ -285,7 +285,7 @@ def exact_ks(ecdf, kind, k, p):
 
 class TestKsStatistic:
     def test_dkw_bound_on_inverse_sampled_draws(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params, num=4096)
+        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params)
         rng = rng_for(17)
         u = rng.random(100_000) * float(curve.values[-1])
         draws = np.interp(u, curve.values, curve.radii)
@@ -515,7 +515,7 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
     def test_validate_working_set_does_not_grow(self, fig1_params):
         # Reused arrays must not buy fewer faults with a larger working set:
-        # the traced peak of a warm fig1 validate is 4.3 MB, where arrays
+        # the traced peak of a warm fig1 validate is 4.2 MB, where arrays
         # allocated per block and per row peaked at 5.6 MB.
         validate_against_analytic(fig1_params, range(1, 5), samples=50_000, seed=1)
         tracemalloc.start()
