@@ -19,7 +19,9 @@ import argparse
 import time
 from pathlib import Path
 
-from mcpdist import (EmpiricalCdf, McpParams, SimConfig, distribution_curves, quantile_radius,
+import numpy as np
+
+from mcpdist import (EmpiricalCdf, McpParams, SimConfig, cdf_table, quantile_radius,
                      simulate_kth_distances)
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main as cli_main
@@ -46,15 +48,16 @@ def write_fig1(out: Path, samples: int, seed: int) -> None:
                                      (CurveKind.CONTACT, CurveKind.NND),
                                      simulate_kth_distances(cfg).swapaxes(0, 1)):
         r_max = quantile_radius(kind, max(K_VALUES), FIG1)
+        grid = np.linspace(0.0, r_max, 256)
+        table = cdf_table(kind, grid, K_VALUES, FIG1)
         with (out / name).open("w", newline="") as fh:
             fh.write(f"# lambda_p={FIG1.lambda_p!r} mbar={FIG1.mbar!r} rd={FIG1.rd!r} "
                      f"n={FIG1.n} samples={samples} seed={seed}\n")
             fh.write("r,k,cdf_analytic,cdf_empirical\n")
-            for curve in distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256):
-                ecdf = EmpiricalCdf.from_distances(distances[:, curve.k - 1], r_max)
-                empirical = ecdf.evaluate(curve.radii)
-                for r, a, e in zip(curve.radii, curve.values, empirical):
-                    fh.write(f"{float(r)!r},{curve.k},{float(a)!r},{float(e)!r}\n")
+            for k, values in zip(K_VALUES, table):
+                empirical = EmpiricalCdf.from_distances(distances[:, k - 1], r_max).evaluate(grid)
+                for r, a, e in zip(grid, values, empirical):
+                    fh.write(f"{float(r)!r},{k},{float(a)!r},{float(e)!r}\n")
 
 
 def write_sweep(path: Path, metric: str, lambdas, rd_points: int) -> None:

@@ -1,19 +1,17 @@
 """kth contact and nearest-neighbor distance distributions of n-D Matern
 cluster processes, with a Monte Carlo validation harness."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .analytic import (
     CurveKind,
-    DistributionCurve,
     McpParams,
     PmfVector,
     cdf_contact,
     cdf_nnd,
     cdf_nnd_small_rd_limit,
+    cdf_table,
     count_pmf,
-    distribution_curve,
-    distribution_curves,
     h_coefficient,
     palm_count_pmf,
     pgf_count,
@@ -41,7 +39,6 @@ from .simulator import (
 __all__ = [
     "CensoringError",
     "CurveKind",
-    "DistributionCurve",
     "EmpiricalCdf",
     "McpParams",
     "PmfVector",
@@ -54,10 +51,9 @@ __all__ = [
     "cdf_contact",
     "cdf_nnd",
     "cdf_nnd_small_rd_limit",
+    "cdf_table",
     "connectivity_probability",
     "count_pmf",
-    "distribution_curve",
-    "distribution_curves",
     "h_coefficient",
     "intersection_volume",
     "palm_count_pmf",

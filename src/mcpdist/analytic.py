@@ -15,9 +15,9 @@ may carry its own parameters (lambda_p, mbar, rd; n is shared): the
 lens kernel is one radii x nodes matrix, g(0), h_k and q_j are sums along
 its rows, and one recurrence forms every row's PMF.  A CDF table for a
 whole radius grid, or a whole cluster-radius sweep, and all orders is one
-such pass per chunk of rows; the curves for every k come from one table.
-A single radius is the one-row case, and its value is bit-identical to
-the table entry.
+such pass per chunk of rows: a CDF sampled on a radius grid is one row
+of that grid's table, for every k at once.  A single radius is the
+one-row case, and its value is bit-identical to the table entry.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from enum import Enum
 
 import numpy as np
 
-from ._special import gammainc, lgam, log_factorials
+from ._special import gammainc, log_factorials
 from .geometry import _campbell_count, _campbell_radius, lens_share, unit_ball_volume
 
 __all__ = [
     "CurveKind",
-    "DistributionCurve",
     "McpParams",
     "PmfVector",
     "cdf_contact",
@@ -44,8 +43,6 @@ __all__ = [
     "cdf_nnd_small_rd_limit",
     "cdf_table",
     "count_pmf",
-    "distribution_curve",
-    "distribution_curves",
     "h_coefficient",
     "log_pgf_count",
     "palm_count_pmf",
@@ -109,7 +106,6 @@ _PMF_HARD_CAP = 4096
 _LOG_DOUBLE_MIN = math.log(5e-324)
 
 _CURVE_TAIL = 1e-4
-_CURVE_POINTS = 512
 
 # The last n whose unit-ball volume v_n is a normal double (435; v_n falls from n = 5 on).
 _MAX_DIMENSION = bisect.bisect_left(range(1, 1001), True,
@@ -156,33 +152,6 @@ class CurveKind(str, Enum):
     CONTACT = "contact_cd"
     NND = "nnd"
     NND_SMALL_RD_LIMIT = "nnd_small_rd_limit"
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionCurve:
-    """A CDF sampled on an ascending radius grid."""
-
-    radii: np.ndarray
-    values: np.ndarray
-    kind: CurveKind
-    k: int
-    params: McpParams
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-        if radii.ndim != 1 or radii.shape != values.shape or radii.size == 0:
-            raise ValueError("radii and values must be matching 1-D arrays")
-        if not (np.isfinite(radii).all() and np.isfinite(values).all()):
-            raise ValueError("radii and CDF values must be finite")
-        if np.any(np.diff(radii) <= 0.0):
-            raise ValueError("radii must be strictly increasing")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("CDF values must lie in [0, 1]")
-        if np.any(np.diff(values) < -1e-9):
-            raise ValueError("CDF values must be nondecreasing")
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +280,12 @@ def _poisson_sums(t: np.ndarray, w: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
-    """log k! for a rising run of orders k; only single-order calls go past the PMF cap.
+    """log k! for a rising run of orders k up to the PMF cap.
 
     The table read is only as long as k needs, so low orders do not pay
     for the whole table.
     """
-    if k[-1] <= _PMF_HARD_CAP:
-        return log_factorials(int(k[-1]) + 1)[k]
-    return np.array([lgam(j + 1.0) for j in k])
+    return log_factorials(int(k[-1]) + 1)[k]
 
 
 def _padded(orders: np.ndarray, width: int) -> np.ndarray:
@@ -343,6 +310,7 @@ def h_coefficient(r: float, k: int, p: McpParams) -> float:
     volume at center separation x and lambda_d = mbar / (v_n rd^n) the
     daughter intensity.  k = 0 drops the power factor entirely, giving the
     bare integral of e^(-lambda_d A) x^(n-1) times the same prefactor.
+    k runs over 0..4096, the PMF's order cap.
     """
     _check_weight_order(k)
     kernel = _Kernel([r], p)
@@ -577,6 +545,7 @@ def q_weight(r: float, j: int, p: McpParams) -> float:
 
     Radial average over the typical point's offset y in the cluster ball:
     (1/j!) integral of (lambda_d A)^j e^(-lambda_d A) n y^(n-1) / rd^n dy.
+    j runs over 0..4096, the PMF's order cap.
     """
     _check_weight_order(j)
     return float(_poisson_sums(*_Kernel([r], p)._palm, j, j + 1)[0, 0])
@@ -610,7 +579,7 @@ def cdf_nnd_small_rd_limit(r: float, k: int, p: McpParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sampled curves
+# CDF tables and the auto grid end
 # ---------------------------------------------------------------------------
 
 
@@ -685,57 +654,14 @@ def quantile_radius(kind: CurveKind, k: int, p: McpParams) -> float:
     return r
 
 
-def distribution_curves(
-    kind: CurveKind,
-    ks,
-    p: McpParams,
-    r_max: float | None = None,
-    num: int = _CURVE_POINTS,
-) -> list[DistributionCurve]:
-    """Sample the CDF of every order in ks on one uniform grid from 0 to r_max.
-
-    With r_max None the grid extends to the radius found by quantile_radius
-    for the largest order; r_max = 0 degenerates to the single point r = 0.
-    All curves come from one CDF table: one kernel pass and one PMF
-    recurrence per radius chunk for every order, each value equal to the
-    pointwise CDF at its radius.  One curve per entry of ks, in that order.
-    """
-    kind = CurveKind(kind)
-    ks = list(ks)
-    _check_orders(ks)
-    if r_max is None:
-        r_max = quantile_radius(kind, max(ks), p)
-    if not 0.0 <= r_max < math.inf:
-        raise ValueError(f"r_max must be finite and nonnegative, got {r_max!r}")
-    if num < 2:
-        raise ValueError(f"grid needs at least 2 points, got {num!r}")
-    if r_max == 0.0:
-        grid = np.array([0.0])
-    else:
-        grid = np.linspace(0.0, float(r_max), num)
-    table = cdf_table(kind, grid, ks, p)
-    return [DistributionCurve(grid, values, kind, k, p) for k, values in zip(ks, table)]
-
-
-def distribution_curve(
-    kind: CurveKind,
-    k: int,
-    p: McpParams,
-    r_max: float | None = None,
-    num: int = _CURVE_POINTS,
-) -> DistributionCurve:
-    """Sample one order's CDF on a uniform grid: distribution_curves for [k]."""
-    return distribution_curves(kind, [k], p, r_max, num)[0]
-
-
 def _check_order(k: int) -> None:
     if not _is_integer(k) or not 1 <= k <= _PMF_HARD_CAP:
         raise ValueError(f"k must be an integer in 1..{_PMF_HARD_CAP}, got {k!r}")
 
 
 def _check_weight_order(k) -> None:
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {k!r}")
+    if not _is_integer(k) or not 0 <= k <= _PMF_HARD_CAP:
+        raise ValueError(f"order must be an integer in 0..{_PMF_HARD_CAP}, got {k!r}")
 
 
 def _check_orders(ks) -> None:

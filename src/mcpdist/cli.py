@@ -30,9 +30,10 @@ from . import __version__
 from .analytic import (
     CurveKind,
     McpParams,
+    cdf_table,
     count_pmf,
-    distribution_curves,
     palm_count_pmf,
+    quantile_radius,
 )
 from .apps import SweepMetric, SweepSpec, sweep
 from .simulator import MAX_DISTANCES, CensoringError, validate_against_analytic, write_raw_samples
@@ -267,15 +268,22 @@ def _cmd_cdf(args: argparse.Namespace) -> int:
         raise _CliError(f"grid-points must be in 2..{_MAX_GRID_POINTS}")
     _check_table_size(len(k_values) * args.grid_points, "k values x grid-points")
     kind = CurveKind.CONTACT if args.kind == "cd" else CurveKind.NND
-    curves = distribution_curves(kind, k_values, params, r_max=args.grid_max, num=args.grid_points)
+    end = quantile_radius(kind, k_values[-1], params) if args.grid_max is None else args.grid_max
+    if not 0.0 <= end < math.inf:
+        raise _CliError(f"grid-max must be finite and nonnegative, got {end!r}")
+    # A zero end is the single radius 0.
+    grid = np.linspace(0.0, end, args.grid_points) if end else np.zeros(1)
+    table = cdf_table(kind, grid, k_values, params)
     head = _header("cdf", [
         ("kind", args.kind), ("n", params.n), ("lambda_p", params.lambda_p),
         ("mbar", params.mbar), ("rd", params.rd), ("k", k_values),
-        ("grid_max", float(curves[0].radii[-1])), ("grid_points", args.grid_points),
+        ("grid_max", float(grid[-1])), ("grid_points", args.grid_points),
     ])
+    # Each radius is formatted once, for every k.
+    radii = [f"{r!r}," for r in grid.tolist()]
     _emit(args.output, head + "r,k,cdf\n", (
-        f"{r!r},{curve.k},{value!r}\n"
-        for curve in curves for r, value in zip(curve.radii.tolist(), curve.values.tolist())
+        f"{r}{k},{value!r}\n"
+        for k, values in zip(k_values, table.tolist()) for r, value in zip(radii, values)
     ))
     return 0
 

@@ -13,7 +13,6 @@ from mcpdist import (
     cdf_contact,
     cdf_nnd,
     count_pmf,
-    distribution_curves,
     h_coefficient,
     palm_count_pmf,
     pgf_count,
@@ -22,6 +21,7 @@ from mcpdist import (
 )
 from mcpdist import analytic
 from mcpdist.analytic import CurveKind, log_pgf_count
+from mcpdist.cli import main
 from mcpdist.geometry import _campbell_radius
 
 from oracles import (
@@ -115,7 +115,7 @@ class TestHCoefficients:
             h_coefficient(-1.0, 0, LINE)
         with pytest.raises(ValueError):
             h_coefficient(1.0, -1, LINE)
-        with pytest.raises(ValueError, match="order must be a nonnegative integer, got 1.5"):
+        with pytest.raises(ValueError, match=r"order must be an integer in 0\.\.4096, got 1\.5"):
             h_coefficient(1.0, 1.5, LINE)
 
 
@@ -411,10 +411,16 @@ class TestQuantileRadius:
         (McpParams(0.02, 3.0, 2.0, 5), 4, ("doubles", "doubles")),
         (McpParams(0.1, 2.0, 1.0, 1), 2, ("doubles", "doubles")),
     ])
-    def test_auto_grid_ends_on_the_smallest_reaching_lattice_point(self, kind, p, k, walks):
+    def test_auto_grid_ends_on_the_smallest_reaching_lattice_point(self, kind, p, k, walks, capsys):
         seed = _campbell_radius(k, p.n, p.lambda_p, p.mbar)
-        end = float(distribution_curves(kind, [k], p)[0].radii[-1])
-        assert end == analytic.quantile_radius(kind, k, p)
+        end = analytic.quantile_radius(kind, k, p)
+        # The CLI's auto grid ends there.
+        argv = ["cdf", "--kind", "cd" if kind is CurveKind.CONTACT else "nnd", "--k", str(k),
+                "--n", str(p.n), "--lambda-p", repr(p.lambda_p), "--mbar", repr(p.mbar),
+                "--rd", repr(p.rd), "--grid-points", "2"]
+        assert main(argv) == 0
+        header = capsys.readouterr().out.split("\n", 1)[0]
+        assert float(dict(field.split("=", 1) for field in header[2:].split())["grid_max"]) == end
         j = round(math.log2(end / seed))
         assert end == seed * 2.0**j
         walk = walks[kind is CurveKind.NND]

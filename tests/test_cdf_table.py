@@ -3,8 +3,8 @@
 Every entry must equal the one-radius, one-order call with its row's
 parameters bit for bit, whatever other radii, parameters and orders share
 the call and however the radii fall into chunks; a set of curves or a
-sweep must be one table; curves must agree with the closed low-order
-forms; and the working set of a long, high-order curve must stay bounded.
+sweep must be one table; table rows must agree with the closed low-order
+forms; and the working set of a long, high-order table must stay bounded.
 """
 
 import math
@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcpdist import (
-    DistributionCurve,
     McpParams,
     SweepMetric,
     SweepSpec,
@@ -25,11 +24,12 @@ from mcpdist import (
     cdf_contact,
     cdf_nnd,
     cdf_nnd_small_rd_limit,
-    distribution_curve,
-    distribution_curves,
+    h_coefficient,
+    q_weight,
+    quantile_radius,
     sweep,
 )
-from mcpdist import analytic
+from mcpdist import _special, analytic
 from mcpdist.analytic import CurveKind
 from mcpdist.cli import main
 
@@ -111,17 +111,6 @@ def test_rows_that_rescale_at_different_orders_match_pointwise_calls(kind):
             assert table[i, j] == POINTWISE[kind](float(r), k, p), (k, r)
 
 
-@pytest.mark.parametrize("kind", (CurveKind.CONTACT, CurveKind.NND, CurveKind.NND_SMALL_RD_LIMIT))
-def test_curve_set_rows_equal_single_curves(fig1_params, kind):
-    ks = [7, 1, 4, 2, 30]
-    curves = distribution_curves(kind, ks, fig1_params, num=300)
-    assert [curve.k for curve in curves] == ks
-    for curve in curves:
-        single = distribution_curve(kind, curve.k, fig1_params, r_max=curve.radii[-1], num=300)
-        assert np.array_equal(curve.radii, single.radii)
-        assert np.array_equal(curve.values, single.values), curve.k
-
-
 class _CountingKernel(analytic._Kernel):
     built = 0
 
@@ -167,11 +156,10 @@ def test_sweep_is_one_table(monkeypatch, hold):
 def test_curves_match_corollaries(fig1_params, k):
     closed_forms = ((CurveKind.CONTACT, corollary_contact_cdf), (CurveKind.NND, corollary_nnd_cdf))
     for kind, closed in closed_forms:
-        curve = distribution_curve(kind, k, fig1_params, num=512)
-        assert curve.radii.size == 512
-        worst = max(
-            abs(v - closed(float(r), k, fig1_params)) for r, v in zip(curve.radii, curve.values)
-        )
+        radii = np.linspace(0.0, quantile_radius(kind, k, fig1_params), 512)
+        values = analytic.cdf_table(kind, radii, [k], fig1_params)[0]
+        assert values.shape == (512,)
+        worst = max(abs(v - closed(float(r), k, fig1_params)) for r, v in zip(radii, values))
         assert worst <= 1e-12, (kind, worst)
 
 
@@ -180,11 +168,12 @@ def test_long_high_order_curve_working_set_is_bounded(fig1_params):
     # 20,000 radii x 64 orders x 65 nodes x 8 bytes, about 666 MB.
     tracemalloc.start()
     try:
-        curve = distribution_curve(CurveKind.CONTACT, 64, fig1_params, r_max=600.0, num=20_000)
+        radii = np.linspace(0.0, 600.0, 20_000)
+        values = analytic.cdf_table(CurveKind.CONTACT, radii, [64], fig1_params)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert curve.values[0] == 0.0 and curve.values[-1] > 0.5
+    assert values[0] == 0.0 and values[-1] > 0.5
     assert peak < 32 * 2**20, peak
 
 
@@ -201,24 +190,7 @@ def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mb
             assert table[i, j] == cdf_nnd_small_rd_limit(r, k, p), (k, r)
 
 
-@pytest.mark.parametrize("radii, values, message", [
-    ([0.0, 1.0], [0.0], "matching 1-D arrays"),
-    ([], [], "matching 1-D arrays"),
-    ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
-    ([0.0, 1.0], [0.0, 1.5], "lie in \\[0, 1\\]"),
-    ([0.0, 1.0, 2.0], [0.0, 0.5, 0.4], "nondecreasing"),
-])
-def test_curve_rejects_what_is_not_a_sampled_cdf(fig1_params, radii, values, message):
-    with pytest.raises(ValueError, match=message):
-        DistributionCurve(radii, values, CurveKind.CONTACT, 1, fig1_params)
-
-
 class TestNonFinite:
-    def test_curve_rejects_non_finite_values_and_radii(self, fig1_params):
-        for radii, values in (([0.0, 1.0], [0.0, math.nan]), ([0.0, math.inf], [0.0, 1.0])):
-            with pytest.raises(ValueError, match="finite"):
-                DistributionCurve(radii, values, CurveKind.CONTACT, 1, fig1_params)
-
     def test_table_raises_before_clipping(self, fig1_params, monkeypatch):
         # A NaN PMF used to come out of the clip as a CDF value of 0.0.
         def nan_pmf(kernel, m_max):
@@ -242,16 +214,6 @@ def test_table_orders_are_checked(fig1_params, ks, message):
     for kind in POINTWISE:
         with pytest.raises(ValueError, match=message):
             analytic.cdf_table(kind, [10.0, 20.0], ks, fig1_params)
-
-
-@pytest.mark.parametrize("r_max, num, message", [
-    (-1.0, 512, "r_max must be finite and nonnegative, got -1.0"),
-    (math.inf, 512, "r_max must be finite and nonnegative, got inf"),
-    (100.0, 1, "grid needs at least 2 points, got 1"),
-])
-def test_curves_check_their_grid(fig1_params, r_max, num, message):
-    with pytest.raises(ValueError, match=message):
-        distribution_curves(CurveKind.CONTACT, [1, 2], fig1_params, r_max=r_max, num=num)
 
 
 def test_table_parameter_rows_are_checked(fig1_params):
@@ -287,8 +249,15 @@ def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [[0], [0, 1, 2], [63], [64], list(range(60, 130)), [4095],
-                               [4096], [4097, 4098]])
+                               [4096]])
 def test_log_factorial_prefixes_match_each_entry(k):
-    # Orders up to the cap read a table prefix; higher ones call lgam.
-    expected = np.array([analytic.lgam(j + 1.0) for j in k])
+    # Every order up to the cap reads a prefix of one table.
+    expected = np.array([_special.lgam(j + 1.0) for j in k])
     assert analytic._log_factorials(np.array(k)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("weight", [h_coefficient, q_weight])
+def test_weight_orders_stop_at_the_pmf_cap(fig1_params, weight):
+    assert math.isfinite(weight(60.0, 4096, fig1_params))
+    with pytest.raises(ValueError, match=r"^order must be an integer in 0\.\.4096, got 4097$"):
+        weight(60.0, 4097, fig1_params)

@@ -79,6 +79,17 @@ class TestCdfCommand:
         _, rows = parse_csv(out)
         assert rows == [["0.0", "1", "0.0"]]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid-max", "nan"], "grid-max must be finite and nonnegative, got nan"),
+        (["--grid-max", "-1"], "grid-max must be finite and nonnegative, got -1.0"),
+        (["--grid-max", "inf"], "grid-max must be finite and nonnegative, got inf"),
+        (["--grid-max", "100", "--grid-points", "1"], "grid-points must be in 2..100000"),
+    ])
+    def test_bad_grid_exits_2_naming_the_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "cdf", "--kind", "cd", "--k", "1,2", *argv, *FIG1_ARGS)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_rows_match_library(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--kind", "cd", "--k", "1,3", "--grid-max", "150",

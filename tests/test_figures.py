@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mcpdist import (EmpiricalCdf, McpParams, SweepMetric, SweepSpec, distribution_curves,
-                     quantile_radius, sweep, validate_against_analytic)
+from mcpdist import (EmpiricalCdf, McpParams, SweepMetric, SweepSpec, cdf_table, quantile_radius,
+                     sweep, validate_against_analytic)
 from mcpdist.analytic import CurveKind
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
@@ -42,12 +42,12 @@ def test_figure_files_hold_the_library_values(tmp_path):
         header, rows = _csv(tmp_path / name)
         assert header == "r,k,cdf_analytic,cdf_empirical"
         r_max = quantile_radius(kind, max(K_VALUES), FIG1)
-        curves = distribution_curves(kind, K_VALUES, FIG1, r_max=r_max, num=256)
+        grid = np.linspace(0.0, r_max, 256)
         expected = []
-        for curve in curves:
-            ecdf = EmpiricalCdf.from_distances(simulated[:, index, curve.k - 1], r_max)
-            expected += zip(curve.radii.tolist(), [curve.k] * curve.radii.size,
-                            curve.values.tolist(), ecdf.evaluate(curve.radii).tolist())
+        for k, values in zip(K_VALUES, cdf_table(kind, grid, K_VALUES, FIG1)):
+            ecdf = EmpiricalCdf.from_distances(simulated[:, index, k - 1], r_max)
+            expected += zip(grid.tolist(), [k] * grid.size, values.tolist(),
+                            ecdf.evaluate(grid).tolist())
         assert [(float(r), int(k), float(a), float(e)) for r, k, a, e in rows] == expected
 
     rd_grid = tuple(np.geomspace(R / 100.0, 10.0 * R, 5))

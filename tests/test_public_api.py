@@ -7,19 +7,18 @@ import pytest
 
 PUBLIC_API = {
     "mcpdist": [
-        "CensoringError", "CurveKind", "DistributionCurve", "EmpiricalCdf", "McpParams",
-        "PmfVector", "SimConfig", "SweepMetric", "SweepSpec", "__version__", "ball_volume",
-        "cache_hit_probability", "cdf_contact", "cdf_nnd", "cdf_nnd_small_rd_limit",
-        "connectivity_probability", "count_pmf", "distribution_curve", "distribution_curves",
-        "h_coefficient", "intersection_volume", "palm_count_pmf", "pgf_count", "pgf_count_palm",
-        "ppp_cdf_contact", "q_weight", "quantile_radius", "simulate_kth_distances", "sweep",
-        "unit_ball_volume", "validate_against_analytic",
+        "CensoringError", "CurveKind", "EmpiricalCdf", "McpParams", "PmfVector", "SimConfig",
+        "SweepMetric", "SweepSpec", "__version__", "ball_volume", "cache_hit_probability",
+        "cdf_contact", "cdf_nnd", "cdf_nnd_small_rd_limit", "cdf_table",
+        "connectivity_probability", "count_pmf", "h_coefficient", "intersection_volume",
+        "palm_count_pmf", "pgf_count", "pgf_count_palm", "ppp_cdf_contact", "q_weight",
+        "quantile_radius", "simulate_kth_distances", "sweep", "unit_ball_volume",
+        "validate_against_analytic",
     ],
     "mcpdist._special": ["betainc_half_scaled", "gammainc", "gammaincc", "lgam", "log_factorials"],
     "mcpdist.analytic": [
-        "CurveKind", "DistributionCurve", "McpParams", "PmfVector", "cdf_contact", "cdf_nnd",
-        "cdf_nnd_small_rd_limit", "cdf_table", "count_pmf", "distribution_curve",
-        "distribution_curves", "h_coefficient", "log_pgf_count", "palm_count_pmf", "pgf_count",
+        "CurveKind", "McpParams", "PmfVector", "cdf_contact", "cdf_nnd", "cdf_nnd_small_rd_limit",
+        "cdf_table", "count_pmf", "h_coefficient", "log_pgf_count", "palm_count_pmf", "pgf_count",
         "pgf_count_palm", "ppp_cdf_contact", "q_weight", "quantile_radius",
     ],
     "mcpdist.apps": [

@@ -23,7 +23,7 @@ from mcpdist import (
     simulate_kth_distances,
 )
 from mcpdist import simulator
-from mcpdist.analytic import CurveKind, cdf_table, distribution_curve, quantile_radius
+from mcpdist.analytic import CurveKind, cdf_table, quantile_radius
 from mcpdist.geometry import lens_share
 from mcpdist.simulator import (
     _KEEP_MARGIN,
@@ -285,11 +285,12 @@ def exact_ks(ecdf, kind, k, p):
 
 class TestKsStatistic:
     def test_dkw_bound_on_inverse_sampled_draws(self, fig1_params):
-        curve = distribution_curve(CurveKind.CONTACT, 1, fig1_params)
+        radii = np.linspace(0.0, quantile_radius(CurveKind.CONTACT, 1, fig1_params), 512)
+        values = cdf_table(CurveKind.CONTACT, radii, [1], fig1_params)[0]
         rng = rng_for(17)
-        u = rng.random(100_000) * float(curve.values[-1])
-        draws = np.interp(u, curve.values, curve.radii)
-        ecdf = EmpiricalCdf.from_distances(draws, float(curve.radii[-1]))
+        u = rng.random(100_000) * float(values[-1])
+        draws = np.interp(u, values, radii)
+        ecdf = EmpiricalCdf.from_distances(draws, float(radii[-1]))
         assert _ks_statistic(ecdf, CurveKind.CONTACT, 1, fig1_params, 0.01) <= 0.01
 
     def test_censoring_error(self, fig1_params):
