@@ -111,6 +111,29 @@ def test_rows_that_rescale_at_different_orders_match_pointwise_calls(kind):
             assert table[i, j] == POINTWISE[kind](float(r), k, p), (k, r)
 
 
+@pytest.mark.parametrize("kind", (CurveKind.CONTACT, CurveKind.NND, CurveKind.NND_SMALL_RD_LIMIT))
+def test_curve_set_rows_equal_single_curves(fig1_params, kind):
+    # The rows of a many-order table on a curve's grid are the one-order tables.
+    ks = [7, 1, 4, 2, 30]
+    radii = np.linspace(0.0, quantile_radius(kind, max(ks), fig1_params), 300)
+    table = analytic.cdf_table(kind, radii, ks, fig1_params)
+    assert table.shape == (len(ks), radii.size)
+    for k, row in zip(ks, table):
+        single = analytic.cdf_table(kind, radii, [k], fig1_params)[0]
+        assert row.tobytes() == single.tobytes(), k
+
+
+@pytest.mark.parametrize("kind", (CurveKind.CONTACT, CurveKind.NND, CurveKind.NND_SMALL_RD_LIMIT))
+def test_table_rows_are_sampled_cdfs(fig1_params, kind):
+    # Read on a rising grid, every row is a CDF: in [0, 1] and nondecreasing.
+    ks = [1, 2, 4, 30, 64]
+    radii = np.linspace(0.0, quantile_radius(kind, max(ks), fig1_params), 512)
+    for k, row in zip(ks, analytic.cdf_table(kind, radii, ks, fig1_params)):
+        assert ((row >= 0.0) & (row <= 1.0)).all(), k
+        assert np.diff(row).min() >= -1e-9, k
+        assert row[-1] >= 1.0 - 1e-4, k
+
+
 class _CountingKernel(analytic._Kernel):
     built = 0
 
@@ -191,6 +214,13 @@ def test_small_rd_limit_table_equals_pointwise_calls_beyond_double_factorials(mb
 
 
 class TestNonFinite:
+    def test_table_rejects_non_finite_radii(self, fig1_params):
+        for kind in POINTWISE:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"^radius must be finite and nonnegative, got {bad!r}$"):
+                    analytic.cdf_table(kind, [0.0, 10.0, bad], [1, 2], fig1_params)
+
     def test_table_raises_before_clipping(self, fig1_params, monkeypatch):
         # A NaN PMF used to come out of the clip as a CDF value of 0.0.
         def nan_pmf(kernel, m_max):
@@ -249,9 +279,9 @@ def test_palm_lens_is_built_once_and_only_when_read(fig1_params, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [[0], [0, 1, 2], [63], [64], list(range(60, 130)), [4095],
-                               [4096]])
+                               [4096], [4097, 4098]])
 def test_log_factorial_prefixes_match_each_entry(k):
-    # Every order up to the cap reads a prefix of one table.
+    # Every order reads a prefix of one table, which grows past the cap on demand.
     expected = np.array([_special.lgam(j + 1.0) for j in k])
     assert analytic._log_factorials(np.array(k)).tobytes() == expected.tobytes()
 
